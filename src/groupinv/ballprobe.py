@@ -8,6 +8,18 @@ truncated-cone variant tests the closed-neighborhood analog.  All geometry is
 exact: scales are rational and every comparison is a cross-multiplied integer
 inequality, never floating point.
 
+The sublevel sets shrink as the scale grows, in both modes, so the probe is a
+single sweep over the sublevel filtration (0-dimensional persistence): each
+vertex gets the highest grid scale or retreat floor whose sublevel set holds
+it, found by binary search with the exact tests, and one union-find pass adds
+vertices and edges from the highest level down, answering every scale and
+retreat query at its level.
+
+The work is capped before anything is allocated: the ball order predicted by
+the closed growth series of the atom (for ``BS(1,n)`` the ``F(2)`` count,
+which bounds the ball of any 2-generated group) may not exceed
+``MAX_BALL_ORDER``.
+
 A finite window cannot certify the limit behavior, so reports are labelled as
 evidence.  Two safeguards keep ball-truncation artifacts out of the evidence:
 vertices at distance exactly r are flagged as shell, and connectivity is only
@@ -21,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import expressions as ex
 from .catalog import lookup_invariants
@@ -35,7 +47,9 @@ SUPPORTS_MEMBERSHIP = "SupportsMembership"
 SUPPORTS_NON_MEMBERSHIP = "SupportsNonMembership"
 INCONCLUSIVE = "Inconclusive"
 
-MAX_RADIUS = 12
+# F(2) at radius 12 has 1,062,881 vertices and fits; F(3) at radius 12 would
+# have about 3.7e8
+MAX_BALL_ORDER = 1_200_000
 
 
 class UnsupportedAtom(ValueError):
@@ -136,9 +150,42 @@ def _atom_machine(atom: ex.GroupAtom):
     if atom.kind == ex.KLEIN_BOTTLE:
         gens, step, height = _gens_klein()
         return (0, 0), gens, step, height, 1
-    raise UnsupportedAtom(
+    raise _unsupported(atom)
+
+
+def _unsupported(atom: ex.GroupAtom) -> UnsupportedAtom:
+    return UnsupportedAtom(
         "no implemented normal form for %s (generalized Thompson groups are presented "
         "infinitely and are rejected by design)" % atom.label())
+
+
+def _predicted_order(atom: ex.GroupAtom, radius: int, cap: int) -> int:
+    """Order of the radius-r ball from the closed growth series of the atom,
+    summed term by term and cut off at the first partial sum above ``cap``,
+    so a huge radius or rank costs a few big-integer steps."""
+    if atom.kind in (ex.FREE_ABELIAN, ex.KLEIN_BOTTLE):
+        if atom.kind == ex.FREE_ABELIAN and atom.params[0] < 1:
+            raise _unsupported(atom)
+        # Z^k: sum_j 2^j C(k,j) C(r,j); the Klein bottle group has the Z^2 count
+        k = atom.params[0] if atom.kind == ex.FREE_ABELIAN else 2
+        total = term = 1
+        for j in range(1, min(k, radius) + 1):
+            if total > cap:
+                break
+            term = term * 2 * (k - j + 1) * (radius - j + 1) // (j * j)
+            total += term
+        return total
+    if atom.kind in (ex.FREE, ex.BAUMSLAG_SOLITAR):
+        # F(n): 1 + sum_{j=1}^r 2n (2n-1)^(j-1); BS(1,n) is bounded by F(2)
+        n = atom.params[0] if atom.kind == ex.FREE else 2
+        total, sphere = 1, 2 * n
+        for _ in range(radius):
+            if total > cap:
+                break
+            total += sphere
+            sphere *= 2 * n - 1
+        return total
+    raise _unsupported(atom)
 
 
 @dataclass(frozen=True)
@@ -149,7 +196,6 @@ class BallGraph:
     heights: tuple[tuple[int, ...], ...]
     wordlen: tuple[int, ...]
     edges: tuple[tuple[int, int, str], ...]
-    neighbors: tuple[tuple[int, ...], ...]
     height_dim: int
     gen_heights: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
@@ -166,8 +212,9 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
     with exact heights and the full induced edge set."""
     if radius < 2:
         raise ProbeConfigError("radius must be at least 2")
-    if radius > MAX_RADIUS:
-        raise ProbeConfigError("radius exceeds the configured cap %d" % MAX_RADIUS)
+    if _predicted_order(atom, radius, MAX_BALL_ORDER) > MAX_BALL_ORDER:
+        raise ProbeConfigError("the radius-%d ball of %s would have more than %d vertices"
+                               % (radius, atom.label(), MAX_BALL_ORDER))
     identity, gens, step, height, dim = _atom_machine(atom)
     dist = {identity: 0}
     order = [identity]
@@ -186,16 +233,12 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
                     queue.append(nxt)
     index = {key: i for i, key in enumerate(order)}
     edges = []
-    neighbor_sets: list[set[int]] = [set() for _ in order]
     for key in order:
         i = index[key]
         for name, gen in gens:
-            nxt = step(key, gen, 1)
-            j = index.get(nxt)
+            j = index.get(step(key, gen, 1))
             if j is not None and j != i:
                 edges.append((i, j, name))
-                neighbor_sets[i].add(j)
-                neighbor_sets[j].add(i)
     heights = tuple(tuple(height(key)) for key in order)
     gen_heights = {}
     for name, gen in gens:
@@ -210,7 +253,6 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
         heights=heights,
         wordlen=tuple(dist[key] for key in order),
         edges=tuple(edges),
-        neighbors=tuple(tuple(sorted(s)) for s in neighbor_sets),
         height_dim=dim,
         gen_heights=gen_heights,
     )
@@ -243,16 +285,14 @@ def cone_test(h: Sequence[int], gamma: Direction, s: Fraction) -> bool:
     the angle bound is pi/2 and the test degenerates to the half-space."""
     if s < 0:
         raise ProbeConfigError("truncated cones need s >= 0")
-    if not halfspace_test(h, gamma, s):
-        return False
-    if s == 0:
-        a = sum(x * g for x, g in zip(h, gamma.coords))
-        return a >= 0
     a = sum(x * g for x, g in zip(h, gamma.coords))
-    if a < 0:
+    return _in_cone(a, sum(x * x for x in h), gamma.norm_sq(), s)
+
+
+def _in_cone(a: int, norm_h: int, norm_g: int, s: Fraction) -> bool:
+    """cone_test for s >= 0 from a = <h, gamma>, |h|^2 and |gamma|^2."""
+    if not _ge_scaled_norm(a, s, norm_g):
         return False
-    norm_g = gamma.norm_sq()
-    norm_h = sum(x * x for x in h)
     sp, sq = s.numerator, s.denominator
     return sp * sp * (norm_h * norm_g - a * a) <= sq * sq * a * a
 
@@ -275,14 +315,6 @@ def _check_direction(ball: BallGraph, gamma: Direction):
                                % (len(gamma), ball.height_dim))
 
 
-def _sublevel(ball: BallGraph, gamma: Direction, s: Fraction, mode: str) -> list[int]:
-    if mode == HALF_SPACE:
-        return halfspace_subgraph(ball, gamma, s)
-    if mode == TRUNCATED_CONE:
-        return cone_subgraph(ball, gamma, max(s, Fraction(0)))
-    raise ProbeConfigError("unknown mode %r" % mode)
-
-
 # ---------------------------------------------------------------------------
 # the probe
 
@@ -297,12 +329,12 @@ class ProbeConfig:
     core_margin: int | None = None  # defaults to radius - (radius // 2 + 1)
 
     def __post_init__(self):
-        if self.radius < 2:
-            raise ProbeConfigError("radius must be at least 2")
         if list(self.grid) != sorted(self.grid) or any(s < 0 for s in self.grid):
             raise ProbeConfigError("grid scales must be non-negative and non-decreasing")
         if self.mode not in (HALF_SPACE, TRUNCATED_CONE):
             raise ProbeConfigError("unknown mode %r" % self.mode)
+        if self.lambda_max < 0:
+            raise ProbeConfigError("the retreat budget must be non-negative")
 
     @property
     def core_radius(self) -> int:
@@ -361,59 +393,149 @@ class ProbeReport:
         return "\n".join(lines)
 
 
-def _components_covering(ball: BallGraph, allowed: Iterable[int], targets: Sequence[int]) -> int:
-    """Number of connected components of the induced subgraph on ``allowed``
-    that contain at least one target vertex."""
-    allowed = set(allowed)
-    uf = UnionFind(ball.order)
-    for i, j, _ in ball.edges:
-        if i in allowed and j in allowed:
-            uf.union(i, j)
-    roots = {uf.find(t) for t in targets}
-    return len(roots)
+def _entry_levels(ball: BallGraph, gamma: Direction, levels: Sequence[Fraction],
+                  mode: str) -> list[int]:
+    """For each vertex, the index of the highest level whose sublevel set
+    holds it, or -1.  Membership only shrinks as the level grows, so a binary
+    search with the exact tests finds it; equal heights share the answer."""
+    coords = gamma.coords
+    norm_g = gamma.norm_sq()
+    cone = mode == TRUNCATED_CONE
+
+    def highest(h):
+        a = sum(x * g for x, g in zip(h, coords))
+        norm_h = sum(x * x for x in h)
+        lo, hi = 0, len(levels)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            t = levels[mid]
+            if _in_cone(a, norm_h, norm_g, t) if cone else _ge_scaled_norm(a, t, norm_g):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo - 1
+
+    known: dict[tuple[int, ...], int] = {}
+    entry = []
+    for h in ball.heights:
+        k = known.get(h)
+        if k is None:
+            k = known[h] = highest(h)
+        entry.append(k)
+    return entry
+
+
+def _connected(find, vertices: list[int], n: int) -> bool:
+    """Whether the first n vertices lie in one union-find component."""
+    root = find(vertices[0])
+    return all(find(vertices[i]) == root for i in range(1, n))
 
 
 def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF_SPACE,
                        lambda_max=Fraction(1), core_margin: int | None = None) -> ProbeReport:
     """For each scale s, find the least grid retreat that reconnects the core
-    of the sublevel set; classify the direction from the row pattern."""
+    of the sublevel set; classify the direction from the row pattern.
+
+    The levels are the grid scales and the retreat floors.  One union-find
+    pass adds the vertices and edges of each level from the highest down, so
+    after level t it holds the components of the sublevel set at t; each
+    scale's retreat candidates are tested at their levels, highest first, up
+    to the first that joins its core into one component."""
     config = ProbeConfig(radius=ball.radius, direction=gamma,
                          grid=tuple(Fraction(s) for s in grid), mode=mode,
                          lambda_max=Fraction(lambda_max), core_margin=core_margin)
+    _check_direction(ball, gamma)
+    grid = config.grid
+    floors = [s - config.lambda_max for s in grid]
+    if mode == TRUNCATED_CONE:
+        floors = [max(f, Fraction(0)) for f in floors]
+    levels = sorted(set(grid) | set(floors))
+    level_of = {t: k for k, t in enumerate(levels)}
+    entry = _entry_levels(ball, gamma, levels, mode)
+
+    # vertices, core vertices and edges bucketed by the level they enter at
+    top = len(levels)
     core_radius = config.core_radius
+    entering = [0] * top
+    core_entering: list[list[int]] = [[] for _ in levels]
+    shell_top = -1
+    for v, k in enumerate(entry):
+        if k < 0:
+            continue
+        entering[k] += 1
+        d = ball.wordlen[v]
+        if d <= core_radius:
+            core_entering[k].append(v)
+        if d == ball.radius and k > shell_top:
+            shell_top = k
+    edges_at: list[list[int]] = [[] for _ in levels]
+    for i, j, _ in ball.edges:
+        k = entry[i] if entry[i] < entry[j] else entry[j]
+        if k >= 0:
+            edges_at[k] += (i, j)
+    # sub_at[k] and core_at[k] count the sublevel set at level k and its core;
+    # that core is the first core_at[k] entries of core_order
+    sub_at = [0] * (top + 1)
+    core_at = [0] * (top + 1)
+    core_order: list[int] = []
+    for k in range(top - 1, -1, -1):
+        sub_at[k] = sub_at[k + 1] + entering[k]
+        core_at[k] = core_at[k + 1] + len(core_entering[k])
+        core_order += core_entering[k]
+
+    # a scale with a core asks its retreat candidates in turn, highest first
+    grid_levels = {level_of[s] for s in grid}
+    targets: list[list[int]] = []
+    pending: list[list[int]] = [[] for _ in levels]
+    lowest = top  # the lowest level a scale without core reads its count at
+    for q, s in enumerate(grid):
+        sk, fk = level_of[s], level_of[floors[q]]
+        targets.append(sorted({k for k in grid_levels if fk <= k <= sk} | {fk}))  # last is next
+        if core_at[sk]:
+            pending[sk].append(q)
+        else:
+            lowest = min(lowest, sk)
+    open_queries = sum(len(p) for p in pending)
+    answers: dict[int, tuple[Fraction | None, int]] = {}  # scale index -> (retreat, components)
+    components_at = [0] * top
+    uf = UnionFind(ball.order)
+    for k in range(top - 1, -1, -1):
+        if not open_queries and k < lowest:
+            break
+        flat = edges_at[k]
+        for x in range(0, len(flat), 2):
+            uf.union(flat[x], flat[x + 1])
+        components_at[k] = sub_at[k] - (ball.order - uf.components)
+        for q in sorted(pending[k]):
+            n = core_at[level_of[grid[q]]]
+            targets[q].pop()
+            if _connected(uf.find, core_order, n):
+                answers[q] = (grid[q] - levels[k], 1)
+            elif not targets[q]:
+                answers[q] = (None, len({uf.find(core_order[i]) for i in range(n)}))
+            else:
+                pending[targets[q][-1]].append(q)
+                continue
+            open_queries -= 1
+
     rows: list[ProbeRow] = []
     split_seen = False
     evaluated: list[tuple[Fraction, Fraction]] = []  # (s, retreat)
-    for s in config.grid:
-        sub = _sublevel(ball, gamma, s, mode)
-        core = [i for i in sub if ball.wordlen[i] <= core_radius]
-        shell_touched = any(ball.shell(i) for i in sub)
-        if not core:
-            comps = _components_covering(ball, sub, sub) if sub else 0
-            rows.append(ProbeRow(s, len(sub), 0, comps, None, shell_touched,
+    for q, s in enumerate(grid):
+        sk = level_of[s]
+        shell_touched = shell_top >= sk
+        if not core_at[sk]:
+            rows.append(ProbeRow(s, sub_at[sk], 0, components_at[sk], None, shell_touched,
                                  note="no core vertices at this scale"))
             continue
-        # retreat levels: grid values below s within budget, then the budget floor
-        floor = s - config.lambda_max
-        if mode == TRUNCATED_CONE and floor < 0:
-            floor = Fraction(0)
-        candidates = sorted({g for g in config.grid if floor <= g <= s} | {max(floor, Fraction(0)) if mode == TRUNCATED_CONE else floor},
-                            reverse=True)
-        retreat = None
-        comps = None
-        for target in candidates:
-            allowed = _sublevel(ball, gamma, target, mode)
-            comps = _components_covering(ball, allowed, core)
-            if comps == 1:
-                retreat = s - target
-                break
+        retreat, comps = answers[q]
         if retreat is None:
             split_seen = True
-            rows.append(ProbeRow(s, len(sub), len(core), comps, None, shell_touched,
+            rows.append(ProbeRow(s, sub_at[sk], core_at[sk], comps, None, shell_touched,
                                  note="core components never merge within the budget"))
         else:
             evaluated.append((s, retreat))
-            rows.append(ProbeRow(s, len(sub), len(core), 1, retreat, shell_touched))
+            rows.append(ProbeRow(s, sub_at[sk], core_at[sk], 1, retreat, shell_touched))
     if split_seen:
         evidence = SUPPORTS_NON_MEMBERSHIP
     elif len(evaluated) >= 2:

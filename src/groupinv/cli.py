@@ -127,16 +127,23 @@ def probe(atom_text: str, direction_text: str, mode: str, radius: int,
         if expr.node != "atom":
             raise ValueError("the probe runs on single atoms, not products")
         gamma = Direction([int(c) for c in direction_text.split(",")])
-        scales = (default_grid(radius) if grid is None
-                  else [Fraction(chunk) for chunk in grid.split(",")])
         ball = enumerate_ball(expr.atom, radius)
-        report = connectivity_probe(ball, gamma, scales, mode, Fraction(lambda_max))
+        scales = (default_grid(radius) if grid is None
+                  else [_rational(chunk) for chunk in grid.split(",")])
+        report = connectivity_probe(ball, gamma, scales, mode, _rational(lambda_max))
         if fmt == "csv":
             click.echo(report.to_csv())
         else:
             _emit(report.to_json_dict())
     except (ex.ParseError, ValueError) as exc:
         _fail(str(exc))
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 @main.command()

@@ -318,11 +318,17 @@ def _tokenize(text: str):
     yield ("end", None, len(text))
 
 
+# each parenthesis costs three stack frames (expr, term, factor); the bound
+# keeps the descent far below the interpreter's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = list(_tokenize(text))
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -388,8 +394,12 @@ class _Parser:
     def factor(self) -> GroupExpr:
         kind, value, pos = self.peek()
         if kind == "sym" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, pos)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_symbol(")")
             return inner
         if kind != "word":

@@ -1,19 +1,26 @@
 """Cayley-ball enumeration and the connectivity probe: exact geometry tests,
-structural invariants over whole balls, and catalog agreement."""
+structural invariants over whole balls, the order cap, catalog agreement, and
+the filtration sweep against a brute-force rescanning reference."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from groupinv import ballprobe as bp
 from groupinv import expressions as ex
 from groupinv.ballprobe import (
     HALF_SPACE,
+    INCONCLUSIVE,
+    MAX_BALL_ORDER,
     SUPPORTS_MEMBERSHIP,
     SUPPORTS_NON_MEMBERSHIP,
     TRUNCATED_CONE,
+    ProbeConfig,
     ProbeConfigError,
+    ProbeRow,
     UnsupportedAtom,
     cone_subgraph,
     cone_test,
@@ -24,6 +31,7 @@ from groupinv.ballprobe import (
     probe_direction_scan,
 )
 from groupinv.spheres import Direction
+from groupinv.unionfind import UnionFind
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +62,30 @@ def test_ball_klein_quadratic():
     assert ball.order == 85  # same diamond count as Z^2: bijective normal form a^p b^q
 
 
+def test_ball_order_cap_checked_before_enumeration():
+    # F(3) at radius 12 would have 1 + 6 (5^12 - 1) / 4 vertices: refused at once
+    start = time.perf_counter()
+    with pytest.raises(ProbeConfigError, match="more than %d vertices" % MAX_BALL_ORDER):
+        enumerate_ball(ex.free_group(3), 12)
+    with pytest.raises(ProbeConfigError):
+        enumerate_ball(ex.free_abelian(100000), 10 ** 18)
+    assert time.perf_counter() - start < 0.5
+    # F(2) at radius 12 (1,062,881 vertices) and the BS(1,n) bound at it pass
+    assert bp._predicted_order(ex.free_group(2), 12, MAX_BALL_ORDER) == 1062881 <= MAX_BALL_ORDER
+    assert bp._predicted_order(ex.baumslag_solitar(1, 2), 12, MAX_BALL_ORDER) == 1062881
+
+
+def test_predicted_order_matches_enumeration():
+    for atom, radii in ((ex.free_abelian(1), (2, 5)), (ex.free_abelian(2), (2, 4, 7)),
+                        (ex.free_abelian(3), (2, 3, 5)), (ex.klein_bottle(), (3, 6)),
+                        (ex.free_group(2), (2, 5)), (ex.free_group(3), (2, 4))):
+        for r in radii:
+            assert bp._predicted_order(atom, r, MAX_BALL_ORDER) == enumerate_ball(atom, r).order
+    for n, r in ((2, 8), (3, 7)):  # the F(2) count bounds BS(1,n)
+        atom = ex.baumslag_solitar(1, n)
+        assert enumerate_ball(atom, r).order <= bp._predicted_order(atom, r, MAX_BALL_ORDER)
+
+
 def test_unsupported_atoms_rejected():
     with pytest.raises(UnsupportedAtom):
         enumerate_ball(ex.generalized_thompson(3), 4)
@@ -62,7 +94,7 @@ def test_unsupported_atoms_rejected():
     with pytest.raises(ProbeConfigError):
         enumerate_ball(ex.free_abelian(2), 1)
     with pytest.raises(ProbeConfigError):
-        enumerate_ball(ex.free_abelian(2), 100)
+        enumerate_ball(ex.free_abelian(2), 10 ** 4)  # 200,020,001 vertices
 
 
 def test_height_additive_on_every_edge():
@@ -223,3 +255,110 @@ def test_direction_scan_agreement_radius6():
                 assert row.catalog_member is not None
                 expected = SUPPORTS_MEMBERSHIP if row.catalog_member else SUPPORTS_NON_MEMBERSHIP
                 assert row.evidence == expected, (atom.label(), mode, row)
+
+
+def test_probe_config_rejects_negative_budget():
+    with pytest.raises(ProbeConfigError):
+        ProbeConfig(radius=4, direction=Direction((1, 0)), grid=(Fraction(0),),
+                    lambda_max=Fraction(-1))
+    ball = enumerate_ball(ex.free_abelian(2), 4)
+    with pytest.raises(ProbeConfigError):
+        connectivity_probe(ball, Direction((1, 0)), default_grid(4), lambda_max=Fraction(-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the sweep against the rescanning probe it replaced
+
+
+def _reference_probe(ball, gamma, grid, mode, lambda_max, core_margin):
+    """The probe as a brute-force rescan: every scale and every retreat
+    candidate recomputes its sublevel set and a fresh union-find."""
+    config = ProbeConfig(radius=ball.radius, direction=gamma,
+                         grid=tuple(Fraction(s) for s in grid), mode=mode,
+                         lambda_max=Fraction(lambda_max), core_margin=core_margin)
+
+    def sublevel(s):
+        if mode == HALF_SPACE:
+            return halfspace_subgraph(ball, gamma, s)
+        return cone_subgraph(ball, gamma, max(s, Fraction(0)))
+
+    def components_covering(allowed, targets):
+        allowed = set(allowed)
+        uf = UnionFind(ball.order)
+        for i, j, _ in ball.edges:
+            if i in allowed and j in allowed:
+                uf.union(i, j)
+        return len({uf.find(t) for t in targets})
+
+    rows = []
+    split_seen = False
+    evaluated = []
+    for s in config.grid:
+        sub = sublevel(s)
+        core = [i for i in sub if ball.wordlen[i] <= config.core_radius]
+        shell_touched = any(ball.shell(i) for i in sub)
+        if not core:
+            comps = components_covering(sub, sub) if sub else 0
+            rows.append(ProbeRow(s, len(sub), 0, comps, None, shell_touched,
+                                 note="no core vertices at this scale"))
+            continue
+        floor = s - config.lambda_max
+        if mode == TRUNCATED_CONE and floor < 0:
+            floor = Fraction(0)
+        candidates = sorted({g for g in config.grid if floor <= g <= s} | {floor}, reverse=True)
+        retreat = comps = None
+        for target in candidates:
+            comps = components_covering(sublevel(target), core)
+            if comps == 1:
+                retreat = s - target
+                break
+        if retreat is None:
+            split_seen = True
+            rows.append(ProbeRow(s, len(sub), len(core), comps, None, shell_touched,
+                                 note="core components never merge within the budget"))
+        else:
+            evaluated.append((s, retreat))
+            rows.append(ProbeRow(s, len(sub), len(core), 1, retreat, shell_touched))
+    if split_seen:
+        evidence = SUPPORTS_NON_MEMBERSHIP
+    elif len(evaluated) >= 2:
+        descents = [s - lam for s, lam in evaluated]
+        increasing = all(b > a for a, b in zip(descents, descents[1:]))
+        evidence = SUPPORTS_MEMBERSHIP if increasing else INCONCLUSIVE
+    else:
+        evidence = INCONCLUSIVE
+    return config, tuple(rows), evidence
+
+
+SWEEP_CASES = [
+    (ex.free_abelian(2), 5, [(1, 0), (1, 1), (2, -1), (-1, -2)]),
+    (ex.free_abelian(3), 3, [(1, 0, 0), (1, -1, 1), (0, 2, -1)]),
+    (ex.klein_bottle(), 5, [(1,), (-1,)]),
+    (ex.baumslag_solitar(1, 2), 5, [(1,), (-1,)]),
+    (ex.baumslag_solitar(1, 3), 4, [(1,), (-1,)]),
+    (ex.free_group(2), 4, [(1, 0), (-1, 1)]),
+]
+
+
+@pytest.mark.parametrize("atom,radius,directions", SWEEP_CASES,
+                         ids=[case[0].label() for case in SWEEP_CASES])
+def test_sweep_equals_rescanning_reference(atom, radius, directions):
+    ball = enumerate_ball(atom, radius)
+    grids = (default_grid(radius),
+             [Fraction(j, 2) for j in range(radius + 1)],  # half-integer steps
+             [0, Fraction(1, 3), 1, 1, 2, 2])  # duplicate scales
+    no_core_rows = 0
+    for d in directions:
+        gamma = Direction(d)
+        for mode in (HALF_SPACE, TRUNCATED_CONE):
+            for grid in grids:
+                for lam in (0, Fraction(1, 2), 1, 3):
+                    # margin 0: the core is the whole ball; margin = radius: the identity
+                    for margin in (None, 0, radius):
+                        report = connectivity_probe(ball, gamma, grid, mode, lam, margin)
+                        config, rows, evidence = _reference_probe(ball, gamma, grid, mode,
+                                                                  lam, margin)
+                        assert (report.config, report.rows, report.evidence) == \
+                            (config, rows, evidence), (atom.label(), d, mode, grid, lam, margin)
+                        no_core_rows += sum(1 for r in rows if r.core_vertices == 0)
+    assert no_core_rows > 0

@@ -86,3 +86,20 @@ def test_usage_errors_exit_2():
     assert run("rinf").exit_code == 2
     assert run("nonsense").exit_code == 2
     assert run("probe", "--atom", "Z^2").exit_code == 2
+
+
+def test_probe_and_parser_failures_print_one_json_document():
+    cases = [
+        ("probe", "--atom", "Z^2", "--dir", "1,0", "--lambda-max", "1/0"),
+        ("probe", "--atom", "Z^2", "--dir", "1,0", "--grid", "0,1/0"),
+        ("probe", "--atom", "Z^2", "--dir", "1,0", "--lambda-max", "-1"),
+        ("probe", "--atom", "F(3)", "--dir", "1,0,0", "--radius", "12"),
+        ("rinf", "-g", "(" * 400 + "Z" + ")" * 400),
+    ]
+    for args in cases:
+        result = run(*args)
+        assert result.exit_code == 1, args
+        data = json.loads(result.output)
+        assert set(data) == {"version", "error"}, args
+    assert "position" in json.loads(run(*cases[-1]).output)["error"]
+    assert run("rinf", "-g", "(" * 100 + "Z" + ")" * 100).exit_code == 0
