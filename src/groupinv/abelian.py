@@ -10,12 +10,25 @@ of twisted conjugacy classes equals ``#Coker(1 - phi)``; the group is
 presented as a lattice quotient and the cokernel read off the Smith form of
 the stacked relation matrix.  A brute-force orbit counter over multiplication
 tables of small finite groups serves as the independent cross-check.
+
+A table is validated through one greedy generating set S: the least element
+not yet reached becomes the next generator, and the reached set is closed
+under right multiplication by the generators, so every element is a
+left-normed product of S.  In a group each generator at least doubles the
+span, so a table needing more than floor(log2 n) of them is not associative.
+Light's test then checks (x g) z = x (g z) for g in S only, as one row gather
+per (x, g): the g passing it are closed under products, so this proves the
+whole table associative.  Homomorphisms are checked on pairs (x, g) and the
+twisted orbits are joined along g in S, so every scan costs O(|S| n), with
+|S| <= log2 n, instead of O(n^2) or O(n^3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 from .unionfind import UnionFind
@@ -345,41 +358,55 @@ def fixed_subgroup_trivial(phi: FGAbelianAutomorphism) -> bool:
 
 @dataclass
 class FiniteGroupTable:
-    """Finite group of order <= 512 as an n x n index table, table[i][j] = i*j."""
+    """Finite group of order <= 512 as an n x n index table, table[i][j] = i*j.
+
+    Validation also picks the greedy generating set ``generators``; every
+    later scan of the table runs over it instead of over all n elements.
+    """
 
     table: tuple[tuple[int, ...], ...]
     identity: int = field(init=False)
     inverse: tuple[int, ...] = field(init=False)
+    generators: tuple[int, ...] = field(init=False)
 
     MAX_ORDER = 512
 
     def __post_init__(self):
-        n = len(self.table)
+        try:
+            table = self.table = tuple(map(tuple, self.table))
+        except TypeError:
+            raise InvalidGroupTable("table must be a sequence of rows") from None
+        n = len(table)
         if n == 0 or n > self.MAX_ORDER:
             raise InvalidGroupTable("order must be between 1 and %d" % self.MAX_ORDER)
-        if any(len(row) != n for row in self.table):
+        if any(len(row) != n for row in table):
             raise InvalidGroupTable("table is not square")
-        if any(x < 0 or x >= n for row in self.table for x in row):
+        if set(map(type, chain.from_iterable(table))) != {int}:
+            raise InvalidGroupTable("table entries must be integers")
+        if not all(map(frozenset(range(n)).issuperset, table)):
             raise InvalidGroupTable("table entries out of range")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                ident = e
-                break
+        # the identity's row and column both read 0, 1, ..., n - 1
+        elements = tuple(range(n))
+        ident = next((e for e, row in enumerate(table)
+                      if row == elements and _column(table, e) == elements), None)
         if ident is None:
             raise InvalidGroupTable("no identity element")
-        inv = [None] * n
-        for x in range(n):
-            for y in range(n):
-                if self.table[x][y] == ident and self.table[y][x] == ident:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise InvalidGroupTable("element %d has no inverse" % x)
-        if not _associative(self.table):
+        inv = []
+        for x, row in enumerate(table):
+            y = row.index(ident) if ident in row else None
+            if y is None or table[y][x] != ident:
+                # not a group: look for the least two-sided inverse anyway
+                y = next((y for y in range(n)
+                          if row[y] == ident and table[y][x] == ident), None)
+                if y is None:
+                    raise InvalidGroupTable("element %d has no inverse" % x)
+            inv.append(y)
+        gens = _greedy_generators(table, ident)
+        if gens is None or not _light_associative(table, gens):
             raise InvalidGroupTable("table is not associative")
         self.identity = ident
         self.inverse = tuple(inv)
+        self.generators = gens
 
     @property
     def order(self) -> int:
@@ -389,22 +416,27 @@ class FiniteGroupTable:
         return self.table[x][y]
 
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[i][j] == self.table[j][i] for i in range(n) for j in range(i + 1, n))
+        t, gens = self.table, self.generators
+        return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def center(self) -> list[int]:
-        n = self.order
-        return [z for z in range(n)
-                if all(self.table[z][x] == self.table[x][z] for x in range(n))]
+        t = self.table
+        pairs = [(t[g], _column(t, g)) for g in self.generators]
+        return [z for z in range(self.order) if all(row[z] == col[z] for row, col in pairs)]
 
     def check_automorphism(self, perm: Sequence[int]) -> None:
         n = self.order
+        try:
+            perm = tuple(perm)
+        except TypeError:
+            raise InvalidGroupTable("map is not a sequence") from None
+        if set(map(type, perm)) - {int}:
+            raise InvalidGroupTable("map entries must be integers")
         if sorted(perm) != list(range(n)):
             raise InvalidGroupTable("map is not a permutation")
-        for x in range(n):
-            for y in range(n):
-                if perm[self.table[x][y]] != self.table[perm[x]][perm[y]]:
-                    raise InvalidGroupTable("map is not a homomorphism at (%d, %d)" % (x, y))
+        defect = _hom_defect(self, self, perm)
+        if defect is not None:
+            raise InvalidGroupTable("map is not a homomorphism at (%d, %d)" % defect)
 
     def conjugacy_class_count(self) -> int:
         # Burnside on the conjugation action: #classes = sum |C(x)| / |G|
@@ -416,38 +448,91 @@ class FiniteGroupTable:
         return total // n
 
 
-def _associative(table: tuple[tuple[int, ...], ...]) -> bool:
+def _column(table: tuple[tuple[int, ...], ...], g: int) -> tuple[int, ...]:
+    """(x * g for every x)."""
+    return tuple(map(itemgetter(g), table))
+
+
+def _greedy_generators(table: tuple[tuple[int, ...], ...],
+                       ident: int) -> tuple[int, ...] | None:
+    """Take the least element not yet reached as the next generator and close
+    the reached set under right multiplication by the generators so far, so
+    every element is a left-normed product of them.  In a group the reached
+    set is the subgroup generated and each new generator at least doubles it;
+    None when more than floor(log2 n) generators are needed, which shows the
+    table is not associative."""
     n = len(table)
-    if n <= 64:
-        return all(table[table[i][j]][k] == table[i][table[j][k]]
-                   for i in range(n) for j in range(n) for k in range(n))
-    import numpy as np
-    t = np.array(table, dtype=np.int16)
-    for i0 in range(0, n, 32):
-        chunk = t[i0:i0 + 32]
-        lhs = t[chunk, :]    # lhs[x, j, k] = t[t[i0+x, j], k]
-        rhs = chunk[:, t]    # rhs[x, j, k] = t[i0+x, t[j, k]]
-        if not np.array_equal(lhs, rhs):
+    limit = n.bit_length() - 1
+    reached = [False] * n
+    reached[ident] = True
+    span = [ident]
+    gens: list[int] = []
+    for g in range(n):
+        if reached[g]:
+            continue
+        if len(gens) == limit:
+            return None
+        gens.append(g)
+        # elements reached before g are closed under the earlier generators
+        old = len(span)
+        i = 0
+        while i < len(span):
+            row = table[span[i]]
+            for s in (gens if i >= old else (g,)):
+                y = row[s]
+                if not reached[y]:
+                    reached[y] = True
+                    span.append(y)
+            i += 1
+    return tuple(gens)
+
+
+def _light_associative(table: tuple[tuple[int, ...], ...], gens: Sequence[int]) -> bool:
+    """Light's test: (x g) z = x (g z) for g in ``gens`` and all x, z.  The
+    elements g passing it are closed under products, so when every element is
+    a left-normed product of ``gens`` the whole table is associative."""
+    for g in gens:
+        gather = itemgetter(*table[g])
+        if any(table[row[g]] != gather(row) for row in table):
             return False
     return True
+
+
+def _hom_defect(src: FiniteGroupTable, dst: FiniteGroupTable,
+                f: Sequence[int]) -> tuple[int, int] | None:
+    """The first (x, g), g a generator of ``src``, with f(x g) != f(x) f(g),
+    or None.  None proves f a homomorphism: every element of ``src`` is a
+    left-normed product of its generators."""
+    for g in src.generators:
+        lhs = itemgetter(*_column(src.table, g))(f)
+        rhs = itemgetter(*f[:src.order])(_column(dst.table, f[g]))
+        if lhs != rhs:
+            return next(x for x in range(src.order) if lhs[x] != rhs[x]), g
+    return None
 
 
 def brute_force_twisted_classes(group: FiniteGroupTable,
                                 automorphism: Sequence[int]) -> tuple[int, list[int]]:
     """Orbit count of the twisted action sigma . alpha = sigma * alpha * phi(sigma)^-1.
 
-    Returns the count and the least-index representative of every class.
+    The orbits are joined along the generators only.  Returns the count and
+    the least-index representative of every class.
     """
     group.check_automorphism(automorphism)
     n = group.order
     uf = UnionFind(n)
     t = group.table
-    inv = group.inverse
-    for sigma in range(n):
-        ps = inv[automorphism[sigma]]
+    for g in group.generators:
+        # alpha -> g * alpha * phi(g)^-1 for every alpha
+        image = itemgetter(*t[g])(_column(t, group.inverse[automorphism[g]]))
         for alpha in range(n):
-            uf.union(alpha, t[t[sigma][alpha]][ps])
-    reps = sorted({min(i for i in range(n) if uf.same(i, r)) for r in uf.roots()})
+            uf.union(alpha, image[alpha])
+    reps, seen = [], set()
+    for alpha in range(n):
+        root = uf.find(alpha)
+        if root not in seen:
+            seen.add(root)
+            reps.append(alpha)
     return uf.components, reps
 
 
@@ -479,22 +564,10 @@ def verify_central_extension(sub: FiniteGroupTable, total: FiniteGroupTable,
         problems.append("inclusion is not injective on A")
     if set(projection) != set(range(nc)) or len(projection) != nb:
         problems.append("projection is not surjective onto C")
-    for x in range(na):
-        for y in range(na):
-            if inclusion[sub.table[x][y]] != total.table[inclusion[x]][inclusion[y]]:
-                problems.append("inclusion is not a homomorphism")
-                break
-        else:
-            continue
-        break
-    for x in range(nb):
-        for y in range(nb):
-            if projection[total.table[x][y]] != quot.table[projection[x]][projection[y]]:
-                problems.append("projection is not a homomorphism")
-                break
-        else:
-            continue
-        break
+    if _hom_defect(sub, total, inclusion) is not None:
+        problems.append("inclusion is not a homomorphism")
+    if _hom_defect(total, quot, projection) is not None:
+        problems.append("projection is not a homomorphism")
     image = set(inclusion)
     kernel = {b for b in range(nb) if projection[b] == quot.identity}
     if image != kernel:

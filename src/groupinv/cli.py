@@ -88,7 +88,10 @@ def reidemeister(matrix: str | None, torsion: str | None, torsion_map: str | Non
         if (matrix is None) == (table is None):
             raise ValueError("give exactly one of --matrix or --table")
         if table is not None:
-            group = FiniteGroupTable(tuple(tuple(row) for row in json.loads(table)))
+            rows = json.loads(table)
+            if not isinstance(rows, list):
+                raise ValueError("--table must be a JSON list of rows")
+            group = FiniteGroupTable(rows)
             perm = (json.loads(automorphism) if automorphism
                     else list(range(group.order)))
             count, reps = brute_force_twisted_classes(group, perm)

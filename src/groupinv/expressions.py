@@ -178,9 +178,8 @@ def finite_cyclic(k: int) -> GroupAtom:
 
 
 def finite_table(table: Sequence[Sequence[int]]) -> GroupAtom:
-    tbl = tuple(tuple(int(x) for x in row) for row in table)
-    abelian.FiniteGroupTable(tbl)  # validates the group axioms and the order cap
-    return GroupAtom(FINITE_TABLE, (), tbl)
+    # validates the entries, the group axioms and the order cap
+    return GroupAtom(FINITE_TABLE, (), abelian.FiniteGroupTable(table).table)
 
 
 # ---------------------------------------------------------------------------

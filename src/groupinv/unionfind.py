@@ -27,9 +27,3 @@ class UnionFind:
         self.size[ra] += self.size[rb]
         self.components -= 1
         return ra
-
-    def same(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-    def roots(self) -> list[int]:
-        return [i for i in range(len(self.parent)) if self.find(i) == i]

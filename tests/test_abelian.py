@@ -28,7 +28,9 @@ from groupinv.abelian import (
     reidemeister_number,
     smith_normal_form,
     verify_central_extension,
+    _greedy_generators,
 )
+from groupinv.expressions import finite_table
 from groupinv.unionfind import UnionFind
 
 
@@ -285,10 +287,268 @@ def test_twisted_classes_identity_is_conjugacy_count():
 
 
 def test_large_table_validation():
-    z128 = cyclic_table(128)  # exercises the vectorized associativity path
+    z128 = cyclic_table(128)  # one generator, so Light's test checks a single row gather
     assert z128.identity == 0
+    assert z128.generators == (1,)
     count, _ = brute_force_twisted_classes(z128, [(-x) % 128 for x in range(128)])
     assert count == 2  # coker(multiplication by 2 on Z/128)
+
+
+# ---------------------------------------------------------------------------
+# generator-based validation against the full brute-force scans
+
+
+def reference_group(table):
+    """(identity, inverses) by the cubic associativity scan and quadratic
+    identity and inverse searches; raises InvalidGroupTable with the same
+    messages as FiniteGroupTable."""
+    n = len(table)
+    if any(len(row) != n for row in table):
+        raise InvalidGroupTable("table is not square")
+    if any(x < 0 or x >= n for row in table for x in row):
+        raise InvalidGroupTable("table entries out of range")
+    ident = next((e for e in range(n)
+                  if all(table[e][x] == x and table[x][e] == x for x in range(n))), None)
+    if ident is None:
+        raise InvalidGroupTable("no identity element")
+    inv = []
+    for x in range(n):
+        y = next((y for y in range(n) if table[x][y] == ident and table[y][x] == ident), None)
+        if y is None:
+            raise InvalidGroupTable("element %d has no inverse" % x)
+        inv.append(y)
+    if not all(table[table[i][j]][k] == table[i][table[j][k]]
+               for i in range(n) for j in range(n) for k in range(n)):
+        raise InvalidGroupTable("table is not associative")
+    return ident, tuple(inv)
+
+
+def reference_twisted_classes(table, inv, perm):
+    """Checks the map on all n^2 pairs and joins alpha with every
+    sigma * alpha * phi(sigma)^-1; the error is cut before its position."""
+    n = len(table)
+    if sorted(perm) != list(range(n)):
+        raise InvalidGroupTable("map is not a permutation")
+    if any(perm[table[x][y]] != table[perm[x]][perm[y]] for x in range(n) for y in range(n)):
+        raise InvalidGroupTable("map is not a homomorphism")
+    uf = UnionFind(n)
+    for sigma in range(n):
+        for alpha in range(n):
+            uf.union(alpha, table[table[sigma][alpha]][inv[perm[sigma]]])
+    roots = [uf.find(i) for i in range(n)]
+    reps = sorted({min(i for i in range(n) if roots[i] == r) for r in set(roots)})
+    return uf.components, reps
+
+
+def perm_group_table(perms):
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[x]] for x in range(len(p)))] for q in perms] for p in perms]
+
+
+def symmetric_perms(k):
+    import itertools
+    return sorted(itertools.permutations(range(k)))
+
+
+def alternating_perms(k):
+    return [p for p in symmetric_perms(k)
+            if sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 0]
+
+
+def dihedral_rows(m):
+    """Rotations r^i at i, reflections s r^i at m + i."""
+    def mul(a, b):
+        (ra, fa), (rb, fb) = divmod(a, m)[::-1], divmod(b, m)[::-1]
+        return (fa ^ fb) * m + (ra + (-rb if fa else rb)) % m
+    return [[mul(a, b) for b in range(2 * m)] for a in range(2 * m)]
+
+
+def product_rows(a, b):
+    na, nb = len(a), len(b)
+    return [[a[x1][x2] * nb + b[y1][y2] for x2 in range(na) for y2 in range(nb)]
+            for x1 in range(na) for y1 in range(nb)]
+
+
+def relabel(rows, rng):
+    n = len(rows)
+    p = list(range(n))
+    rng.shuffle(p)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[p[i]][p[j]] = p[rows[i][j]]
+    return out
+
+
+def sample_tables():
+    cyclic_rows = [[list(r) for r in cyclic_table(n).table] for n in (1, 2, 5, 8, 12, 30)]
+    return (cyclic_rows + [dihedral_rows(m) for m in (3, 4, 10)]
+            + [perm_group_table(symmetric_perms(4)), perm_group_table(alternating_perms(5))]
+            + [product_rows(cyclic_rows[1], cyclic_rows[1]),
+               product_rows(cyclic_rows[1], product_rows(cyclic_rows[1], cyclic_rows[1])),
+               product_rows(cyclic_rows[2], dihedral_rows(4)),
+               product_rows(dihedral_rows(3), cyclic_rows[1])])
+
+
+def outcome(make, twisted, rows, maps):
+    try:
+        ident, inv = make(rows)
+    except InvalidGroupTable as exc:
+        return str(exc)
+    results = [ident, inv]
+    for perm in maps:
+        try:
+            results.append(twisted(rows, inv, perm))
+        except InvalidGroupTable as exc:
+            results.append(str(exc).split(" at ")[0])
+    return results
+
+
+def library_group(rows):
+    group = FiniteGroupTable(rows)
+    return group.identity, group.inverse
+
+
+def library_twisted(rows, inv, perm):
+    return brute_force_twisted_classes(FiniteGroupTable(rows), perm)
+
+
+def test_tables_match_brute_force_reference():
+    """Identity, inverses, (count, reps) and error messages agree with the full
+    scans on relabelled tables under identity, inner and random maps, and on
+    copies corrupted by one changed entry, two swapped entries or two swapped rows."""
+    rng = random.Random(4)
+    kinds = set()
+    for base in sample_tables():
+        n = len(base)
+        for _ in range(2):
+            rows = relabel(base, rng)
+            ident, inv = reference_group(rows)
+            maps = [list(range(n))]
+            for c in rng.sample(range(n), min(n, 2)):
+                maps.append([rows[rows[c][x]][inv[c]] for x in range(n)])
+            maps += [rng.sample(range(n), n) for _ in range(2)]
+            corrupted = []
+            for kind in range(3):
+                bad = [row[:] for row in rows]
+                i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                if kind == 0:
+                    bad[i][j] = rng.randrange(n)
+                elif kind == 1:
+                    bad[i][j], bad[i][k] = bad[i][k], bad[i][j]
+                else:
+                    bad[i], bad[k] = bad[k], bad[i]
+                corrupted.append(bad)
+            for table in [rows] + corrupted:
+                want = outcome(reference_group, reference_twisted_classes, table, maps)
+                assert outcome(library_group, library_twisted, table, maps) == want
+                kinds.add(want if isinstance(want, str) else "group")
+    assert {"group", "no identity element", "table is not associative"} <= kinds
+
+
+def test_generators_generate_and_are_few():
+    rng = random.Random(8)
+    for base in sample_tables():
+        group = FiniteGroupTable(relabel(base, rng))
+        gens = group.generators
+        assert len(gens) <= math.log2(group.order)
+        reached, frontier = {group.identity}, [group.identity]
+        while frontier:
+            x = frontier.pop()
+            for y in (group.mul(x, g) for g in gens):
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        assert reached == set(range(group.order))
+        n = group.order
+        t = group.table
+        assert group.is_abelian() == all(t[i][j] == t[j][i] for i in range(n) for j in range(n))
+        assert group.center() == [z for z in range(n)
+                                  if all(t[z][x] == t[x][z] for x in range(n))]
+
+
+def test_order_128_loop_is_rejected():
+    rows = intercalate_loop(128)
+    assert all(sorted(row) == list(range(128)) for row in rows)
+    assert all(rows[x][(-x) % 128] == 0 == rows[(-x) % 128][x] for x in range(128))
+    with pytest.raises(InvalidGroupTable, match="not associative"):
+        FiniteGroupTable(rows)
+
+
+def intercalate_loop(n):
+    """Z/n, n even, with the intercalate {1, 1 + n/2} x {1, 1 + n/2} swapped:
+    a Latin square with identity 0 and inverses -x that is not associative."""
+    h = n // 2
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i, j in ((1, 1), (1, 1 + h), (1 + h, 1), (1 + h, 1 + h)):
+        rows[i][j] = 2 + h if rows[i][j] == 2 else 2
+    return rows
+
+
+def self_inverse_magma(n):
+    """x * x = 0 and x * y = x for distinct non-identity x, y: identity and
+    inverses, but every generator adds one element to the span."""
+    return [[y if x == 0 else x if y == 0 else 0 if x == y else x for y in range(n)]
+            for x in range(n)]
+
+
+def test_magmas_rejected_like_reference():
+    z3 = [list(row) for row in cyclic_table(3).table]
+    one_sided = [[0, 1, 2, 3],  # 1 * 2 = 1 * 3 = 0 but only 3 * 1 = 0
+                 [1, 2, 0, 0],
+                 [2, 3, 0, 1],
+                 [3, 0, 1, 2]]
+    cases = [intercalate_loop(8), intercalate_loop(12), one_sided,
+             self_inverse_magma(4), self_inverse_magma(8),
+             # the generators of Z/3 come first and pass Light's test
+             product_rows(intercalate_loop(8), z3),
+             product_rows(self_inverse_magma(4), z3)]
+    for rows in cases:
+        with pytest.raises(InvalidGroupTable) as caught:
+            FiniteGroupTable(rows)
+        with pytest.raises(InvalidGroupTable) as expected:
+            reference_group(rows)
+        assert str(caught.value) == str(expected.value) == "table is not associative"
+    # the span grows by one element per generator, so the search stops early
+    assert _greedy_generators(tuple(map(tuple, self_inverse_magma(8))), 0) is None
+
+
+def test_non_homomorphic_bijection_rejected_above_64():
+    # (x, y) in Z/40 x Z/2 sits at 2x + y, so (0, 1) is the first generator and
+    # the map, which swaps x = 1 and x = 2, respects it and fails at (1, 0)
+    group = direct_product_table(cyclic_table(40), cyclic_table(2))
+    swap = list(range(80))
+    swap[2:6] = [4, 5, 2, 3]
+    assert group.generators == (1, 2)
+    with pytest.raises(InvalidGroupTable, match="not a homomorphism"):
+        group.check_automorphism(swap)
+    tripling = [(3 * x) % 100 for x in range(100)]
+    tripling[50], tripling[51] = tripling[51], tripling[50]
+    with pytest.raises(InvalidGroupTable, match="not a homomorphism"):
+        brute_force_twisted_classes(cyclic_table(100), tripling)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, "a"]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[False, True], [True, False]],
+    [[0, 1], [1, None]],
+    [[0, 1.7], [1, 0]],
+    [[0, "1"], [1, 0]],
+    5,
+    [5, 6],
+])
+def test_table_entries_must_be_integers(rows):
+    with pytest.raises(InvalidGroupTable):
+        FiniteGroupTable(rows)
+    with pytest.raises(InvalidGroupTable):
+        finite_table(rows)
+
+
+@pytest.mark.parametrize("perm", [[0.0, 1], [False, True], ["0", "1"], 5, [0], [0, 1, 2]])
+def test_map_entries_must_be_integers(perm):
+    with pytest.raises(InvalidGroupTable):
+        cyclic_table(2).check_automorphism(perm)
 
 
 # ---------------------------------------------------------------------------

@@ -103,3 +103,19 @@ def test_probe_and_parser_failures_print_one_json_document():
         assert set(data) == {"version", "error"}, args
     assert "position" in json.loads(run(*cases[-1]).output)["error"]
     assert run("rinf", "-g", "(" * 100 + "Z" + ")" * 100).exit_code == 0
+
+
+def test_malformed_tables_print_one_json_document():
+    cases = [
+        ("--table", "5"),
+        ("--table", '[[0,1],[1,"a"]]'),
+        ("--table", "[[0.0,1.0],[1.0,0.0]]"),
+        ("--table", "[5,6]"),
+        ("--table", "[[0,1],[1,0]]", "--automorphism", "[0.0, 1]"),
+        ("--table", "[[0,1],[1,0]]", "--automorphism", "5"),
+    ]
+    for args in cases:
+        result = run("reidemeister", *args)
+        assert result.exit_code == 1, args
+        data = json.loads(result.output)
+        assert set(data) == {"version", "error"}, args
