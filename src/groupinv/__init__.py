@@ -36,7 +36,6 @@ from .cones import (
     ConeShape,
     RationalCone,
     check_finite12,
-    classify_O,
     cone_rays,
     omega_from_sigma,
     omega_of_product,
@@ -79,7 +78,7 @@ __all__ = [
     "FiniteGroupTable", "FinitePresentation", "GroupAtom", "GroupExpr", "INFINITE",
     "KnownInvariants", "ProbeReport", "RationalCone", "SphereSet", "Verdict",
     "abelianization_of_presentation", "antipode", "brute_force_twisted_classes",
-    "check_finite12", "classify_O", "complement", "cone_rays", "cone_subgraph",
+    "check_finite12", "complement", "cone_rays", "cone_subgraph",
     "connectivity_probe", "decide", "decide_free_product", "decide_gk", "decide_main",
     "decide_product", "decide_text", "empty_set", "enumerate_ball",
     "fixed_subgroup_trivial", "full_sphere", "halfspace_subgraph", "hom_rank",

@@ -564,6 +564,17 @@ def verify_central_extension(sub: FiniteGroupTable, total: FiniteGroupTable,
         problems.append("inclusion is not injective on A")
     if set(projection) != set(range(nc)) or len(projection) != nb:
         problems.append("projection is not surjective onto C")
+    # the checks below index the tables through the maps; a negative entry
+    # would wrap around silently, so it is refused with the too-large ones
+    in_range = True
+    if not all(0 <= b < nb for b in inclusion):
+        problems.append("inclusion has entries outside range(%d)" % nb)
+        in_range = False
+    if not all(0 <= c < nc for c in projection):
+        problems.append("projection has entries outside range(%d)" % nc)
+        in_range = False
+    if not in_range or len(inclusion) < na or len(projection) < nb:
+        return CentralExtensionReport(valid=False, problems=problems)
     if _hom_defect(sub, total, inclusion) is not None:
         problems.append("inclusion is not a homomorphism")
     if _hom_defect(total, quot, projection) is not None:

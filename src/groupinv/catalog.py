@@ -5,6 +5,11 @@ fly through the join product formula and the level-one complement formula and
 are tagged with their derivation.  Anything not stored and not derivable
 stays unknown, never guessed.
 
+Within one `rinf.decide` query every distinct expression node is evaluated
+once: the query opens a memo (`query_memo`) that `lookup_invariants` reads
+and fills, keyed by the node itself, and drops it when the query returns.
+Outside a query every lookup evaluates afresh.
+
 Orientation convention: on a rank-one character sphere the two classes are
 written +1 and -1, and the coordinate is chosen so that the distinguished
 surviving direction (when there is one) sits at +1.  For the solvable
@@ -15,7 +20,9 @@ is the descending side of the stable letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 from . import expressions as ex
 from .cones import o_class_of, omega_from_sigma, omega_of_product, sigma1_complement_of_product
@@ -40,20 +47,25 @@ CITE_KLEIN_TIMES_ZK = "Goncalves-Wong: nilpotent groups, Klein bottle group time
 
 @dataclass(frozen=True)
 class KnownInvariants:
+    """Immutable invariant record of one expression node.
+
+    `omega` is the level-one surviving-direction set (None when unknown); with
+    `omega_all_levels` it holds at every level.  `provenance` is a tuple of
+    (field, source) pairs.
+    """
+
     hom_rank: int
     sigma1_complement: SphereSet | None
-    omega: dict[int, SphereSet] = field(default_factory=dict)
+    omega: SphereSet | None = None
     omega_all_levels: bool = False
     rinf_known: str | None = None
-    provenance: dict[str, str] = field(default_factory=dict)
+    provenance: tuple[tuple[str, str], ...] = ()
 
     def omega_at(self, level: int) -> SphereSet | None:
         if level < 1:
             raise ValueError("levels start at 1")
-        if level in self.omega:
-            return self.omega[level]
-        if self.omega_all_levels and self.omega:
-            return next(iter(self.omega.values()))
+        if level == 1 or self.omega_all_levels:
+            return self.omega
         return None
 
     def o_class_at(self, level: int) -> str:
@@ -81,68 +93,68 @@ def _atom_invariants(atom: ex.GroupAtom) -> KnownInvariants:
         return KnownInvariants(
             hom_rank=k,
             sigma1_complement=empty_set([k]),
-            omega={1: full_sphere([k])},
+            omega=full_sphere([k]),
             omega_all_levels=True,
-            provenance={"sigma1_complement": "abelian groups have no obstructed characters",
-                        "omega": "full at every level for free abelian groups"},
+            provenance=(("sigma1_complement", "abelian groups have no obstructed characters"),
+                        ("omega", "full at every level for free abelian groups")),
         )
     if kind == ex.FREE:
         n = atom.params[0]
         return KnownInvariants(
             hom_rank=n,
             sigma1_complement=full_sphere([n]),
-            omega={1: empty_set([n])},
+            omega=empty_set([n]),
             omega_all_levels=True,
             rinf_known=CITE_FREE_HYPERBOLIC,
-            provenance={"sigma1_complement": "every character of a non-abelian free group is obstructed",
-                        "omega": "empty at every level"},
+            provenance=(("sigma1_complement",
+                         "every character of a non-abelian free group is obstructed"),
+                        ("omega", "empty at every level")),
         )
     if kind == ex.BAUMSLAG_SOLITAR:
         return KnownInvariants(
             hom_rank=1,
             sigma1_complement=single_factor_points(1, [(-1,)]),
-            omega={1: single_factor_points(1, [(1,)])},
-            provenance={"sigma1_complement": "one obstructed direction (Bieri-Strebel); "
-                                             "the surviving end is written +1",
-                        "omega": "single surviving rational direction"},
+            omega=single_factor_points(1, [(1,)]),
+            provenance=(("sigma1_complement", "one obstructed direction (Bieri-Strebel); "
+                                              "the surviving end is written +1"),
+                        ("omega", "single surviving rational direction")),
         )
     if kind == ex.KLEIN_BOTTLE:
         return KnownInvariants(
             hom_rank=1,
             sigma1_complement=empty_set([1]),
-            omega={1: full_sphere([1])},
+            omega=full_sphere([1]),
             rinf_known=CITE_KLEIN,
-            provenance={"sigma1_complement": "finitely generated commutator subgroup",
-                        "omega": "both ends survive"},
+            provenance=(("sigma1_complement", "finitely generated commutator subgroup"),
+                        ("omega", "both ends survive")),
         )
     if kind == ex.BRAID:
         n = atom.params[0]
         return KnownInvariants(
             hom_rank=1,
             sigma1_complement=empty_set([1]),
-            omega={1: full_sphere([1])},
+            omega=full_sphere([1]),
             rinf_known=CITE_BRAID3 if n == 3 else None,
-            provenance={"sigma1_complement": "Gorin-Lin: the commutator subgroup of the braid "
-                                             "group is finitely generated",
-                        "omega": "both ends survive"},
+            provenance=(("sigma1_complement", "Gorin-Lin: the commutator subgroup of the braid "
+                                              "group is finitely generated"),
+                        ("omega", "both ends survive")),
         )
     if kind in (ex.THOMPSON_F, ex.GENERALIZED_THOMPSON):
         m = 2 if kind == ex.THOMPSON_F else atom.params[0]
         chi1 = tuple(1 if i == 0 else 0 for i in range(m))
         chi2 = tuple(1 if i == 1 else 0 for i in range(m))
         sigma_c = points_set([m], [chi1, chi2])
-        omega = omega_from_sigma(complement(sigma_c), m)
         return KnownInvariants(
             hom_rank=m,
             sigma1_complement=sigma_c,
-            omega={1: omega},
+            omega=omega_from_sigma(complement(sigma_c), m),
             omega_all_levels=True,
             rinf_known=CITE_THOMPSON if kind == ex.THOMPSON_F else CITE_GEN_THOMPSON,
-            provenance={"sigma1_complement": "two independent obstructed characters "
-                                             "(Bieri-Geoghegan-Kochloukova)",
-                        "omega": "infinite at every level; witnessed by the polar cone",
-                        "hom_rank": "abelianization rank n (Brown-Guzman), double-checked "
-                                    "against the defining relations"},
+            provenance=(("sigma1_complement", "two independent obstructed characters "
+                                              "(Bieri-Geoghegan-Kochloukova)"),
+                        ("omega", "infinite at every level; witnessed by the polar cone"),
+                        ("hom_rank", "abelianization rank n (Brown-Guzman), double-checked "
+                                     "against the defining relations")),
         )
     if kind == ex.LAMPLIGHTER:
         n = atom.params[0]
@@ -151,19 +163,19 @@ def _atom_invariants(atom: ex.GroupAtom) -> KnownInvariants:
         return KnownInvariants(
             hom_rank=1,
             sigma1_complement=full_sphere([1]),
-            omega={1: empty_set([1])},
+            omega=empty_set([1]),
             rinf_known=CITE_LAMPLIGHTER if gcd(n, 6) > 1 else None,
-            provenance={"sigma1_complement": "both directions obstructed: the base of the "
-                                             "wreath product is infinitely generated",
-                        "omega": "level one only; the group is not finitely presented"},
+            provenance=(("sigma1_complement", "both directions obstructed: the base of the "
+                                              "wreath product is infinitely generated"),
+                        ("omega", "level one only; the group is not finitely presented")),
         )
     # finite atoms: the character sphere is empty
     return KnownInvariants(
         hom_rank=0,
         sigma1_complement=empty_set([0]),
-        omega={1: empty_set([0])},
+        omega=empty_set([0]),
         omega_all_levels=True,
-        provenance={"sigma1_complement": "finite group: empty character sphere"},
+        provenance=(("sigma1_complement", "finite group: empty character sphere"),),
     )
 
 
@@ -187,37 +199,61 @@ def _product_rinf_fact(expr: ex.GroupExpr) -> str | None:
     return None
 
 
+_MEMO: ContextVar[dict | None] = ContextVar("groupinv_invariants_memo", default=None)
+
+
+@contextmanager
+def query_memo():
+    """Share one node -> invariants memo across everything evaluated inside
+    the block; a nested block reuses the open memo, and the outermost block
+    drops it on exit."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def lookup_invariants(expr: ex.GroupExpr) -> KnownInvariants:
     """Atom facts from the table; product facts derived through the product
-    formulas and tagged as derived."""
+    formulas and tagged as derived.  Inside `query_memo` each distinct node
+    (by equality) is evaluated once."""
+    memo = _MEMO.get()
+    if memo is None:
+        return _evaluate(expr)
+    inv = memo.get(expr)
+    if inv is None:
+        inv = memo[expr] = _evaluate(expr)
+    return inv
+
+
+def _evaluate(expr: ex.GroupExpr) -> KnownInvariants:
     if expr.node == "atom":
         return _atom_invariants(expr.atom)
+    # factors go through the module-level name, so they share the memo
     parts = [lookup_invariants(f) for f in expr.factors]
     m = sum(p.hom_rank for p in parts)
     if expr.node == "direct":
-        sigma_c = sigma1_complement_of_product([p.sigma1_complement for p in parts])
-        omega: dict[int, SphereSet] = {}
-        all_levels = all(p.omega_all_levels for p in parts)
-        level_one = omega_of_product([p.omega_at(1) for p in parts])
-        if level_one is not None:
-            omega[1] = level_one
         return KnownInvariants(
             hom_rank=m,
-            sigma1_complement=sigma_c,
-            omega=omega,
-            omega_all_levels=all_levels,
+            sigma1_complement=sigma1_complement_of_product([p.sigma1_complement for p in parts]),
+            omega=omega_of_product([p.omega_at(1) for p in parts]),
+            omega_all_levels=all(p.omega_all_levels for p in parts),
             rinf_known=_product_rinf_fact(expr),
-            provenance={"sigma1_complement": "derived: embedded union of factor obstruction sets",
-                        "omega": "derived: spherical join of factor sets"},
+            provenance=(("sigma1_complement", "derived: embedded union of factor obstruction sets"),
+                        ("omega", "derived: spherical join of factor sets")),
         )
     # free product: invariants vanish at every level once there are two
     # non-trivial factors, while the obstruction set is everything
     return KnownInvariants(
         hom_rank=m,
         sigma1_complement=full_sphere([m]) if m else empty_set([0]),
-        omega={1: empty_set([m] if m else [0])},
+        omega=empty_set([m] if m else [0]),
         omega_all_levels=True,
-        provenance={"sigma1_complement": "free products of non-trivial groups are obstructed "
-                                         "in every direction",
-                    "omega": "empty at every level for non-trivial free products"},
+        provenance=(("sigma1_complement", "free products of non-trivial groups are obstructed "
+                                          "in every direction"),
+                    ("omega", "empty at every level for non-trivial free products")),
     )

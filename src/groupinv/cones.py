@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .abelian import matrix_rank
 from .spheres import (
+    EMPTY,
     CofinitePoints,
     ConeRegion,
     Direction,
@@ -28,7 +29,6 @@ from .spheres import (
     full_sphere,
     join_all,
     points_set,
-    union,
 )
 
 
@@ -243,23 +243,22 @@ def omega_of_product(factors: Sequence[SphereSet | None]) -> SphereSet | None:
 def sigma1_complement_of_product(factor_complements: Sequence[SphereSet | None]) -> SphereSet | None:
     """Obstruction set of a direct product at level one: the union of the
     factor obstruction sets embedded along their coordinate blocks (the level
-    zero obstruction sets of finitely generated groups are empty)."""
+    zero obstruction sets of finitely generated groups are empty).
+
+    The embedded atoms of different factors have disjoint supports, so the
+    normal form never merges or subsumes across factors, and one SphereSet of
+    all of them equals the union taken factor by factor."""
     if any(f is None for f in factor_complements):
         return None
-    ambients: list[tuple[int, ...]] = [f.ambient for f in factor_complements]
-    full_ambient = tuple(r for amb in ambients for r in amb)
-    result = empty_set(full_ambient)
+    full_ambient = tuple(r for f in factor_complements for r in f.ambient)
+    atoms = []
     offset = 0
-    from .spheres import EMPTY
-
     for f in factor_complements:
-        width = len(f.ambient)
-        before = offset
-        after = len(full_ambient) - offset - width
-        atoms = [tuple([EMPTY] * before) + atom + tuple([EMPTY] * after) for atom in f.atoms]
-        result = union(result, SphereSet(full_ambient, atoms))
-        offset += width
-    return result
+        before = (EMPTY,) * offset
+        after = (EMPTY,) * (len(full_ambient) - offset - len(f.ambient))
+        atoms.extend(before + atom + after for atom in f.atoms)
+        offset += len(f.ambient)
+    return SphereSet(full_ambient, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +309,3 @@ def o_class_of(omega: SphereSet | None) -> str:
         return O_CLASS_2
     return O_CLASS_OTHER
 
-
-def classify_O(expr, level: int = 1) -> str:
-    """O-class of a group expression at the given level, via the catalog."""
-    from .catalog import lookup_invariants
-
-    return o_class_of(lookup_invariants(expr).omega_at(level))

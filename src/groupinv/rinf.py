@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import expressions as ex
 from .abelian import matrix_rank
-from .catalog import lookup_invariants
+from .catalog import lookup_invariants, query_memo
 from .cones import O_CLASS_0, O_CLASS_1, O_CLASS_2, o_class_of
 
 RINFINITY = "RInfinity"
@@ -225,27 +225,23 @@ def decide_product(expr: ex.GroupExpr, level: int = 1) -> Verdict:
     complementary factor(s) carry none."""
     if expr.node != "direct":
         return Verdict(UNKNOWN, notes=("not a direct product",))
-    for j, head in enumerate(expr.factors):
+    # the join of the other factors' sets is empty iff each of them is, and
+    # an unknown factor leaves it unknown: so the rest has class O0 exactly
+    # when every other factor does, and only a lone non-O0 factor can head
+    classes = [o_class_of(lookup_invariants(f).omega_at(level)) for f in expr.factors]
+    heads = [j for j, cls in enumerate(classes) if cls != O_CLASS_0]
+    if len(heads) == 1 and classes[heads[0]] in (O_CLASS_1, O_CLASS_2):
+        j = heads[0]
+        head = expr.factors[j]
         rest = [f for i, f in enumerate(expr.factors) if i != j]
         rest_expr = rest[0] if len(rest) == 1 else ex.direct_product(rest)
-        head_class = o_class_of(lookup_invariants(head).omega_at(level))
-        rest_class = o_class_of(lookup_invariants(rest_expr).omega_at(level))
-        if rest_class != O_CLASS_0:
-            continue
-        if head_class == O_CLASS_1:
-            trace = _TraceBuilder()
-            h = trace.add("CatalogFact", "%s has class O^%d_1" % (head.label(), level))
-            k = trace.add("CatalogFact", "%s has class O^%d_0" % (rest_expr.label(), level))
-            trace.add("ThmSec5Prod1", "%s = %s x %s" % (expr.label(), head.label(), rest_expr.label()),
-                      (h, k))
-            return trace.done(RINFINITY)
-        if head_class == O_CLASS_2:
-            trace = _TraceBuilder()
-            h = trace.add("CatalogFact", "%s has class O^%d_2" % (head.label(), level))
-            k = trace.add("CatalogFact", "%s has class O^%d_0" % (rest_expr.label(), level))
-            trace.add("ThmSec5Prod2", "%s = %s x %s" % (expr.label(), head.label(), rest_expr.label()),
-                      (h, k))
-            return trace.done(INDEX_TWO)
+        index = 1 if classes[j] == O_CLASS_1 else 2
+        trace = _TraceBuilder()
+        h = trace.add("CatalogFact", "%s has class O^%d_%d" % (head.label(), level, index))
+        k = trace.add("CatalogFact", "%s has class O^%d_0" % (rest_expr.label(), level))
+        trace.add("ThmSec5Prod%d" % index,
+                  "%s = %s x %s" % (expr.label(), head.label(), rest_expr.label()), (h, k))
+        return trace.done(RINFINITY if index == 1 else INDEX_TWO)
     # fall back to the finite-survivor rule on the product's own derived set
     return decide_main(expr, level)
 
@@ -364,15 +360,18 @@ def _decide_torsion_split(expr: ex.GroupExpr) -> Verdict:
 
 def decide(expr: ex.GroupExpr) -> Verdict:
     """Strategy combinator: try every rule, return the strongest verdict,
-    earliest rule winning ties.  Deterministic and total on parseable input."""
-    stages = [
-        _decide_catalog(expr),
-        decide_main(expr, 1),
-        decide_gk(expr),
-        decide_product(expr, 1) if expr.node == "direct" else Verdict(UNKNOWN),
-        decide_free_product(expr) if expr.node == "free" else Verdict(UNKNOWN),
-        _decide_torsion_split(expr),
-    ]
+    earliest rule winning ties.  Deterministic and total on parseable input.
+    One query evaluates each distinct expression node once: the outermost
+    call opens the invariants memo, nested calls share it."""
+    with query_memo():
+        stages = [
+            _decide_catalog(expr),
+            decide_main(expr, 1),
+            decide_gk(expr),
+            decide_product(expr, 1) if expr.node == "direct" else Verdict(UNKNOWN),
+            decide_free_product(expr) if expr.node == "free" else Verdict(UNKNOWN),
+            _decide_torsion_split(expr),
+        ]
     best = stages[0]
     notes: list[str] = list(best.notes)
     for verdict in stages[1:]:

@@ -602,3 +602,21 @@ def test_central_extension_rejects_bad_data():
                                       [0, 1], list(range(4)), [0, 1, 2])
     assert not report.valid
     assert report.problems
+
+
+def test_central_extension_refuses_map_entries_out_of_range():
+    z2, z4 = cyclic_table(2), cyclic_table(4)
+    ident = [0, 1, 2, 3]
+    report = verify_central_extension(z2, z4, z2, [0, 7], [x % 2 for x in range(4)],
+                                      [0, 1], ident, [0, 1])
+    assert not report.valid
+    assert report.problems == ["inclusion has entries outside range(4)"]
+    # a negative entry would index from the end of the table
+    report = verify_central_extension(z2, z4, z2, [0, -2], [x % 2 for x in range(4)],
+                                      [0, 1], ident, [0, 1])
+    assert not report.valid and "inclusion has entries outside range(4)" in report.problems
+    report = verify_central_extension(z2, z4, z2, [0, 2], [0, 1, 0, -1], [0, 1], ident, [0, 1])
+    assert not report.valid and "projection has entries outside range(2)" in report.problems
+    # maps too short to index are refused before any table lookup
+    report = verify_central_extension(z2, z4, z2, [0, 2], [0, 1, 0], [0, 1], ident, [0, 1])
+    assert report.problems == ["projection is not surjective onto C"]

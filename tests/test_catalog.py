@@ -277,6 +277,22 @@ def test_catalog_free_product():
     assert inv2.omega_at(3).is_empty()
 
 
+def test_invariants_are_immutable_records():
+    import dataclasses
+
+    inv = lookup_invariants(parse_group_expr("BS(1,2) x L(2)"))
+    hash(inv)  # no mutable fields left
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inv.omega = None
+    assert inv.provenance == (
+        ("sigma1_complement", "derived: embedded union of factor obstruction sets"),
+        ("omega", "derived: spherical join of factor sets"))
+    assert inv.summary(1)["provenance"] == dict(inv.provenance)
+    assert inv.omega_at(1) is inv.omega and inv.omega_at(2) is None
+    z = lookup_invariants(parse_group_expr("Z^2 x F(2)"))
+    assert z.omega_at(3) is z.omega_at(1) is z.omega
+
+
 def test_klein_times_zk_product_fact():
     assert lookup_invariants(parse_group_expr("Klein x Z")).rinf_known is not None
     assert lookup_invariants(parse_group_expr("Klein x Z^3")).rinf_known is not None

@@ -23,7 +23,10 @@ from groupinv.cones import (
     sigma1_complement_of_product,
 )
 from groupinv.spheres import (
+    EMPTY,
+    ConeRegion,
     Direction,
+    SphereSet,
     cofinite_set,
     empty_set,
     full_sphere,
@@ -223,6 +226,67 @@ def test_sigma1_complement_of_product_examples():
     got3 = sigma1_complement_of_product([z_c, z_c])
     assert got3.is_empty()
     assert sigma1_complement_of_product([None, z_c]) is None
+
+
+def pairwise_sigma1_complement_of_product(factor_complements):
+    """The level-one complement as k successive unions, each re-normalized."""
+    if any(f is None for f in factor_complements):
+        return None
+    full_ambient = tuple(r for f in factor_complements for r in f.ambient)
+    result = empty_set(full_ambient)
+    offset = 0
+    for f in factor_complements:
+        before = (EMPTY,) * offset
+        after = (EMPTY,) * (len(full_ambient) - offset - len(f.ambient))
+        result = union(result, SphereSet(full_ambient, [before + atom + after for atom in f.atoms]))
+        offset += len(f.ambient)
+    return result
+
+
+def random_factor_set(rng):
+    """An obstruction set of one factor: unknown, rank 0, rank 1, cofinite,
+    cone, full, empty, explicit points, or a set over several blocks."""
+    kind = rng.choice(["none", "rank0", "rank1", "cofinite", "cone", "full", "empty",
+                       "points", "blocks"])
+    rank = rng.randint(2, 4)
+
+    def vec():
+        while True:
+            v = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if any(v):
+                return v
+
+    if kind == "none":
+        return None
+    if kind == "rank0":
+        return empty_set([0])
+    if kind == "rank1":
+        return points_set([1], rng.sample([(1,), (-1,)], rng.randint(0, 2)))
+    if kind == "cofinite":
+        return cofinite_set(rank, [vec() for _ in range(rng.randint(1, 3))])
+    if kind == "cone":
+        return SphereSet([rank], [(ConeRegion(Direction(vec()) for _ in range(rng.randint(1, 3))),)])
+    if kind == "full":
+        return full_sphere([rank])
+    if kind == "empty":
+        return empty_set([rank])
+    if kind == "points":
+        return points_set([rank], [vec() for _ in range(rng.randint(1, 3))])
+    left, right = random_factor_set(rng), random_factor_set(rng)
+    left = full_sphere([1]) if left is None else left
+    right = points_set([2], [(1, -1)]) if right is None else right
+    return union(join(left, empty_set(right.ambient)), join(empty_set(left.ambient), right))
+
+
+def test_sigma1_complement_of_product_matches_pairwise_unions():
+    rng = random.Random(4242)
+    for _ in range(600):
+        factors = [random_factor_set(rng) for _ in range(rng.randint(1, 6))]
+        expected = pairwise_sigma1_complement_of_product(factors)
+        got = sigma1_complement_of_product(factors)
+        assert got == expected, factors
+        if got is not None:
+            assert got.to_json() == expected.to_json()
 
 
 def test_check_finite12():

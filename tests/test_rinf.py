@@ -4,8 +4,15 @@ structure, and the extension bookkeeping."""
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
+import pytest
+
+from groupinv import catalog
 from groupinv import expressions as ex
+from groupinv.catalog import lookup_invariants, query_memo
+from groupinv.cones import O_CLASS_0, O_CLASS_1, O_CLASS_2, DimensionCapExceeded, o_class_of
 from groupinv.expressions import parse_group_expr
 from groupinv.rinf import (
     FINITE_INDEX,
@@ -15,6 +22,7 @@ from groupinv.rinf import (
     UNKNOWN,
     ExtensionSpec,
     Verdict,
+    _TraceBuilder,
     decide,
     decide_free_product,
     decide_gk,
@@ -112,6 +120,119 @@ def test_product_rule_nested_index_two():
 
 def test_product_rule_z_times_z_unknown():
     assert decide_product(parse_group_expr("Z x Z")).conclusion == UNKNOWN
+
+
+def reference_decide_product(expr, level=1):
+    """The product rule as a loop over heads, each against the synthetic
+    product of the other factors, evaluated from scratch."""
+    if expr.node != "direct":
+        return Verdict(UNKNOWN, notes=("not a direct product",))
+    for j, head in enumerate(expr.factors):
+        rest = [f for i, f in enumerate(expr.factors) if i != j]
+        rest_expr = rest[0] if len(rest) == 1 else ex.direct_product(rest)
+        head_class = o_class_of(lookup_invariants(head).omega_at(level))
+        rest_class = o_class_of(lookup_invariants(rest_expr).omega_at(level))
+        if rest_class != O_CLASS_0:
+            continue
+        if head_class == O_CLASS_1:
+            trace = _TraceBuilder()
+            h = trace.add("CatalogFact", "%s has class O^%d_1" % (head.label(), level))
+            k = trace.add("CatalogFact", "%s has class O^%d_0" % (rest_expr.label(), level))
+            trace.add("ThmSec5Prod1", "%s = %s x %s" % (expr.label(), head.label(), rest_expr.label()),
+                      (h, k))
+            return trace.done(RINFINITY)
+        if head_class == O_CLASS_2:
+            trace = _TraceBuilder()
+            h = trace.add("CatalogFact", "%s has class O^%d_2" % (head.label(), level))
+            k = trace.add("CatalogFact", "%s has class O^%d_0" % (rest_expr.label(), level))
+            trace.add("ThmSec5Prod2", "%s = %s x %s" % (expr.label(), head.label(), rest_expr.label()),
+                      (h, k))
+            return trace.done(INDEX_TWO)
+    return decide_main(expr, level)
+
+
+# factors by level-one class; at levels >= 2 BS, Klein, B(n) and L(n) are unknown
+PRODUCT_POOL = {
+    "O0": ["F(2)", "F(3)", "L(2)", "L(6)", "Zmod(4)", "Z^0", "Zmod(2) * Zmod(3)",
+           "BS(1,2) * Z", "F(2) x Zmod(3)"],
+    "O1": ["BS(1,2)", "BS(1,5)", "BS(1,3) x F(2)"],
+    "O2": ["Z", "Klein", "B(3)", "B(5)", "F(2) x Z"],
+    "other": ["Z^2", "Thompson", "T(3)", "BS(1,2) x BS(1,3)", "Z x Klein"],
+}
+
+
+def random_direct_product(rng):
+    kinds = ["O0"] * 5 + ["O1", "O2", "other"]
+    factors = [parse_group_expr(rng.choice(PRODUCT_POOL[rng.choice(kinds)]))
+               for _ in range(rng.randint(2, 6))]
+    # built directly, so a direct-product factor stays one node (the parser
+    # and direct_product flatten it)
+    return ex.GroupExpr("direct", factors=tuple(factors))
+
+
+def test_product_rule_matches_synthetic_subproducts():
+    rng = random.Random(5150)
+    seen = Counter()
+    for _ in range(150):
+        expr = random_direct_product(rng)
+        for level in (1, 2, 3):
+            expected = reference_decide_product(expr, level)
+            assert decide_product(expr, level) == expected, (expr, level)
+            with query_memo():
+                assert decide_product(expr, level) == expected, (expr, level)
+            classes = {lookup_invariants(f).o_class_at(level) for f in expr.factors}
+            seen[level, expected.final_rule(), "unknown" in classes] += 1
+    # both theorems fire at level one; at level two only all-level factors are
+    # known, and products with an unknown factor occur there
+    assert seen[1, "ThmSec5Prod1", False] >= 10 and seen[1, "ThmSec5Prod2", False] >= 10
+    assert seen[2, "ThmSec5Prod2", False] >= 2
+    assert sum(n for (level, _, unknown), n in seen.items() if level == 2 and unknown) >= 40
+
+
+def count_evaluations(monkeypatch):
+    counts = Counter()
+    evaluate = catalog._evaluate
+
+    def counting(expr):
+        counts[expr] += 1
+        return evaluate(expr)
+
+    monkeypatch.setattr(catalog, "_evaluate", counting)
+    return counts
+
+
+SIXTEEN_FACTORS = " x ".join(["BS(1,2)"] + ["F(2)", "Zmod(3)", "L(2)", "(Zmod(2) * Zmod(3))",
+                                             "F(3)"] * 3)
+
+
+def test_decide_evaluates_each_node_once(monkeypatch):
+    counts = count_evaluations(monkeypatch)
+    for text, rule in ((SIXTEEN_FACTORS, "ThmMain1"), ("BS(1,2) * Z^2", "ThmFreeProd3")):
+        counts.clear()
+        expr = parse_group_expr(text)
+        v = decide(expr)
+        assert v.final_rule() == rule, v.rules()
+        assert counts[expr] == 1
+        assert max(counts.values()) == 1, counts.most_common(3)
+    # the free product's nested decide evaluates the synthetic direct product
+    assert parse_group_expr("BS(1,2) x Z^2") in counts
+
+
+def test_memo_lives_for_one_query_only(monkeypatch):
+    counts = count_evaluations(monkeypatch)
+    expr = parse_group_expr("BS(1,2) x F(3)")
+    decide(expr)
+    decide(expr)
+    assert counts[expr] == 2
+    assert catalog._MEMO.get() is None
+    # outside a query every lookup evaluates afresh
+    lookup_invariants(expr)
+    lookup_invariants(expr)
+    assert counts[expr] == 4
+    # a failed query drops its memo too
+    with pytest.raises(DimensionCapExceeded):
+        decide(parse_group_expr("T(9) x Z"))
+    assert catalog._MEMO.get() is None
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +357,6 @@ def test_decide_monotone_under_added_facts():
 
 def test_decide_total_on_random_expressions():
     """decide never raises and always yields a traced or noted verdict."""
-    import random
-
-    from groupinv.catalog import lookup_invariants
     from groupinv.cones import check_finite12
 
     rng = random.Random(8080)
