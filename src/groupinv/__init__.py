@@ -67,7 +67,6 @@ from .spheres import (
     complement,
     empty_set,
     full_sphere,
-    intersect_with_finite,
     join,
     points_set,
     union,
@@ -82,8 +81,8 @@ __all__ = [
     "connectivity_probe", "decide", "decide_free_product", "decide_gk", "decide_main",
     "decide_product", "decide_text", "empty_set", "enumerate_ball",
     "fixed_subgroup_trivial", "full_sphere", "halfspace_subgraph", "hom_rank",
-    "intersect_with_finite", "join", "lookup_invariants", "omega_from_sigma",
-    "omega_of_product", "parse_group_expr", "points_set", "probe_direction_scan",
+    "join", "lookup_invariants", "omega_from_sigma", "omega_of_product",
+    "parse_group_expr", "points_set", "probe_direction_scan",
     "propagate_extension", "reidemeister_number", "sigma1_complement_of_product",
     "smith_normal_form", "union", "verify_central_extension",
 ]

@@ -1,8 +1,13 @@
 """Empirical connectivity probe on finite Cayley balls.
 
 For atoms with implemented normal forms the radius-r ball of the Cayley graph
-is enumerated by breadth-first search, each vertex carrying its image under
-the abelianization height map.  A direction survives at level one when the
+is built in one breadth-first pass, each vertex carrying its image under the
+abelianization height map, which is the parent's height plus the generator's
+delta.  Each vertex gets its index when it is discovered and emits its edges
+when it is expanded, so no second pass steps over the ball.  One builder per
+family: the ``F(n)`` ball is a tree of reduced words built without a dict,
+``BS(1,n)`` inlines its four normal-form moves, and ``Z^k`` and the Klein
+bottle group share a generic loop.  A direction survives at level one when the
 half-space sublevel sets stay connected after a bounded retreat; the
 truncated-cone variant tests the closed-neighborhood analog.  All geometry is
 exact: scales are rational and every comparison is a cross-multiplied integer
@@ -30,7 +35,6 @@ reported configuration.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -64,99 +68,13 @@ class ProbeConfigError(ValueError):
 # normal forms
 
 
-def _gens_free_abelian(k):
-    def step(key, gen, sign):
-        vec = list(key)
-        vec[gen] += sign
-        return tuple(vec)
-
-    return [("e%d" % (i + 1), i) for i in range(k)], step, lambda key: key
-
-
-def _gens_free(n):
-    def step(key, gen, sign):
-        letter = sign * (gen + 1)
-        if key and key[-1] == -letter:
-            return key[:-1]
-        return key + (letter,)
-
-    def height(key):
-        h = [0] * n
-        for letter in key:
-            h[abs(letter) - 1] += 1 if letter > 0 else -1
-        return tuple(h)
-
-    return [("x%d" % (i + 1), i) for i in range(n)], step, height
-
-
-def _bs_normalize(n, p, q, s):
-    if q == 0:
-        k = s - p
-        return (-k, 0, 0) if k < 0 else (0, 0, k)
-    while p > 0 and s > 0 and q % n == 0:
-        p -= 1
-        s -= 1
-        q //= n
-    return (p, q, s)
-
-
-def _gens_bs(n):
-    # elements t^-p a^q t^s with p, s >= 0 and q not divisible by n when both
-    # p and s are positive; multiplication rewrites into that shape exactly
-    def step(key, gen, sign):
-        p, q, s = key
-        if gen == 0:  # a
-            if s == 0:
-                return _bs_normalize(n, p, q + sign, 0)
-            return _bs_normalize(n, p, q + sign * n ** s, s)
-        if sign > 0:  # t
-            return _bs_normalize(n, p, q, s + 1)
-        if s > 0:
-            return _bs_normalize(n, p, q, s - 1)
-        return _bs_normalize(n, p + 1, q * n, 0)
-
-    # the surviving character direction is written +1, which is the
-    # descending side of the stable letter: height = p - s
-    def height(key):
-        p, q, s = key
-        return (p - s,)
-
-    return [("a", 0), ("t", 1)], step, height
-
-
-def _gens_klein():
-    # a^p b^q with b a b^-1 = a^-1
-    def step(key, gen, sign):
-        p, q = key
-        if gen == 0:  # a
-            return (p + sign * (-1) ** (q % 2), q)
-        return (p, q + sign)
-
-    return [("a", 0), ("b", 1)], step, lambda key: (key[1],)
-
-
-def _atom_machine(atom: ex.GroupAtom):
-    if atom.kind == ex.FREE_ABELIAN and atom.params[0] >= 1:
-        k = atom.params[0]
-        gens, step, height = _gens_free_abelian(k)
-        return tuple([0] * k), gens, step, height, k
-    if atom.kind == ex.FREE:
-        n = atom.params[0]
-        gens, step, height = _gens_free(n)
-        return (), gens, step, height, n
-    if atom.kind == ex.BAUMSLAG_SOLITAR:
-        gens, step, height = _gens_bs(atom.params[0])
-        return (0, 0, 0), gens, step, height, 1
-    if atom.kind == ex.KLEIN_BOTTLE:
-        gens, step, height = _gens_klein()
-        return (0, 0), gens, step, height, 1
-    raise _unsupported(atom)
-
-
 def _unsupported(atom: ex.GroupAtom) -> UnsupportedAtom:
-    return UnsupportedAtom(
-        "no implemented normal form for %s (generalized Thompson groups are presented "
-        "infinitely and are rejected by design)" % atom.label())
+    if atom.kind in (ex.THOMPSON_F, ex.GENERALIZED_THOMPSON):
+        reason = ("Thompson groups T(n) are rejected by design; for n > 2 they are "
+                  "presented infinitely")
+    else:
+        reason = "the probe supports Z^k with k >= 1, F(n), BS(1,n) and Klein"
+    return UnsupportedAtom("no implemented normal form for %s (%s)" % (atom.label(), reason))
 
 
 def _predicted_order(atom: ex.GroupAtom, radius: int, cap: int) -> int:
@@ -207,55 +125,193 @@ class BallGraph:
         return self.wordlen[index] == self.radius
 
 
+def _ball_generic(identity, zero, gens, step, radius):
+    """One breadth-first pass over a dict of normal forms, for ``Z^k`` and the
+    Klein bottle group.  A vertex gets its index when it is discovered and
+    emits its ``+gen`` edges when it is expanded; every vertex of length <= r
+    is known before the first length-r vertex comes up, so those only look
+    their neighbours up.  Heights add the generator's delta to the parent's."""
+    moves = [(name, gen, delta) for gen, (name, delta) in enumerate(gens.items())]
+    index = {identity: 0}
+    keys, heights, wordlen, edges = [identity], [zero], [0], []
+    begin, end = 0, 1
+    for d in range(1, radius + 1):
+        for i in range(begin, end):
+            key, h = keys[i], heights[i]
+            for name, gen, delta in moves:
+                for sign in (1, -1):
+                    nxt = step(key, gen, sign)
+                    j = index.get(nxt)
+                    if j is None:
+                        j = index[nxt] = len(keys)
+                        keys.append(nxt)
+                        heights.append(tuple(x + sign * y for x, y in zip(h, delta)))
+                    if sign > 0:
+                        edges.append((i, j, name))
+        begin, end = end, len(keys)
+        wordlen += [d] * (end - begin)
+    for i in range(begin, end):
+        for name, gen, _ in moves:
+            j = index.get(step(keys[i], gen, 1))
+            if j is not None:
+                edges.append((i, j, name))
+    return keys, heights, wordlen, edges
+
+
+def _step_free_abelian(key, gen, sign):
+    vec = list(key)
+    vec[gen] += sign
+    return tuple(vec)
+
+
+def _step_klein(key, gen, sign):
+    # a^p b^q with b a b^-1 = a^-1
+    p, q = key
+    if gen == 0:  # a
+        return (p + sign * (-1) ** (q % 2), q)
+    return (p, q + sign)
+
+
+def _ball_free(n, radius):
+    """The ``F(n)`` ball is the tree of reduced words, built with no dict.
+    Letters are +-(g + 1) for the generator x_(g+1).  The children of a vertex
+    are its reduced one-letter extensions, created in discovery order, so a
+    child's index is known when it is made; a vertex's ``+x`` edge goes to its
+    parent when its last letter is x^-1 and to its child otherwise."""
+    letters = [sign * (g + 1) for g in range(n) for sign in (1, -1)]
+    names = ["x%d" % (g + 1) for g in range(n)]
+    # per last letter (0 at the root): the extending letters, and per
+    # generator the position of the child its +edge goes to, None for the parent
+    extend, plan, rows = {}, {}, {}
+    for last in [0] + letters:
+        kids = [x for x in letters if x != -last]
+        extend[last] = [(x,) for x in kids]
+        plan[last] = [(names[g], None if last == -(g + 1) else kids.index(g + 1))
+                      for g in range(n)]
+        rows[last] = {}  # parent height -> the children's heights
+
+    def child_heights(h, last):
+        out = []
+        for (x,) in extend[last]:
+            g = abs(x) - 1
+            out.append(h[:g] + (h[g] + (1 if x > 0 else -1),) + h[g + 1:])
+        return out
+
+    # the root has 2n children and every other vertex 2n - 1, so the parent
+    # of vertex i >= 2 is (i - 2) // (2n - 1); vertex 1 is x1, with no parent edge
+    branch = 2 * n - 1
+    keys, heights, wordlen, edges = [()], [(0,) * n], [0], []
+    begin, end = 0, 1
+    for d in range(1, radius + 1):
+        for i in range(begin, end):
+            key, h = keys[i], heights[i]
+            last = key[-1] if key else 0
+            first = len(keys)
+            for name, pos in plan[last]:
+                edges.append((i, (i - 2) // branch if pos is None else first + pos, name))
+            keys += [key + x for x in extend[last]]
+            row = rows[last].get(h)
+            if row is None:
+                row = rows[last][h] = child_heights(h, last)
+            heights += row
+        begin, end = end, len(keys)
+        wordlen += [d] * (end - begin)
+    for i in range(begin, end):
+        last = keys[i][-1]
+        if last < 0:
+            edges.append((i, (i - 2) // branch, names[-last - 1]))
+    return keys, heights, wordlen, edges
+
+
+def _ball_bs(n, radius):
+    """``BS(1,n)`` on normal forms t^-p a^q t^s with p, s >= 0 and q not
+    divisible by n when both p and s are positive, one breadth-first pass over
+    a dict of them.  The height is p - s, the negated stable-letter exponent,
+    which puts the surviving character direction on the +1 side.  Right
+    multiplication stays normal with four inlined moves:
+      a^+-1:  (p, q +- n^s, s);
+      t:      (p - 1, q / n, 0) when p > 0, s = 0 and n | q, else (p, q, s + 1);
+      t^-1:   (p, q, s - 1) when s > 0, else (p + 1, q n, 0)."""
+    power = [n ** s for s in range(radius + 1)]  # s never exceeds the word length
+    height = {v: (v,) for v in range(-radius, radius + 1)}
+    index = {(0, 0, 0): 0}
+    keys, heights, wordlen, edges = [(0, 0, 0)], [(0,)], [0], []
+
+    def up(p, q, s):
+        return (p - 1, q // n, 0) if p and not s and not q % n else (p, q, s + 1)
+
+    begin, end = 0, 1
+    for d in range(1, radius + 1):
+        for i in range(begin, end):
+            p, q, s = keys[i]
+            h = heights[i][0]
+            w = power[s]
+            for nxt, hn, name in (((p, q + w, s), h, "a"), ((p, q - w, s), h, None),
+                                  (up(p, q, s), h - 1, "t"),
+                                  ((p, q, s - 1) if s else (p + 1, q * n, 0), h + 1, None)):
+                j = index.get(nxt)
+                if j is None:
+                    j = index[nxt] = len(keys)
+                    keys.append(nxt)
+                    heights.append(height[hn])
+                if name:
+                    edges.append((i, j, name))
+        begin, end = end, len(keys)
+        wordlen += [d] * (end - begin)
+    for i in range(begin, end):
+        p, q, s = keys[i]
+        j = index.get((p, q + power[s], s))
+        if j is not None:
+            edges.append((i, j, "a"))
+        j = index.get(up(p, q, s))
+        if j is not None:
+            edges.append((i, j, "t"))
+    return keys, heights, wordlen, edges
+
+
 def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
-    """Breadth-first enumeration of all elements of word length <= radius,
-    with exact heights and the full induced edge set."""
+    """All elements of word length <= radius in breadth-first order, with
+    exact heights and the full induced edge set, built in one pass by a
+    builder for the atom's family: a dict-free tree for ``F(n)``, inlined
+    normal-form moves for ``BS(1,n)`` and a generic loop for ``Z^k`` and the
+    Klein bottle group.  ``edges`` lists each vertex's ``+gen`` edges in
+    vertex order, then generator order."""
     if radius < 2:
         raise ProbeConfigError("radius must be at least 2")
     if _predicted_order(atom, radius, MAX_BALL_ORDER) > MAX_BALL_ORDER:
         raise ProbeConfigError("the radius-%d ball of %s would have more than %d vertices"
                                % (radius, atom.label(), MAX_BALL_ORDER))
-    identity, gens, step, height, dim = _atom_machine(atom)
-    dist = {identity: 0}
-    order = [identity]
-    queue = deque([identity])
-    while queue:
-        key = queue.popleft()
-        d = dist[key]
-        if d == radius:
-            continue
-        for _, gen in gens:
-            for sign in (1, -1):
-                nxt = step(key, gen, sign)
-                if nxt not in dist:
-                    dist[nxt] = d + 1
-                    order.append(nxt)
-                    queue.append(nxt)
-    index = {key: i for i, key in enumerate(order)}
-    edges = []
-    for key in order:
-        i = index[key]
-        for name, gen in gens:
-            j = index.get(step(key, gen, 1))
-            if j is not None and j != i:
-                edges.append((i, j, name))
-    heights = tuple(tuple(height(key)) for key in order)
-    gen_heights = {}
-    for name, gen in gens:
-        moved = step(identity, gen, 1)
-        base = height(identity)
-        after = height(moved)
-        gen_heights[name] = tuple(a - b for a, b in zip(after, base))
+    if atom.kind == ex.FREE_ABELIAN and atom.params[0] >= 1:
+        k = atom.params[0]
+        gens = {"e%d" % (g + 1): _unit(k, g) for g in range(k)}
+        built = _ball_generic((0,) * k, (0,) * k, gens, _step_free_abelian, radius)
+    elif atom.kind == ex.FREE:
+        n = atom.params[0]
+        gens = {"x%d" % (g + 1): _unit(n, g) for g in range(n)}
+        built = _ball_free(n, radius)
+    elif atom.kind == ex.BAUMSLAG_SOLITAR:
+        gens = {"a": (0,), "t": (-1,)}
+        built = _ball_bs(atom.params[0], radius)
+    elif atom.kind == ex.KLEIN_BOTTLE:
+        gens = {"a": (0,), "b": (1,)}
+        built = _ball_generic((0, 0), (0,), gens, _step_klein, radius)
+    else:
+        raise _unsupported(atom)
+    keys, heights, wordlen, edges = built
     return BallGraph(
         atom=atom,
         radius=radius,
-        keys=tuple(order),
-        heights=heights,
-        wordlen=tuple(dist[key] for key in order),
+        keys=tuple(keys),
+        heights=tuple(heights),
+        wordlen=tuple(wordlen),
         edges=tuple(edges),
-        height_dim=dim,
-        gen_heights=gen_heights,
+        height_dim=len(heights[0]),
+        gen_heights=gens,
     )
+
+
+def _unit(k: int, g: int) -> tuple[int, ...]:
+    return tuple(1 if i == g else 0 for i in range(k))
 
 
 # ---------------------------------------------------------------------------

@@ -292,12 +292,6 @@ class SphereSet:
         return (card.kind == "finite" and card.count == 2
                 and card.points[0] == card.points[1].antipode())
 
-    def embedded_points(self) -> tuple[Direction, ...]:
-        card = self.cardinality()
-        if card.kind != "finite":
-            raise ValueError("set is not finite")
-        return card.points
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -499,12 +493,6 @@ def union(a: SphereSet, b: SphereSet) -> SphereSet:
     return SphereSet(a.ambient, a.atoms + b.atoms)
 
 
-def intersect_with_finite(a: SphereSet, finite: SphereSet) -> SphereSet:
-    """Membership filter of a finite point set against an arbitrary set."""
-    kept = [d.coords for d in finite.embedded_points() if a.member(d)]
-    return points_set(a.ambient, kept) if kept else empty_set(a.ambient)
-
-
 def complement(a: SphereSet) -> SphereSet:
     """Set complement within the ambient sphere, on the decidable fragment:
     empty or full sets in any ambient, and single-factor finite/cofinite sets."""
@@ -550,30 +538,3 @@ def permute_vector(vec: Sequence[int], ambient: Sequence[int], perm: Sequence[in
     for i in perm:
         out.extend(blocks[i])
     return tuple(out)
-
-
-def same_denotation(a: SphereSet, b: SphereSet, probe_bound: int = 3) -> bool:
-    """Semantic equality: exact for finite sets, otherwise normal-form equality
-    backed by membership sampling on a grid of rational directions."""
-    if a.dim != b.dim:
-        return False
-    ca, cb = a.cardinality(), b.cardinality()
-    if ca.kind != cb.kind:
-        return False
-    if ca.kind in ("zero", "finite"):
-        return ca.points == cb.points
-    if a.ambient == b.ambient and a.atoms == b.atoms:
-        return True
-    return all(a.member(d) == b.member(d) for d in _direction_grid(a.dim, probe_bound))
-
-
-def _direction_grid(dim: int, bound: int):
-    from itertools import product
-
-    seen = set()
-    for vec in product(range(-bound, bound + 1), repeat=dim):
-        if any(vec):
-            d = Direction(vec)
-            if d not in seen:
-                seen.add(d)
-                yield d

@@ -5,6 +5,7 @@ the filtration sweep against a brute-force rescanning reference."""
 from __future__ import annotations
 
 import time
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,127 @@ def test_bs_normal_forms_are_canonical():
     idx = {k: i for i, k in enumerate(ball.keys)}
     assert ball.heights[idx[(0, 0, 3)]] == (-3,)
     assert ball.heights[idx[(2, 1, 0)]] == (2,)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass builders against the two-pass enumeration they replaced
+
+
+def _reference_machine(atom):
+    """Identity key, generators, step and height of the old enumerator: the
+    step closures rewrite normal forms, the height walks the whole key."""
+    if atom.kind == ex.FREE_ABELIAN:
+        def step(key, gen, sign):
+            vec = list(key)
+            vec[gen] += sign
+            return tuple(vec)
+
+        k = atom.params[0]
+        return tuple([0] * k), [("e%d" % (i + 1), i) for i in range(k)], step, lambda key: key
+    if atom.kind == ex.FREE:
+        n = atom.params[0]
+
+        def step(key, gen, sign):
+            letter = sign * (gen + 1)
+            if key and key[-1] == -letter:
+                return key[:-1]
+            return key + (letter,)
+
+        def height(key):
+            h = [0] * n
+            for letter in key:
+                h[abs(letter) - 1] += 1 if letter > 0 else -1
+            return tuple(h)
+
+        return (), [("x%d" % (i + 1), i) for i in range(n)], step, height
+    if atom.kind == ex.BAUMSLAG_SOLITAR:
+        n = atom.params[0]
+
+        def normalize(p, q, s):
+            if q == 0:
+                k = s - p
+                return (-k, 0, 0) if k < 0 else (0, 0, k)
+            while p > 0 and s > 0 and q % n == 0:
+                p, q, s = p - 1, q // n, s - 1
+            return (p, q, s)
+
+        def step(key, gen, sign):
+            p, q, s = key
+            if gen == 0:  # a
+                if s == 0:
+                    return normalize(p, q + sign, 0)
+                return normalize(p, q + sign * n ** s, s)
+            if sign > 0:  # t
+                return normalize(p, q, s + 1)
+            if s > 0:
+                return normalize(p, q, s - 1)
+            return normalize(p + 1, q * n, 0)
+
+        return (0, 0, 0), [("a", 0), ("t", 1)], step, lambda key: (key[0] - key[2],)
+    assert atom.kind == ex.KLEIN_BOTTLE
+
+    def step(key, gen, sign):
+        p, q = key
+        if gen == 0:
+            return (p + sign * (-1) ** (q % 2), q)
+        return (p, q + sign)
+
+    return (0, 0), [("a", 0), ("b", 1)], step, lambda key: (key[1],)
+
+
+def _reference_ball(atom, radius):
+    """Two passes: a breadth-first search over a dict of keys, then a second
+    sweep that steps every vertex along every generator to find its edges."""
+    identity, gens, step, height = _reference_machine(atom)
+    dist = {identity: 0}
+    order = [identity]
+    queue = deque([identity])
+    while queue:
+        key = queue.popleft()
+        d = dist[key]
+        if d == radius:
+            continue
+        for _, gen in gens:
+            for sign in (1, -1):
+                nxt = step(key, gen, sign)
+                if nxt not in dist:
+                    dist[nxt] = d + 1
+                    order.append(nxt)
+                    queue.append(nxt)
+    index = {key: i for i, key in enumerate(order)}
+    edges = []
+    for i, key in enumerate(order):
+        for name, gen in gens:
+            j = index.get(step(key, gen, 1))
+            if j is not None and j != i:
+                edges.append((i, j, name))
+    base = height(identity)
+    gen_heights = {name: tuple(b - a for a, b in zip(base, height(step(identity, gen, 1))))
+                   for name, gen in gens}
+    return bp.BallGraph(atom=atom, radius=radius, keys=tuple(order),
+                        heights=tuple(height(key) for key in order),
+                        wordlen=tuple(dist[key] for key in order), edges=tuple(edges),
+                        height_dim=len(base), gen_heights=gen_heights)
+
+
+# every family up to the largest radius the probe benchmark uses for it;
+# F(1) is built directly, since free_group(1) is Z
+BUILDER_CASES = (
+    [(ex.free_abelian(k), r) for k, top in ((1, 12), (2, 12), (3, 11), (4, 8))
+     for r in range(2, top + 1)]
+    + [(ex.klein_bottle(), r) for r in range(2, 13)]
+    + [(ex.GroupAtom(ex.FREE, (1,)), r) for r in range(2, 13)]
+    + [(ex.free_group(n), r) for n, top in ((2, 8), (3, 6)) for r in range(2, top + 1)]
+    + [(ex.baumslag_solitar(1, n), r) for n, top in ((2, 12), (3, 10), (5, 8))
+       for r in range(2, top + 1)]
+)
+
+
+@pytest.mark.parametrize("atom,radius", BUILDER_CASES,
+                         ids=["%s-r%d" % (a.label(), r) for a, r in BUILDER_CASES])
+def test_one_pass_ball_equals_two_pass_reference(atom, radius):
+    # the dataclass compares every field, edge order included
+    assert enumerate_ball(atom, radius) == _reference_ball(atom, radius)
 
 
 # ---------------------------------------------------------------------------

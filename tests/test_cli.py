@@ -82,6 +82,17 @@ def test_computation_errors_are_json_exit_1():
     assert result.exit_code == 1
 
 
+def test_probe_names_the_right_reason_for_unsupported_atoms():
+    for atom in ("Z^0", "L(2)", "Zmod(3)", "B(3)", "T(3)", "Thompson"):
+        result = run("probe", "--atom", atom, "--dir", "1")
+        assert result.exit_code == 1, atom
+        data = json.loads(result.output)
+        assert set(data) == {"version", "error"}, atom
+        assert data["error"].startswith("no implemented normal form for %s " % atom), atom
+        thompson = atom in ("T(3)", "Thompson")
+        assert ("presented infinitely" in data["error"]) == thompson, data["error"]
+
+
 def test_usage_errors_exit_2():
     assert run("rinf").exit_code == 2
     assert run("nonsense").exit_code == 2

@@ -5,6 +5,7 @@ that walks rational directions on the denoted arcs."""
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -22,15 +23,47 @@ from groupinv.spheres import (
     complement,
     empty_set,
     full_sphere,
-    intersect_with_finite,
     join,
     permute_factors,
     permute_vector,
     points_set,
-    same_denotation,
     single_factor_points,
     union,
 )
+
+
+def intersect_with_finite(a: SphereSet, finite: SphereSet) -> SphereSet:
+    """Membership filter of a finite point set against an arbitrary set."""
+    card = finite.cardinality()
+    if card.kind != "finite":
+        raise ValueError("set is not finite")
+    kept = [d.coords for d in card.points if a.member(d)]
+    return points_set(a.ambient, kept) if kept else empty_set(a.ambient)
+
+
+def same_denotation(a: SphereSet, b: SphereSet) -> bool:
+    """Semantic equality: exact for finite sets, otherwise normal-form equality
+    backed by membership sampling on a grid of rational directions."""
+    if a.dim != b.dim:
+        return False
+    ca, cb = a.cardinality(), b.cardinality()
+    if ca.kind != cb.kind:
+        return False
+    if ca.kind in ("zero", "finite"):
+        return ca.points == cb.points
+    if a.ambient == b.ambient and a.atoms == b.atoms:
+        return True
+    return all(a.member(d) == b.member(d) for d in _direction_grid(a.dim, 3))
+
+
+def _direction_grid(dim: int, bound: int):
+    seen = set()
+    for vec in product(range(-bound, bound + 1), repeat=dim):
+        if any(vec):
+            d = Direction(vec)
+            if d not in seen:
+                seen.add(d)
+                yield d
 
 
 def test_direction_normalization():
@@ -233,8 +266,6 @@ def _any_point(s: SphereSet):
         return card.points[0]
     rank = s.dim
     # full or cofinite: try small vectors until one is a member
-    from itertools import product
-
     for vec in sorted(product(range(-3, 4), repeat=rank), key=lambda v: sum(abs(x) for x in v)):
         if any(vec) and s.member(Direction(vec)):
             return Direction(vec)
