@@ -2,23 +2,29 @@
 
 For atoms with implemented normal forms the radius-r ball of the Cayley graph
 is built in one breadth-first pass, each vertex carrying its image under the
-abelianization height map, which is the parent's height plus the generator's
-delta.  Each vertex gets its index when it is discovered and emits its edges
-when it is expanded, so no second pass steps over the ball.  One builder per
-family: the ``F(n)`` ball is a tree of reduced words built without a dict,
-``BS(1,n)`` inlines its four normal-form moves, and ``Z^k`` and the Klein
-bottle group share a generic loop.  A direction survives at level one when the
-half-space sublevel sets stay connected after a bounded retreat; the
-truncated-cone variant tests the closed-neighborhood analog.  All geometry is
-exact: scales are rational and every comparison is a cross-multiplied integer
-inequality, never floating point.
+abelianization height map.  Each vertex gets its index when it is discovered
+and emits its edges when it is expanded, so no second pass steps over the
+ball.  One builder per family: the ``F(n)`` ball is a tree of reduced words
+built without a dict; ``BS(1,n)``, ``Z^k`` and the Klein bottle group key
+their dict by one integer per normal form, so a generator move is an integer
+step and a key tuple is built only for a newly found vertex.  A direction
+survives at level one when the half-space sublevel sets stay connected after
+a bounded retreat; the truncated-cone variant tests the closed-neighborhood
+analog.  All geometry is exact: scales are rational and every comparison is
+an integer inequality, never floating point.
 
 The sublevel sets shrink as the scale grows, in both modes, so the probe is a
 single sweep over the sublevel filtration (0-dimensional persistence): each
 vertex gets the highest grid scale or retreat floor whose sublevel set holds
-it, found by binary search with the exact tests, and one union-find pass adds
-vertices and edges from the highest level down, answering every scale and
-retreat query at its level.
+it, and one union-find pass adds vertices and edges from the highest level
+down, answering every scale and retreat query at its level.  The level of a
+vertex depends only on a = <h, gamma> (and |h|^2 in cone mode): the half-space
+level is one bisection of a over the least integer each level admits, the
+cone level a binary search below it, memoized by (a, |h|^2) and, in front, by
+the height.  A scale's core is connected iff it lies within the prefix of the
+core vertices, in entry order, that shares the first one's component; unions
+only merge, so that prefix only grows, and the whole sweep costs
+O((V + E) alpha(V) + V log L) for V vertices, E edges and L levels.
 
 The work is capped before anything is allocated: the ball order predicted by
 the closed growth series of the atom (for ``BS(1,n)`` the ``F(2)`` count,
@@ -35,8 +41,11 @@ reported configuration.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 from typing import Sequence
 
 from . import expressions as ex
@@ -125,51 +134,47 @@ class BallGraph:
         return self.wordlen[index] == self.radius
 
 
-def _ball_generic(identity, zero, gens, step, radius):
-    """One breadth-first pass over a dict of normal forms, for ``Z^k`` and the
-    Klein bottle group.  A vertex gets its index when it is discovered and
-    emits its ``+gen`` edges when it is expanded; every vertex of length <= r
-    is known before the first length-r vertex comes up, so those only look
-    their neighbours up.  Heights add the generator's delta to the parent's."""
-    moves = [(name, gen, delta) for gen, (name, delta) in enumerate(gens.items())]
-    index = {identity: 0}
-    keys, heights, wordlen, edges = [identity], [zero], [0], []
+def _ball_lattice(names, radius, twisted=False):
+    """``Z^k`` on integer vectors, or with ``twisted`` the Klein bottle group
+    on a^p b^q (b a b^-1 = a^-1), whose a-move runs backwards when q is odd.
+    One breadth-first pass over a dict keyed by the code
+    sum_i (x_i + r)(2r + 1)^i, so a move is one integer step; a key tuple is
+    built only for a newly found vertex.  Every coordinate of a ball vertex
+    lies in [-r, r].  A shell vertex's + move leaves that range only from
+    r e_g, and then its code is that of -r e_g + e_(g+1), at distance r + 1
+    and outside the ball, or lies past every code when g is last.  A vertex
+    gets its index when it is discovered and emits its ``+gen`` edges when it
+    is expanded; length-r vertices only look their neighbours up."""
+    k = len(names)
+    base = 2 * radius + 1
+    # per parity of the last coordinate: (name, coordinate, code step, coordinate step)
+    straight = [(name, g, base ** g, 1) for g, name in enumerate(names)]
+    plans = (straight, [(names[0], 0, -1, -1), (names[1], 1, base, 1)] if twisted else straight)
+    origin = radius * sum(base ** g for g in range(k))
+    index = {origin: 0}
+    keys, codes, wordlen, edges = [(0,) * k], [origin], [0], []
     begin, end = 0, 1
     for d in range(1, radius + 1):
         for i in range(begin, end):
-            key, h = keys[i], heights[i]
-            for name, gen, delta in moves:
-                for sign in (1, -1):
-                    nxt = step(key, gen, sign)
-                    j = index.get(nxt)
+            key, c = keys[i], codes[i]
+            for name, g, step, dx in plans[key[-1] & 1]:
+                for nc, x, label in ((c + step, key[g] + dx, name), (c - step, key[g] - dx, None)):
+                    j = index.get(nc)
                     if j is None:
-                        j = index[nxt] = len(keys)
-                        keys.append(nxt)
-                        heights.append(tuple(x + sign * y for x, y in zip(h, delta)))
-                    if sign > 0:
-                        edges.append((i, j, name))
+                        j = index[nc] = len(keys)
+                        keys.append(key[:g] + (x,) + key[g + 1:])
+                        codes.append(nc)
+                    if label:
+                        edges.append((i, j, label))
         begin, end = end, len(keys)
         wordlen += [d] * (end - begin)
     for i in range(begin, end):
-        for name, gen, _ in moves:
-            j = index.get(step(keys[i], gen, 1))
+        c = codes[i]
+        for name, _, step, _ in plans[keys[i][-1] & 1]:
+            j = index.get(c + step)
             if j is not None:
                 edges.append((i, j, name))
-    return keys, heights, wordlen, edges
-
-
-def _step_free_abelian(key, gen, sign):
-    vec = list(key)
-    vec[gen] += sign
-    return tuple(vec)
-
-
-def _step_klein(key, gen, sign):
-    # a^p b^q with b a b^-1 = a^-1
-    p, q = key
-    if gen == 0:  # a
-        return (p + sign * (-1) ** (q % 2), q)
-    return (p, q + sign)
+    return keys, wordlen, edges
 
 
 def _ball_free(n, radius):
@@ -226,44 +231,61 @@ def _ball_free(n, radius):
 def _ball_bs(n, radius):
     """``BS(1,n)`` on normal forms t^-p a^q t^s with p, s >= 0 and q not
     divisible by n when both p and s are positive, one breadth-first pass over
-    a dict of them.  The height is p - s, the negated stable-letter exponent,
-    which puts the surviving character direction on the +1 side.  Right
-    multiplication stays normal with four inlined moves:
-      a^+-1:  (p, q +- n^s, s);
+    a dict keyed by the code (q W + p) W + s.  The height is p - s, the negated
+    stable-letter exponent, which puts the surviving character direction on
+    the +1 side.  Right multiplication stays normal with four moves:
+      a^+-1:  (p, q +- n^s, s), the code +- n^s W^2;
       t:      (p - 1, q / n, 0) when p > 0, s = 0 and n | q, else (p, q, s + 1);
-      t^-1:   (p, q, s - 1) when s > 0, else (p + 1, q n, 0)."""
+      t^-1:   (p, q, s - 1) when s > 0, else (p + 1, q n, 0).
+    p <= r and s <= r on the ball, but a shell vertex's t-move reaches
+    s = r + 1, so W = r + 2 keeps p W + s in [0, W^2) and the code one-to-one.
+    A move's key tuple is built only when it finds a new vertex."""
+    width = radius + 2
+    square = width * width
     power = [n ** s for s in range(radius + 1)]  # s never exceeds the word length
+    shift = [w * square for w in power]
     height = {v: (v,) for v in range(-radius, radius + 1)}
-    index = {(0, 0, 0): 0}
+    index = {0: 0}
     keys, heights, wordlen, edges = [(0, 0, 0)], [(0,)], [0], []
-
-    def up(p, q, s):
-        return (p - 1, q // n, 0) if p and not s and not q % n else (p, q, s + 1)
-
     begin, end = 0, 1
     for d in range(1, radius + 1):
         for i in range(begin, end):
             p, q, s = keys[i]
-            h = heights[i][0]
-            w = power[s]
-            for nxt, hn, name in (((p, q + w, s), h, "a"), ((p, q - w, s), h, None),
-                                  (up(p, q, s), h - 1, "t"),
-                                  ((p, q, s - 1) if s else (p + 1, q * n, 0), h + 1, None)):
-                j = index.get(nxt)
-                if j is None:
-                    j = index[nxt] = len(keys)
-                    keys.append(nxt)
-                    heights.append(height[hn])
-                if name:
-                    edges.append((i, j, name))
+            code = (q * width + p) * width + s
+            nxt = code + shift[s]
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(keys)
+                keys.append((p, q + power[s], s))
+                heights.append(heights[i])
+            edges.append((i, j, "a"))
+            nxt = code - shift[s]
+            if nxt not in index:
+                index[nxt] = len(keys)
+                keys.append((p, q - power[s], s))
+                heights.append(heights[i])
+            cancel = p and not s and not q % n
+            nxt = (q // n * width + p - 1) * width if cancel else code + 1
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(keys)
+                keys.append((p - 1, q // n, 0) if cancel else (p, q, s + 1))
+                heights.append(height[p - s - 1])
+            edges.append((i, j, "t"))
+            nxt = code - 1 if s else (q * n * width + p + 1) * width
+            if nxt not in index:
+                index[nxt] = len(keys)
+                keys.append((p, q, s - 1) if s else (p + 1, q * n, 0))
+                heights.append(height[p - s + 1])
         begin, end = end, len(keys)
         wordlen += [d] * (end - begin)
     for i in range(begin, end):
         p, q, s = keys[i]
-        j = index.get((p, q + power[s], s))
+        code = (q * width + p) * width + s
+        j = index.get(code + shift[s])
         if j is not None:
             edges.append((i, j, "a"))
-        j = index.get(up(p, q, s))
+        j = index.get((q // n * width + p - 1) * width if p and not s and not q % n else code + 1)
         if j is not None:
             edges.append((i, j, "t"))
     return keys, heights, wordlen, edges
@@ -272,10 +294,12 @@ def _ball_bs(n, radius):
 def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
     """All elements of word length <= radius in breadth-first order, with
     exact heights and the full induced edge set, built in one pass by a
-    builder for the atom's family: a dict-free tree for ``F(n)``, inlined
-    normal-form moves for ``BS(1,n)`` and a generic loop for ``Z^k`` and the
-    Klein bottle group.  ``edges`` lists each vertex's ``+gen`` edges in
-    vertex order, then generator order."""
+    builder for the atom's family: a dict-free tree for ``F(n)``, and for
+    ``BS(1,n)``, ``Z^k`` and the Klein bottle group a dict keyed by one
+    integer per normal form, whose moves are integer steps.  ``keys`` are the
+    normal forms as tuples: reduced words for ``F(n)``, (p, q, s) for
+    ``BS(1,n)``, vectors for ``Z^k`` and (p, q) for Klein.  ``edges`` lists
+    each vertex's ``+gen`` edges in vertex order, then generator order."""
     if radius < 2:
         raise ProbeConfigError("radius must be at least 2")
     if _predicted_order(atom, radius, MAX_BALL_ORDER) > MAX_BALL_ORDER:
@@ -284,20 +308,22 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
     if atom.kind == ex.FREE_ABELIAN and atom.params[0] >= 1:
         k = atom.params[0]
         gens = {"e%d" % (g + 1): _unit(k, g) for g in range(k)}
-        built = _ball_generic((0,) * k, (0,) * k, gens, _step_free_abelian, radius)
+        keys, wordlen, edges = _ball_lattice(list(gens), radius)
+        heights = keys  # a vector is its own height
     elif atom.kind == ex.FREE:
         n = atom.params[0]
         gens = {"x%d" % (g + 1): _unit(n, g) for g in range(n)}
-        built = _ball_free(n, radius)
+        keys, heights, wordlen, edges = _ball_free(n, radius)
     elif atom.kind == ex.BAUMSLAG_SOLITAR:
         gens = {"a": (0,), "t": (-1,)}
-        built = _ball_bs(atom.params[0], radius)
+        keys, heights, wordlen, edges = _ball_bs(atom.params[0], radius)
     elif atom.kind == ex.KLEIN_BOTTLE:
         gens = {"a": (0,), "b": (1,)}
-        built = _ball_generic((0, 0), (0,), gens, _step_klein, radius)
+        keys, wordlen, edges = _ball_lattice(list(gens), radius, twisted=True)
+        height = {q: (q,) for q in range(-radius, radius + 1)}
+        heights = [height[q] for _, q in keys]
     else:
         raise _unsupported(atom)
-    keys, heights, wordlen, edges = built
     return BallGraph(
         atom=atom,
         radius=radius,
@@ -449,42 +475,69 @@ class ProbeReport:
         return "\n".join(lines)
 
 
+def _least_holding(s: Fraction, norm_sq: int) -> int:
+    """The least integer a with a >= s * sqrt(norm_sq), exactly: for
+    s = sp/sq and X = sp^2 norm_sq, a sq >= sqrt(X) when sp > 0, and
+    a sq >= -sqrt(X) otherwise; isqrt(X) decides both, with a strict bound
+    when X is not a square."""
+    sp, sq = s.numerator, s.denominator
+    root = isqrt(sp * sp * norm_sq)
+    if sp <= 0:
+        return -(root // sq)
+    if root * root != sp * sp * norm_sq:
+        root += 1
+    return -(-root // sq)
+
+
 def _entry_levels(ball: BallGraph, gamma: Direction, levels: Sequence[Fraction],
                   mode: str) -> list[int]:
     """For each vertex, the index of the highest level whose sublevel set
-    holds it, or -1.  Membership only shrinks as the level grows, so a binary
-    search with the exact tests finds it; equal heights share the answer."""
+    holds it, or -1.  Membership only shrinks as the level grows.  The tests
+    read only a = <h, gamma>, and |h|^2 in cone mode, and a is an integer, so
+    the half-space test at level t is a >= the least integer that holds at t,
+    and one bisection over those integers finds the highest half-space level.
+    In cone mode a binary search below it applies the angle bound, which
+    shrinks with t too, and its answers are memoized by (a, |h|^2).  In front
+    of that, answers are memoized by the height itself, which is cheaper to
+    look up than the scalars are to compute."""
     coords = gamma.coords
     norm_g = gamma.norm_sq()
+    least = [_least_holding(t, norm_g) for t in levels]
     cone = mode == TRUNCATED_CONE
+    nums = [t.numerator for t in levels]
+    dens = [t.denominator for t in levels]
 
-    def highest(h):
-        a = sum(x * g for x, g in zip(h, coords))
-        norm_h = sum(x * x for x in h)
-        lo, hi = 0, len(levels)
+    def highest_cone(a, norm_h):
+        # the highest level with the angle bound t^2 (|h|^2 |gamma|^2 - a^2) <= a^2,
+        # at or below the highest half-space level; cone levels are >= 0
+        spread = norm_h * norm_g - a * a
+        lo, hi = 0, bisect_right(least, a)
         while lo < hi:
             mid = (lo + hi) // 2
-            t = levels[mid]
-            if _in_cone(a, norm_h, norm_g, t) if cone else _ge_scaled_norm(a, t, norm_g):
+            sp, left = nums[mid], a * dens[mid]
+            if sp * sp * spread <= left * left:
                 lo = mid + 1
             else:
                 hi = mid
         return lo - 1
 
-    known: dict[tuple[int, ...], int] = {}
+    by_height: dict[tuple[int, ...], int] = {}
+    by_scalars: dict[tuple[int, int], int] = {}
     entry = []
     for h in ball.heights:
-        k = known.get(h)
+        k = by_height.get(h)
         if k is None:
-            k = known[h] = highest(h)
+            a = sum(map(mul, h, coords))
+            if cone:
+                key = (a, sum(map(mul, h, h)))
+                k = by_scalars.get(key)
+                if k is None:
+                    k = by_scalars[key] = highest_cone(*key)
+            else:
+                k = bisect_right(least, a) - 1
+            by_height[h] = k
         entry.append(k)
     return entry
-
-
-def _connected(find, vertices: list[int], n: int) -> bool:
-    """Whether the first n vertices lie in one union-find component."""
-    root = find(vertices[0])
-    return all(find(vertices[i]) == root for i in range(1, n))
 
 
 def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF_SPACE,
@@ -496,7 +549,8 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
     pass adds the vertices and edges of each level from the highest down, so
     after level t it holds the components of the sublevel set at t; each
     scale's retreat candidates are tested at their levels, highest first, up
-    to the first that joins its core into one component."""
+    to the first that joins its core into one component.  Each level's edges
+    go to ``UnionFind.union_pairs`` in one call."""
     config = ProbeConfig(radius=ball.radius, direction=gamma,
                          grid=tuple(Fraction(s) for s in grid), mode=mode,
                          lambda_max=Fraction(lambda_max), core_margin=core_margin)
@@ -507,28 +561,33 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
         floors = [max(f, Fraction(0)) for f in floors]
     levels = sorted(set(grid) | set(floors))
     level_of = {t: k for k, t in enumerate(levels)}
+    scale_at = [level_of[s] for s in grid]
+    floor_at = [level_of[f] for f in floors]
     entry = _entry_levels(ball, gamma, levels, mode)
 
     # vertices, core vertices and edges bucketed by the level they enter at
     top = len(levels)
     core_radius = config.core_radius
+    radius = ball.radius
     entering = [0] * top
     core_entering: list[list[int]] = [[] for _ in levels]
     shell_top = -1
-    for v, k in enumerate(entry):
+    for v, (k, d) in enumerate(zip(entry, ball.wordlen)):
         if k < 0:
             continue
         entering[k] += 1
-        d = ball.wordlen[v]
         if d <= core_radius:
             core_entering[k].append(v)
-        if d == ball.radius and k > shell_top:
+        if d == radius and k > shell_top:
             shell_top = k
     edges_at: list[list[int]] = [[] for _ in levels]
     for i, j, _ in ball.edges:
-        k = entry[i] if entry[i] < entry[j] else entry[j]
+        ki, kj = entry[i], entry[j]
+        k = ki if ki < kj else kj
         if k >= 0:
-            edges_at[k] += (i, j)
+            bucket = edges_at[k]
+            bucket.append(i)
+            bucket.append(j)
     # sub_at[k] and core_at[k] count the sublevel set at level k and its core;
     # that core is the first core_at[k] entries of core_order
     sub_at = [0] * (top + 1)
@@ -539,36 +598,46 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
         core_at[k] = core_at[k + 1] + len(core_entering[k])
         core_order += core_entering[k]
 
-    # a scale with a core asks its retreat candidates in turn, highest first
-    grid_levels = {level_of[s] for s in grid}
+    # a scale with a core asks its retreat candidates in turn, highest first:
+    # the grid levels from its own down to its floor, then the floor
+    grid_levels = sorted(set(scale_at))
     targets: list[list[int]] = []
     pending: list[list[int]] = [[] for _ in levels]
     lowest = top  # the lowest level a scale without core reads its count at
-    for q, s in enumerate(grid):
-        sk, fk = level_of[s], level_of[floors[q]]
-        targets.append(sorted({k for k in grid_levels if fk <= k <= sk} | {fk}))  # last is next
+    for q, (sk, fk) in enumerate(zip(scale_at, floor_at)):
+        span = grid_levels[bisect_left(grid_levels, fk):bisect_right(grid_levels, sk)]
+        targets.append(span if span[0] == fk else [fk] + span)  # last is next
         if core_at[sk]:
             pending[sk].append(q)
         else:
             lowest = min(lowest, sk)
     open_queries = sum(len(p) for p in pending)
-    answers: dict[int, tuple[Fraction | None, int]] = {}  # scale index -> (retreat, components)
+    # scale index -> (the level its core joins at, or None; components)
+    answers: dict[int, tuple[int | None, int]] = {}
     components_at = [0] * top
     uf = UnionFind(ball.order)
+    find = uf.find
+    merged = 0
+    # core_order[:gap] lies in the component of core_order[0]; unions only
+    # merge, so gap only grows, and a core of n vertices is connected iff gap >= n
+    gap = 0
     for k in range(top - 1, -1, -1):
         if not open_queries and k < lowest:
             break
-        flat = edges_at[k]
-        for x in range(0, len(flat), 2):
-            uf.union(flat[x], flat[x + 1])
-        components_at[k] = sub_at[k] - (ball.order - uf.components)
+        merged += uf.union_pairs(edges_at[k])
+        components_at[k] = sub_at[k] - merged
+        if not pending[k]:
+            continue
+        root = find(core_order[0])
         for q in sorted(pending[k]):
-            n = core_at[level_of[grid[q]]]
+            n = core_at[scale_at[q]]
+            while gap < n and find(core_order[gap]) == root:
+                gap += 1
             targets[q].pop()
-            if _connected(uf.find, core_order, n):
-                answers[q] = (grid[q] - levels[k], 1)
+            if gap >= n:
+                answers[q] = (k, 1)
             elif not targets[q]:
-                answers[q] = (None, len({uf.find(core_order[i]) for i in range(n)}))
+                answers[q] = (None, len({find(core_order[i]) for i in range(n)}))
             else:
                 pending[targets[q][-1]].append(q)
                 continue
@@ -576,26 +645,25 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
 
     rows: list[ProbeRow] = []
     split_seen = False
-    evaluated: list[tuple[Fraction, Fraction]] = []  # (s, retreat)
-    for q, s in enumerate(grid):
-        sk = level_of[s]
+    descents: list[int] = []  # the level s - retreat, by index
+    for q, (s, sk) in enumerate(zip(grid, scale_at)):
         shell_touched = shell_top >= sk
         if not core_at[sk]:
             rows.append(ProbeRow(s, sub_at[sk], 0, components_at[sk], None, shell_touched,
                                  note="no core vertices at this scale"))
             continue
-        retreat, comps = answers[q]
-        if retreat is None:
+        joined, comps = answers[q]
+        if joined is None:
             split_seen = True
             rows.append(ProbeRow(s, sub_at[sk], core_at[sk], comps, None, shell_touched,
                                  note="core components never merge within the budget"))
         else:
-            evaluated.append((s, retreat))
-            rows.append(ProbeRow(s, sub_at[sk], core_at[sk], 1, retreat, shell_touched))
+            descents.append(joined)
+            rows.append(ProbeRow(s, sub_at[sk], core_at[sk], 1, s - levels[joined],
+                                 shell_touched))
     if split_seen:
         evidence = SUPPORTS_NON_MEMBERSHIP
-    elif len(evaluated) >= 2:
-        descents = [s - lam for s, lam in evaluated]
+    elif len(descents) >= 2:
         increasing = all(b > a for a, b in zip(descents, descents[1:]))
         evidence = SUPPORTS_MEMBERSHIP if increasing else INCONCLUSIVE
     else:

@@ -4,6 +4,7 @@ the filtration sweep against a brute-force rescanning reference."""
 
 from __future__ import annotations
 
+import random
 import time
 from collections import deque
 from fractions import Fraction
@@ -223,16 +224,15 @@ def _reference_ball(atom, radius):
                         height_dim=len(base), gen_heights=gen_heights)
 
 
-# every family up to the largest radius the probe benchmark uses for it;
-# F(1) is built directly, since free_group(1) is Z
+# Z^k, Klein and BS(1,n) at every radius from 2 to 12, so that a collision of
+# the integer codes at any radius shows; F(n) up to the largest radius the
+# probe benchmark uses; F(1) is built directly, since free_group(1) is Z
 BUILDER_CASES = (
-    [(ex.free_abelian(k), r) for k, top in ((1, 12), (2, 12), (3, 11), (4, 8))
-     for r in range(2, top + 1)]
+    [(ex.free_abelian(k), r) for k in (1, 2, 3, 4) for r in range(2, 13)]
     + [(ex.klein_bottle(), r) for r in range(2, 13)]
     + [(ex.GroupAtom(ex.FREE, (1,)), r) for r in range(2, 13)]
     + [(ex.free_group(n), r) for n, top in ((2, 8), (3, 6)) for r in range(2, top + 1)]
-    + [(ex.baumslag_solitar(1, n), r) for n, top in ((2, 12), (3, 10), (5, 8))
-       for r in range(2, top + 1)]
+    + [(ex.baumslag_solitar(1, n), r) for n in (2, 3, 5, 7) for r in range(2, 13)]
 )
 
 
@@ -388,39 +388,70 @@ def test_probe_config_rejects_negative_budget():
         connectivity_probe(ball, Direction((1, 0)), default_grid(4), lambda_max=Fraction(-1, 2))
 
 
+def test_union_pairs_matches_pairwise_unions():
+    rng = random.Random(7)
+    for n in (1, 2, 10, 60):
+        for _ in range(20):
+            flat = [rng.randrange(n) for _ in range(2 * rng.randrange(2 * n))]
+            bulk, single = UnionFind(n), UnionFind(n)
+            assert bulk.union_pairs(flat) == n - bulk.components
+            for x in range(0, len(flat), 2):
+                single.union(flat[x], flat[x + 1])
+            assert bulk.components == single.components
+            assert {frozenset(v for v in range(n) if bulk.find(v) == bulk.find(u))
+                    for u in range(n)} == \
+                {frozenset(v for v in range(n) if single.find(v) == single.find(u))
+                 for u in range(n)}
+    assert UnionFind(3).union_pairs([]) == 0
+
+
 # ---------------------------------------------------------------------------
 # the sweep against the rescanning probe it replaced
 
 
-def _reference_probe(ball, gamma, grid, mode, lambda_max, core_margin):
+class _Rescan:
+    """Sublevel sets of one ball and direction, each found by testing every
+    vertex and split into components by a fresh union-find over every edge.
+    A sublevel set depends only on the mode and the scale, so each is scanned
+    once, however many scales, retreats, budgets and margins ask for it."""
+
+    def __init__(self, ball, gamma):
+        self.ball, self.gamma = ball, gamma
+        self.known = {}
+
+    def __call__(self, mode, s):
+        """The sublevel set at s and every vertex's component root in it."""
+        if (mode, s) not in self.known:
+            ball = self.ball
+            if mode == HALF_SPACE:
+                sub = halfspace_subgraph(ball, self.gamma, s)
+            else:
+                sub = cone_subgraph(ball, self.gamma, max(s, Fraction(0)))
+            allowed = set(sub)
+            uf = UnionFind(ball.order)
+            for i, j, _ in ball.edges:
+                if i in allowed and j in allowed:
+                    uf.union(i, j)
+            self.known[mode, s] = (sub, [uf.find(v) for v in range(ball.order)])
+        return self.known[mode, s]
+
+
+def _reference_probe(ball, gamma, grid, mode, lambda_max, core_margin, rescan=None):
     """The probe as a brute-force rescan: every scale and every retreat
-    candidate recomputes its sublevel set and a fresh union-find."""
+    candidate reads the components of its own sublevel set, found afresh."""
     config = ProbeConfig(radius=ball.radius, direction=gamma,
                          grid=tuple(Fraction(s) for s in grid), mode=mode,
                          lambda_max=Fraction(lambda_max), core_margin=core_margin)
-
-    def sublevel(s):
-        if mode == HALF_SPACE:
-            return halfspace_subgraph(ball, gamma, s)
-        return cone_subgraph(ball, gamma, max(s, Fraction(0)))
-
-    def components_covering(allowed, targets):
-        allowed = set(allowed)
-        uf = UnionFind(ball.order)
-        for i, j, _ in ball.edges:
-            if i in allowed and j in allowed:
-                uf.union(i, j)
-        return len({uf.find(t) for t in targets})
-
+    rescan = rescan or _Rescan(ball, gamma)
     rows = []
     split_seen = False
     evaluated = []
     for s in config.grid:
-        sub = sublevel(s)
+        sub, roots = rescan(mode, s)
         core = [i for i in sub if ball.wordlen[i] <= config.core_radius]
         shell_touched = any(ball.shell(i) for i in sub)
         if not core:
-            comps = components_covering(sub, sub) if sub else 0
+            comps = len({roots[i] for i in sub})
             rows.append(ProbeRow(s, len(sub), 0, comps, None, shell_touched,
                                  note="no core vertices at this scale"))
             continue
@@ -430,7 +461,8 @@ def _reference_probe(ball, gamma, grid, mode, lambda_max, core_margin):
         candidates = sorted({g for g in config.grid if floor <= g <= s} | {floor}, reverse=True)
         retreat = comps = None
         for target in candidates:
-            comps = components_covering(sublevel(target), core)
+            roots = rescan(mode, target)[1]
+            comps = len({roots[i] for i in core})
             if comps == 1:
                 retreat = s - target
                 break
@@ -452,6 +484,23 @@ def _reference_probe(ball, gamma, grid, mode, lambda_max, core_margin):
     return config, tuple(rows), evidence
 
 
+def _assert_sweep_matches(ball, gamma, grid, rescan):
+    """Compare the sweep with the reference in both modes, over four retreat
+    budgets and three core margins (None, 0 for the whole ball, the radius for
+    the identity alone); returns the reference rows."""
+    seen = []
+    for mode in (HALF_SPACE, TRUNCATED_CONE):
+        for lam in (0, Fraction(1, 2), 1, 3):
+            for margin in (None, 0, ball.radius):
+                report = connectivity_probe(ball, gamma, grid, mode, lam, margin)
+                config, rows, evidence = _reference_probe(ball, gamma, grid, mode, lam, margin,
+                                                          rescan)
+                assert (report.config, report.rows, report.evidence) == (config, rows, evidence), \
+                    (ball.atom.label(), gamma, mode, grid, lam, margin)
+                seen += rows
+    return seen
+
+
 SWEEP_CASES = [
     (ex.free_abelian(2), 5, [(1, 0), (1, 1), (2, -1), (-1, -2)]),
     (ex.free_abelian(3), 3, [(1, 0, 0), (1, -1, 1), (0, 2, -1)]),
@@ -469,18 +518,44 @@ def test_sweep_equals_rescanning_reference(atom, radius, directions):
     grids = (default_grid(radius),
              [Fraction(j, 2) for j in range(radius + 1)],  # half-integer steps
              [0, Fraction(1, 3), 1, 1, 2, 2])  # duplicate scales
-    no_core_rows = 0
+    rows = []
     for d in directions:
         gamma = Direction(d)
-        for mode in (HALF_SPACE, TRUNCATED_CONE):
-            for grid in grids:
-                for lam in (0, Fraction(1, 2), 1, 3):
-                    # margin 0: the core is the whole ball; margin = radius: the identity
-                    for margin in (None, 0, radius):
-                        report = connectivity_probe(ball, gamma, grid, mode, lam, margin)
-                        config, rows, evidence = _reference_probe(ball, gamma, grid, mode,
-                                                                  lam, margin)
-                        assert (report.config, report.rows, report.evidence) == \
-                            (config, rows, evidence), (atom.label(), d, mode, grid, lam, margin)
-                        no_core_rows += sum(1 for r in rows if r.core_vertices == 0)
-    assert no_core_rows > 0
+        rescan = _Rescan(ball, gamma)
+        for grid in grids:
+            rows += _assert_sweep_matches(ball, gamma, grid, rescan)
+    assert any(r.core_vertices == 0 for r in rows)
+
+
+def test_sweep_on_many_scales_equals_reference():
+    # the default grid has r/2 + 1 scales: every scale's core check and
+    # retreat targets run against a long filtration, where a rescan per scale
+    # would cost (scales) x (core vertices)
+    ball = enumerate_ball(ex.free_abelian(1), 200)
+    rows = _assert_sweep_matches(ball, Direction((1,)), default_grid(200),
+                                 _Rescan(ball, Direction((1,))))
+    assert len(rows) == 2 * 4 * 3 * 101
+    ball = enumerate_ball(ex.free_abelian(2), 40)
+    gamma = Direction((1, 1))
+    rows = _assert_sweep_matches(ball, gamma, default_grid(40), _Rescan(ball, gamma))
+    assert any(r.core_vertices == 0 for r in rows)
+    # fine grids of 41 and 33 scales, where cores join only after a retreat
+    # over several grid levels, or never
+    rows = []
+    for atom, radius, d, grid in (
+            (ex.free_group(2), 4, (1, 0), [Fraction(j, 10) for j in range(41)]),
+            (ex.baumslag_solitar(1, 2), 6, (1,), [Fraction(j, 8) for j in range(33)])):
+        ball = enumerate_ball(atom, radius)
+        rows += _assert_sweep_matches(ball, Direction(d), grid, _Rescan(ball, Direction(d)))
+    assert any(r.retreat is not None and r.retreat > Fraction(1, 2) for r in rows)
+    assert any(r.note.startswith("core components never merge") for r in rows)
+
+
+def test_probe_time_is_linear_in_the_scales():
+    # Z at radius 20,000: 40,001 vertices and 10,001 scales, one sweep
+    ball = enumerate_ball(ex.free_abelian(1), 20000)
+    start = time.perf_counter()
+    report = connectivity_probe(ball, Direction((1,)), default_grid(20000))
+    assert time.perf_counter() - start < 4.0
+    assert report.evidence == SUPPORTS_MEMBERSHIP
+    assert [r.retreat for r in report.rows] == [0] * 10001
