@@ -242,6 +242,20 @@ def abelian_group_from_matrix(m: Sequence[Sequence[int]]) -> tuple[int, list[int
 # automorphisms of finitely generated abelian groups
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of plain ints; bool, float and str entries, and
+    anything but a list or tuple, are refused."""
+    if not isinstance(values, (list, tuple)) or any(type(x) is not int for x in values):
+        raise InvalidAutomorphism("%s must be a list of integers" % what)
+    return tuple(values)
+
+
+def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(rows, (list, tuple)):
+        raise InvalidAutomorphism("%s must be a list of rows" % what)
+    return tuple(_ints(row, what + " rows") for row in rows)
+
+
 @dataclass(frozen=True)
 class FGAbelianAutomorphism:
     """Automorphism of Z^k + Z/d1 + ... + Z/dt as a block matrix [[A,0],[M,T]].
@@ -262,18 +276,19 @@ class FGAbelianAutomorphism:
                     torsion_factors: Sequence[int] = (),
                     torsion_part: Sequence[Sequence[int]] | None = None,
                     mixing: Sequence[Sequence[int]] | None = None) -> "FGAbelianAutomorphism":
-        k = len(free_part)
-        t = len(torsion_factors)
+        free = _int_rows(free_part, "free part")
+        factors = _ints(torsion_factors, "torsion factors")
+        k, t = len(free), len(factors)
         if torsion_part is None:
             torsion_part = identity_matrix(t)
         if mixing is None:
             mixing = [[0] * k for _ in range(t)]
         phi = FGAbelianAutomorphism(
             free_rank=k,
-            free_part=tuple(tuple(int(x) for x in row) for row in free_part),
-            torsion_factors=tuple(int(d) for d in torsion_factors),
-            torsion_part=tuple(tuple(int(x) for x in row) for row in torsion_part),
-            mixing=tuple(tuple(int(x) for x in row) for row in mixing),
+            free_part=free,
+            torsion_factors=factors,
+            torsion_part=_int_rows(torsion_part, "torsion part"),
+            mixing=_int_rows(mixing, "mixing block"),
         )
         phi.validate()
         return phi

@@ -241,8 +241,6 @@ class GroupExpr:
     def torsion_free(self) -> bool:
         if self.node == "atom":
             return self.atom.torsion_free
-        if self.node == "direct":
-            return all(f.torsion_free for f in self.factors)
         return all(f.torsion_free for f in self.factors)
 
     @property

@@ -5,11 +5,18 @@ Verdict whose trace names the rule, states it, and lists the premises (by
 step id) it consumed.  Verdicts are three-valued with provenance: the rules
 are sufficient conditions, so absence of proof is never reported as disproof.
 
-The combined strategy tries, in order: recorded literature facts, the
-finite-survivor theorem, the finite-obstruction-set theorems, the direct
-product theorem, the free product theorem, and finally the quotient by a
-finite characteristic torsion subgroup; the strongest verdict wins, earliest
-rule breaking ties.
+The combined strategy runs one list of rules, in order: recorded literature
+facts, the finite-survivor theorem, the finite-obstruction-set theorems, the
+free product theorem, and finally the quotient by a finite characteristic
+torsion subgroup; the strongest verdict wins, earliest rule breaking ties.
+Every rule is total: on a group it does not cover it declines with a bare
+Unknown.
+
+The Section 5 direct product theorem (`decide_product`) is stated but not
+run.  Its premise, one factor of class O1 or O2 and every other factor of
+class O0, holds exactly when the joined surviving-direction set is one
+rational point or an antipodal pair, so the finite-survivor theorem, which
+runs first, fires on the same products with the same conclusion.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 from . import expressions as ex
 from .abelian import matrix_rank
 from .catalog import lookup_invariants, query_memo
-from .cones import O_CLASS_0, O_CLASS_1, O_CLASS_2, o_class_of
+from .cones import O_CLASS_0, O_CLASS_1, O_CLASS_2
 
 RINFINITY = "RInfinity"
 INDEX_TWO = "IndexTwoSubgroupAllRInf"
@@ -34,8 +41,6 @@ RULE_STATEMENTS = {
     "CatalogFact": "recorded fact with literature citation",
     "ProductFormula": "the surviving-direction set of a direct product is the "
                       "spherical join of the factor sets",
-    "ComplementFormula": "the level-one obstruction set of a direct product is the "
-                         "union of the embedded factor obstruction sets",
     "FreeProductVanishing": "non-trivial free products have empty surviving-direction "
                             "sets at every level",
     "ThmMain1": "a single rational surviving direction forces infinitely many twisted "
@@ -121,16 +126,14 @@ class _TraceBuilder:
         self.steps.append(TraceStep(step_id, rule, detail, tuple(premises)))
         return step_id
 
-    def absorb(self, other: tuple[TraceStep, ...]) -> list[str]:
-        """Import another verdict's steps, re-identified; returns the new ids."""
+    def absorb(self, other: tuple[TraceStep, ...]) -> str | None:
+        """Import another verdict's steps, re-identified; returns the last new id."""
         mapping: dict[str, str] = {}
-        new_ids = []
+        new_id = None
         for step in other:
             new_premises = tuple(mapping.get(p, p) for p in step.premises)
-            new_id = self.add(step.rule, step.detail, new_premises)
-            mapping[step.step_id] = new_id
-            new_ids.append(new_id)
-        return new_ids
+            new_id = mapping[step.step_id] = self.add(step.rule, step.detail, new_premises)
+        return new_id
 
     def done(self, conclusion: str, value=None, notes=()) -> Verdict:
         return Verdict(conclusion, tuple(self.steps), value, tuple(notes))
@@ -167,28 +170,25 @@ def _omega_evidence(expr: ex.GroupExpr, level: int, trace: _TraceBuilder) -> str
 def decide_main(expr: ex.GroupExpr, level: int = 1) -> Verdict:
     """Finite-survivor rule: one rational direction gives the full property,
     an antipodal rational pair gives an index-two subgroup."""
-    trace = _TraceBuilder()
-    inv = lookup_invariants(expr)
-    omega = inv.omega_at(level)
+    omega = lookup_invariants(expr).omega_at(level)
     if omega is None:
         return Verdict(UNKNOWN, notes=("surviving-direction set unknown at level %d" % level,))
-    evidence = _omega_evidence(expr, level, trace)
     card = omega.cardinality()
     if card.kind == "finite" and card.count == 1:
-        trace.add("ThmMain1",
-                  "%s has exactly one surviving rational direction %s at level %d"
-                  % (expr.label(), card.points[0].coords, level),
-                  (evidence,))
-        return trace.done(RINFINITY)
-    if card.kind == "finite" and card.count == 2 and omega.is_antipodal_pair():
-        trace.add("ThmMain2",
-                  "%s has the antipodal rational pair %s at level %d"
-                  % (expr.label(), tuple(p.coords for p in card.points), level),
-                  (evidence,))
-        return trace.done(INDEX_TWO)
-    return Verdict(UNKNOWN,
-                   notes=("surviving-direction cardinality %s matches no finite-survivor rule"
-                          % card.describe(),))
+        rule, conclusion = "ThmMain1", RINFINITY
+        found = "exactly one surviving rational direction %s" % (card.points[0].coords,)
+    elif card.kind == "finite" and card.count == 2 and omega.is_antipodal_pair():
+        rule, conclusion = "ThmMain2", INDEX_TWO
+        found = "the antipodal rational pair %s" % (tuple(p.coords for p in card.points),)
+    else:
+        return Verdict(UNKNOWN,
+                       notes=("surviving-direction cardinality %s matches no finite-survivor rule"
+                              % card.describe(),))
+    # the evidence is traced only once a theorem applies
+    trace = _TraceBuilder()
+    evidence = _omega_evidence(expr, level, trace)
+    trace.add(rule, "%s has %s at level %d" % (expr.label(), found, level), (evidence,))
+    return trace.done(conclusion)
 
 
 def decide_gk(expr: ex.GroupExpr) -> Verdict:
@@ -220,35 +220,50 @@ def decide_gk(expr: ex.GroupExpr) -> Verdict:
     return trace.done(FINITE_INDEX)
 
 
+def _lone_head(classes: list[str]) -> int | None:
+    """Index of the only factor whose class is not O0, if there is one."""
+    heads = [j for j, cls in enumerate(classes) if cls != O_CLASS_0]
+    return heads[0] if len(heads) == 1 else None
+
+
+def _lift(sub: Verdict, fact: str, rule: str, detail: str) -> Verdict:
+    """Lift the R-infinity verdict `sub` to a larger group by `rule`, citing
+    sub's conclusion and a recorded fact about the larger group."""
+    trace = _TraceBuilder()
+    last = trace.absorb(sub.trace)
+    premise = trace.add("CatalogFact", fact)
+    trace.add(rule, detail, (last, premise))
+    return trace.done(RINFINITY)
+
+
 def decide_product(expr: ex.GroupExpr, level: int = 1) -> Verdict:
     """Direct product rule: one factor carries the finite survivor class, the
-    complementary factor(s) carry none."""
+    complementary factor(s) carry none.  `decide` does not run it, because
+    `decide_main` settles the same products first (see the module docstring)."""
     if expr.node != "direct":
-        return Verdict(UNKNOWN, notes=("not a direct product",))
+        return Verdict(UNKNOWN)
     # the join of the other factors' sets is empty iff each of them is, and
     # an unknown factor leaves it unknown: so the rest has class O0 exactly
     # when every other factor does, and only a lone non-O0 factor can head
-    classes = [o_class_of(lookup_invariants(f).omega_at(level)) for f in expr.factors]
-    heads = [j for j, cls in enumerate(classes) if cls != O_CLASS_0]
-    if len(heads) == 1 and classes[heads[0]] in (O_CLASS_1, O_CLASS_2):
-        j = heads[0]
-        head = expr.factors[j]
-        rest = [f for i, f in enumerate(expr.factors) if i != j]
-        rest_expr = rest[0] if len(rest) == 1 else ex.direct_product(rest)
-        index = 1 if classes[j] == O_CLASS_1 else 2
-        trace = _TraceBuilder()
-        h = trace.add("CatalogFact", "%s has class O^%d_%d" % (head.label(), level, index))
-        k = trace.add("CatalogFact", "%s has class O^%d_0" % (rest_expr.label(), level))
-        trace.add("ThmSec5Prod%d" % index,
-                  "%s = %s x %s" % (expr.label(), head.label(), rest_expr.label()), (h, k))
-        return trace.done(RINFINITY if index == 1 else INDEX_TWO)
-    # fall back to the finite-survivor rule on the product's own derived set
-    return decide_main(expr, level)
+    classes = [lookup_invariants(f).o_class_at(level) for f in expr.factors]
+    j = _lone_head(classes)
+    if j is None or classes[j] not in (O_CLASS_1, O_CLASS_2):
+        return Verdict(UNKNOWN)
+    head = expr.factors[j]
+    rest = [f for i, f in enumerate(expr.factors) if i != j]
+    rest_expr = rest[0] if len(rest) == 1 else ex.direct_product(rest)
+    index = 1 if classes[j] == O_CLASS_1 else 2
+    trace = _TraceBuilder()
+    h = trace.add("CatalogFact", "%s has class O^%d_%d" % (head.label(), level, index))
+    k = trace.add("CatalogFact", "%s has class O^%d_0" % (rest_expr.label(), level))
+    trace.add("ThmSec5Prod%d" % index,
+              "%s = %s x %s" % (expr.label(), head.label(), rest_expr.label()), (h, k))
+    return trace.done(RINFINITY if index == 1 else INDEX_TWO)
 
 
 def decide_free_product(expr: ex.GroupExpr) -> Verdict:
     if expr.node != "free":
-        return Verdict(UNKNOWN, notes=("not a free product",))
+        return Verdict(UNKNOWN)
     bad = [f.label() for f in expr.factors if not f.freely_indecomposable]
     if bad:
         return Verdict(UNKNOWN,
@@ -263,17 +278,15 @@ def decide_free_product(expr: ex.GroupExpr) -> Verdict:
         return trace.done(RINFINITY)
     # (2) one O^m_1 factor, the rest O^k_0 with k <= m (level-one data)
     classes = [lookup_invariants(f).o_class_at(1) for f in expr.factors]
-    for j, cls in enumerate(classes):
-        if cls != O_CLASS_1:
-            continue
-        if all(classes[i] == O_CLASS_0 for i in range(len(classes)) if i != j):
-            trace = _TraceBuilder()
-            h = trace.add("CatalogFact", "%s has class O^1_1" % expr.factors[j].label())
-            others = trace.add("CatalogFact",
-                               "remaining factors %s have class O^1_0"
-                               % ", ".join(f.label() for i, f in enumerate(expr.factors) if i != j))
-            trace.add("ThmFreeProd2", expr.label(), (h, others))
-            return trace.done(RINFINITY)
+    j = _lone_head(classes)
+    if j is not None and classes[j] == O_CLASS_1:
+        trace = _TraceBuilder()
+        h = trace.add("CatalogFact", "%s has class O^1_1" % expr.factors[j].label())
+        others = trace.add("CatalogFact",
+                           "remaining factors %s have class O^1_0"
+                           % ", ".join(f.label() for i, f in enumerate(expr.factors) if i != j))
+        trace.add("ThmFreeProd2", expr.label(), (h, others))
+        return trace.done(RINFINITY)
     # (3) the direct product of the factors has the property, and some factor
     # is abelian but not infinite cyclic
     witness = next((f for f in expr.factors if f.abelian and not f.is_infinite_cyclic), None)
@@ -281,14 +294,8 @@ def decide_free_product(expr: ex.GroupExpr) -> Verdict:
         bar = ex.direct_product(list(expr.factors))
         sub = decide(bar)
         if sub.conclusion == RINFINITY:
-            trace = _TraceBuilder()
-            ids = trace.absorb(sub.trace)
-            w = trace.add("CatalogFact",
-                          "%s is abelian and not infinite cyclic" % witness.label())
-            trace.add("ThmFreeProd3",
-                      "direct product %s has the property" % bar.label(),
-                      tuple(ids[-1:]) + (w,))
-            return trace.done(RINFINITY)
+            return _lift(sub, "%s is abelian and not infinite cyclic" % witness.label(),
+                         "ThmFreeProd3", "direct product %s has the property" % bar.label())
         return Verdict(UNKNOWN,
                        notes=("direct-product premise unverified: decide(%s) = %s"
                               % (bar.label(), sub.conclusion),))
@@ -345,41 +352,29 @@ def _decide_torsion_split(expr: ex.GroupExpr) -> Verdict:
     sub = decide(core)
     if sub.conclusion != RINFINITY:
         return Verdict(UNKNOWN)
-    trace = _TraceBuilder()
-    ids = trace.absorb(sub.trace)
-    split = trace.add("CatalogFact",
-                      "the torsion elements of %s form the finite characteristic subgroup "
-                      "%s, with torsion-free quotient %s"
-                      % (expr.label(), " x ".join(f.label() for f in finite_abelian),
-                         core.label()))
-    trace.add("LemRFacts1",
-              "every automorphism induces one on the quotient %s, which has the property"
-              % core.label(), tuple(ids[-1:]) + (split,))
-    return trace.done(RINFINITY)
+    return _lift(sub,
+                 "the torsion elements of %s form the finite characteristic subgroup "
+                 "%s, with torsion-free quotient %s"
+                 % (expr.label(), " x ".join(f.label() for f in finite_abelian), core.label()),
+                 "LemRFacts1",
+                 "every automorphism induces one on the quotient %s, which has the property"
+                 % core.label())
 
 
 def decide(expr: ex.GroupExpr) -> Verdict:
-    """Strategy combinator: try every rule, return the strongest verdict,
-    earliest rule winning ties.  Deterministic and total on parseable input.
-    One query evaluates each distinct expression node once: the outermost
-    call opens the invariants memo, nested calls share it."""
+    """Strategy combinator: run every rule, return the strongest verdict,
+    earliest rule winning ties; an Unknown carries the rules' notes in rule
+    order.  Deterministic and total on parseable input.  One query evaluates
+    each distinct expression node once: the outermost call opens the
+    invariants memo, nested calls share it."""
+    # the rules are named here, not bound in a module-level tuple, so that a
+    # wrapped or patched rule is the one that runs
+    rules = (_decide_catalog, decide_main, decide_gk, decide_free_product, _decide_torsion_split)
     with query_memo():
-        stages = [
-            _decide_catalog(expr),
-            decide_main(expr, 1),
-            decide_gk(expr),
-            decide_product(expr, 1) if expr.node == "direct" else Verdict(UNKNOWN),
-            decide_free_product(expr) if expr.node == "free" else Verdict(UNKNOWN),
-            _decide_torsion_split(expr),
-        ]
-    best = stages[0]
-    notes: list[str] = list(best.notes)
-    for verdict in stages[1:]:
-        notes.extend(verdict.notes)
-        if verdict.strength > best.strength:
-            best = verdict
+        stages = [rule(expr) for rule in rules]
+    best = max(stages, key=lambda verdict: verdict.strength)
     if best.conclusion == UNKNOWN:
-        return Verdict(UNKNOWN, notes=tuple(dict.fromkeys(notes)))
+        return Verdict(UNKNOWN, notes=tuple(dict.fromkeys(n for v in stages for n in v.notes)))
     return best
 
 

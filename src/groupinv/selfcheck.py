@@ -517,8 +517,5 @@ def golden_examples():
         else "golden checks failed at positions %s" % bad
 
 
-def run_all(include_golden: bool = True) -> list[CheckResult]:
-    results = [fn() for fn in ALL_CRITERIA]
-    if include_golden:
-        results.append(golden_examples())
-    return results
+def run_all() -> list[CheckResult]:
+    return [fn() for fn in ALL_CRITERIA] + [golden_examples()]

@@ -17,7 +17,6 @@ geometry is integer arithmetic; there is no floating point anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
@@ -308,30 +307,6 @@ class SphereSet:
 
         return {"ambient": list(self.ambient),
                 "atoms": [[encode(p) for p in atom] for atom in self.atoms]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "SphereSet":
-        def decode(obj):
-            if obj == "empty":
-                return EMPTY
-            if obj == "full":
-                return FULL
-            if "points" in obj:
-                return FinitePoints(Direction(v) for v in obj["points"])
-            if "cofinite" in obj:
-                return CofinitePoints(Direction(v) for v in obj["cofinite"])
-            if "cone" in obj:
-                return ConeRegion(Direction(v) for v in obj["cone"])
-            raise ValueError("unknown part %r" % (obj,))
-
-        return SphereSet(data["ambient"], [tuple(decode(p) for p in atom) for atom in data["atoms"]])
-
-    @staticmethod
-    def from_json(text: str) -> "SphereSet":
-        return SphereSet.from_json_dict(json.loads(text))
 
     def __repr__(self):
         return "SphereSet(ambient=%r, atoms=%r)" % (self.ambient, self.atoms)

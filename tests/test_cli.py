@@ -124,9 +124,22 @@ def test_malformed_tables_print_one_json_document():
         ("--table", "[5,6]"),
         ("--table", "[[0,1],[1,0]]", "--automorphism", "[0.0, 1]"),
         ("--table", "[[0,1],[1,0]]", "--automorphism", "5"),
+        ("--matrix", "5"),
+        ("--matrix", "null"),
+        ("--matrix", "{}"),
+        ("--matrix", "[1]"),
+        ("--matrix", "[[1.5]]"),
+        ("--matrix", "[[true]]"),
+        ("--matrix", '[["1"]]'),
+        ("--matrix", "[[1]]", "--torsion", "5"),
+        ("--matrix", "[[1]]", "--torsion", "[2.0]"),
+        ("--matrix", "[[1]]", "--torsion", "[2]", "--mixing", "7"),
+        ("--matrix", "[[1]]", "--torsion", "[2]", "--torsion-map", "3"),
     ]
     for args in cases:
         result = run("reidemeister", *args)
         assert result.exit_code == 1, args
         data = json.loads(result.output)
         assert set(data) == {"version", "error"}, args
+    # rank zero: the trivial group has one twisted class
+    assert json.loads(run("reidemeister", "--matrix", "[]").output)["reidemeister"] == 1

@@ -286,7 +286,7 @@ def test_sigma1_complement_of_product_matches_pairwise_unions():
         got = sigma1_complement_of_product(factors)
         assert got == expected, factors
         if got is not None:
-            assert got.to_json() == expected.to_json()
+            assert got.to_json_dict() == expected.to_json_dict()
 
 
 def test_check_finite12():

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from groupinv import catalog
+from groupinv import catalog, rinf
 from groupinv import expressions as ex
 from groupinv.catalog import lookup_invariants, query_memo
 from groupinv.cones import O_CLASS_0, O_CLASS_1, O_CLASS_2, DimensionCapExceeded, o_class_of
@@ -126,7 +126,7 @@ def reference_decide_product(expr, level=1):
     """The product rule as a loop over heads, each against the synthetic
     product of the other factors, evaluated from scratch."""
     if expr.node != "direct":
-        return Verdict(UNKNOWN, notes=("not a direct product",))
+        return Verdict(UNKNOWN)
     for j, head in enumerate(expr.factors):
         rest = [f for i, f in enumerate(expr.factors) if i != j]
         rest_expr = rest[0] if len(rest) == 1 else ex.direct_product(rest)
@@ -148,7 +148,7 @@ def reference_decide_product(expr, level=1):
             trace.add("ThmSec5Prod2", "%s = %s x %s" % (expr.label(), head.label(), rest_expr.label()),
                       (h, k))
             return trace.done(INDEX_TWO)
-    return decide_main(expr, level)
+    return Verdict(UNKNOWN)
 
 
 # factors by level-one class; at levels >= 2 BS, Klein, B(n) and L(n) are unknown
@@ -180,8 +180,12 @@ def test_product_rule_matches_synthetic_subproducts():
             assert decide_product(expr, level) == expected, (expr, level)
             with query_memo():
                 assert decide_product(expr, level) == expected, (expr, level)
+            # the finite-survivor rule settles the same products the same way,
+            # which is why decide does not run the product rule
+            assert decide_main(expr, level).conclusion == expected.conclusion, (expr, level)
             classes = {lookup_invariants(f).o_class_at(level) for f in expr.factors}
             seen[level, expected.final_rule(), "unknown" in classes] += 1
+        assert not (decide(expr).final_rule() or "").startswith("ThmSec5Prod"), expr
     # both theorems fire at level one; at level two only all-level factors are
     # known, and products with an unknown factor occur there
     assert seen[1, "ThmSec5Prod1", False] >= 10 and seen[1, "ThmSec5Prod2", False] >= 10
@@ -216,6 +220,20 @@ def test_decide_evaluates_each_node_once(monkeypatch):
         assert max(counts.values()) == 1, counts.most_common(3)
     # the free product's nested decide evaluates the synthetic direct product
     assert parse_group_expr("BS(1,2) x Z^2") in counts
+
+
+def test_decide_runs_decide_main_once(monkeypatch):
+    calls = Counter()
+    main = rinf.decide_main
+
+    def counting(expr, level=1):
+        calls[expr, level] += 1
+        return main(expr, level)
+
+    monkeypatch.setattr(rinf, "decide_main", counting)
+    expr = parse_group_expr("Z x Z")
+    assert decide(expr).conclusion == UNKNOWN
+    assert calls == {(expr, 1): 1}
 
 
 def test_memo_lives_for_one_query_only(monkeypatch):

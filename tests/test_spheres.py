@@ -171,19 +171,23 @@ def test_cone_region_membership():
     assert cone.member(Direction((-1, -1)))
     assert cone.member(Direction((-2, -1)))
     assert not cone.member(Direction((1, 1)))
-    round_trip = SphereSet.from_json(cone.to_json())
-    assert round_trip == cone
 
 
-def test_json_round_trip():
-    sets = [
-        empty_set([2]),
-        full_sphere([2, 0, 1]),
-        cofinite_set(3, [(1, 0, 0), (0, -2, 1)]),
-        join(single_factor_points(1, [(-1,)]), full_sphere([2])),
+def test_json_encoding_of_each_part_kind():
+    cone = SphereSet([2], [(ConeRegion([Direction((1, 0)), Direction((0, 1))]),)])
+    cases = [
+        (empty_set([2]), {"ambient": [2], "atoms": []}),
+        # a rank-zero factor is an empty part; a rank-one sphere is its two points
+        (full_sphere([2, 0, 1]),
+         {"ambient": [2, 0, 1], "atoms": [["full", "empty", {"points": [[-1], [1]]}]]}),
+        (single_factor_points(2, [(2, -4), (0, 1)]),
+         {"ambient": [2], "atoms": [[{"points": [[0, 1], [1, -2]]}]]}),
+        (cofinite_set(3, [(1, 0, 0), (0, -2, 1)]),
+         {"ambient": [3], "atoms": [[{"cofinite": [[0, -2, 1], [1, 0, 0]]}]]}),
+        (cone, {"ambient": [2], "atoms": [[{"cone": [[0, 1], [1, 0]]}]]}),
     ]
-    for s in sets:
-        assert SphereSet.from_json(s.to_json()) == s
+    for sphere_set, expected in cases:
+        assert sphere_set.to_json_dict() == expected
 
 
 # ---------------------------------------------------------------------------
