@@ -7,23 +7,30 @@ and emits its edges when it is expanded, so no second pass steps over the
 ball.  One builder per family: the ``F(n)`` ball is a tree of reduced words
 built without a dict; ``BS(1,n)``, ``Z^k`` and the Klein bottle group key
 their dict by one integer per normal form, so a generator move is an integer
-step and a key tuple is built only for a newly found vertex.  A direction
-survives at level one when the half-space sublevel sets stay connected after
-a bounded retreat; the truncated-cone variant tests the closed-neighborhood
-analog.  All geometry is exact: scales are rational and every comparison is
-an integer inequality, never floating point.
+step and a key tuple is built only for a newly found vertex.  The ball is kept
+as integer columns: the edges as one flat list of (i, j, generator index)
+triples, and the ``F(n)`` words as one last letter per vertex, the tree's
+parent formula giving the rest; ``BallGraph.keys`` and ``BallGraph.edges`` are
+read-only views that build a word or an edge tuple only when it is read, and
+the sweep reads the triples themselves.  A direction survives at level one
+when the half-space sublevel sets stay connected after a bounded retreat; the
+truncated-cone variant tests the closed-neighborhood analog.  All geometry is
+exact: scales are rational and every comparison is an integer inequality,
+never floating point.
 
 The sublevel sets shrink as the scale grows, in both modes, so the probe is a
 single sweep over the sublevel filtration (0-dimensional persistence): each
 vertex gets the highest grid scale or retreat floor whose sublevel set holds
 it, and one union-find pass adds vertices and edges from the highest level
-down, answering every scale and retreat query at its level.  The level of a
-vertex depends only on a = <h, gamma> (and |h|^2 in cone mode): the half-space
-level is one bisection of a over the least integer each level admits, the
-cone level a binary search below it, memoized by (a, |h|^2) and, in front, by
-the height.  A scale's core is connected iff it lies within the prefix of the
-core vertices, in entry order, that shares the first one's component; unions
-only merge, so that prefix only grows, and the whole sweep costs
+down, answering every scale and retreat query at its level.  The levels come
+from one merge of the sorted scales and floors, compared by integer cross
+multiplication, so no Fraction is hashed.  The level of a vertex depends
+only on a = <h, gamma> (and |h|^2 in cone mode): the half-space level is one
+bisection of a over the least integer each level admits, the cone level a
+binary search below it, memoized by (a, |h|^2) and, in front, by the height.
+A scale's core is connected iff it lies within the prefix of the core
+vertices, in entry order, that shares the first one's component; unions only
+merge, so that prefix only grows, and the whole sweep costs
 O((V + E) alpha(V) + V log L) for V vertices, E edges and L levels.
 
 The work is capped before anything is allocated: the ball order predicted by
@@ -42,11 +49,11 @@ reported configuration.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from operator import mul
-from typing import Sequence
 
 from . import expressions as ex
 from .catalog import lookup_invariants
@@ -115,26 +122,110 @@ def _predicted_order(atom: ex.GroupAtom, radius: int, cap: int) -> int:
     raise _unsupported(atom)
 
 
+class _ColumnView(Sequence):
+    """A read-only sequence whose items are built from integer columns when
+    they are read; making the view copies nothing."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._item(x) for x in range(len(self))[k])
+        return self._item(range(len(self))[k])
+
+
+class _FreeWords(_ColumnView):
+    """The reduced words of an ``F(n)`` ball, decoded from the last-letter
+    column: the parent of vertex i >= 2 is (i - 2) // (2n - 1), and the same
+    formula takes the root's children 1, ..., 2n to 0 or -1, where the word
+    begins."""
+
+    __slots__ = ("_last", "_branch")
+
+    def __init__(self, last: Sequence[int], n: int):
+        self._last, self._branch = last, 2 * n - 1
+
+    def __len__(self) -> int:
+        return len(self._last)
+
+    def _item(self, i: int) -> tuple[int, ...]:
+        last, branch = self._last, self._branch
+        word = []
+        while i > 0:
+            word.append(last[i])
+            i = (i - 2) // branch
+        word.reverse()
+        return tuple(word)
+
+
+class _EdgeView(_ColumnView):
+    """(i, j, generator name) for each i, j, generator-index triple."""
+
+    __slots__ = ("_triples", "_names")
+
+    def __init__(self, triples: Sequence[int], names: tuple[str, ...]):
+        self._triples, self._names = triples, names
+
+    def __len__(self) -> int:
+        return len(self._triples) // 3
+
+    def _item(self, k: int) -> tuple[int, int, str]:
+        t = self._triples
+        return t[3 * k], t[3 * k + 1], self._names[t[3 * k + 2]]
+
+    def __iter__(self):
+        names, flat = self._names, iter(self._triples)
+        for i, j, g in zip(flat, flat, flat):
+            yield i, j, names[g]
+
+
 @dataclass(frozen=True)
 class BallGraph:
+    """A Cayley ball as integer columns, one entry per vertex in breadth-first
+    order, or per edge.
+
+    ``heights`` and ``wordlen`` give each vertex's height and word length.
+    ``key_column`` gives its normal form: the key tuple for ``BS(1,n)``,
+    ``Z^k`` and Klein, and for ``F(n)`` only the word's last letter
+    (+-(g + 1) for x_(g+1), 0 at the root), since the tree's parent formula
+    gives the rest of the word.  ``triples`` is one flat sequence i, j, g per
+    edge: vertex i times generator g (the g-th name of ``gen_heights``) is
+    vertex j.  ``keys`` and ``edges`` are read-only views over these columns
+    that build a key or an (i, j, name) edge only when it is read; ``order``
+    and ``len(edges)`` build nothing."""
+
     atom: ex.GroupAtom
     radius: int
-    keys: tuple
+    key_column: tuple
     heights: tuple[tuple[int, ...], ...]
     wordlen: tuple[int, ...]
-    edges: tuple[tuple[int, int, str], ...]
+    triples: tuple[int, ...]
     height_dim: int
     gen_heights: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def order(self) -> int:
-        return len(self.keys)
+        return len(self.wordlen)
+
+    @property
+    def keys(self) -> Sequence:
+        """The normal forms: reduced words for ``F(n)``, (p, q, s) for
+        ``BS(1,n)``, vectors for ``Z^k`` and (p, q) for Klein."""
+        if self.atom.kind == ex.FREE:
+            return _FreeWords(self.key_column, self.atom.params[0])
+        return self.key_column
+
+    @property
+    def edges(self) -> Sequence[tuple[int, int, str]]:
+        """Each vertex's ``+gen`` edges (i, j, name), in vertex order, then
+        generator order."""
+        return _EdgeView(self.triples, tuple(self.gen_heights))
 
     def shell(self, index: int) -> bool:
         return self.wordlen[index] == self.radius
 
 
-def _ball_lattice(names, radius, twisted=False):
+def _ball_lattice(k, radius, twisted=False):
     """``Z^k`` on integer vectors, or with ``twisted`` the Klein bottle group
     on a^p b^q (b a b^-1 = a^-1), whose a-move runs backwards when q is odd.
     One breadth-first pass over a dict keyed by the code
@@ -145,59 +236,61 @@ def _ball_lattice(names, radius, twisted=False):
     and outside the ball, or lies past every code when g is last.  A vertex
     gets its index when it is discovered and emits its ``+gen`` edges when it
     is expanded; length-r vertices only look their neighbours up."""
-    k = len(names)
     base = 2 * radius + 1
-    # per parity of the last coordinate: (name, coordinate, code step, coordinate step)
-    straight = [(name, g, base ** g, 1) for g, name in enumerate(names)]
-    plans = (straight, [(names[0], 0, -1, -1), (names[1], 1, base, 1)] if twisted else straight)
+    # per parity of the last coordinate: (generator, code step, coordinate step)
+    straight = [(g, base ** g, 1) for g in range(k)]
+    plans = (straight, [(0, -1, -1), (1, base, 1)] if twisted else straight)
     origin = radius * sum(base ** g for g in range(k))
     index = {origin: 0}
-    keys, codes, wordlen, edges = [(0,) * k], [origin], [0], []
+    keys, codes, wordlen, triples = [(0,) * k], [origin], [0], []
     begin, end = 0, 1
     for d in range(1, radius + 1):
         for i in range(begin, end):
             key, c = keys[i], codes[i]
-            for name, g, step, dx in plans[key[-1] & 1]:
-                for nc, x, label in ((c + step, key[g] + dx, name), (c - step, key[g] - dx, None)):
-                    j = index.get(nc)
-                    if j is None:
-                        j = index[nc] = len(keys)
-                        keys.append(key[:g] + (x,) + key[g + 1:])
-                        codes.append(nc)
-                    if label:
-                        edges.append((i, j, label))
+            for g, step, dx in plans[key[-1] & 1]:
+                nc = c + step
+                j = index.get(nc)
+                if j is None:
+                    j = index[nc] = len(keys)
+                    keys.append(key[:g] + (key[g] + dx,) + key[g + 1:])
+                    codes.append(nc)
+                triples += (i, j, g)
+                nc = c - step
+                if nc not in index:
+                    index[nc] = len(keys)
+                    keys.append(key[:g] + (key[g] - dx,) + key[g + 1:])
+                    codes.append(nc)
         begin, end = end, len(keys)
         wordlen += [d] * (end - begin)
     for i in range(begin, end):
         c = codes[i]
-        for name, _, step, _ in plans[keys[i][-1] & 1]:
+        for g, step, _ in plans[keys[i][-1] & 1]:
             j = index.get(c + step)
             if j is not None:
-                edges.append((i, j, name))
-    return keys, wordlen, edges
+                triples += (i, j, g)
+    return keys, wordlen, triples
 
 
 def _ball_free(n, radius):
-    """The ``F(n)`` ball is the tree of reduced words, built with no dict.
-    Letters are +-(g + 1) for the generator x_(g+1).  The children of a vertex
-    are its reduced one-letter extensions, created in discovery order, so a
-    child's index is known when it is made; a vertex's ``+x`` edge goes to its
-    parent when its last letter is x^-1 and to its child otherwise."""
+    """The ``F(n)`` ball is the tree of reduced words, built with no dict and
+    stored as one last letter per vertex.  Letters are +-(g + 1) for the
+    generator x_(g+1).  The children of a vertex are its reduced one-letter
+    extensions, created in discovery order, so a child's index is known when
+    it is made; a vertex's ``+x`` edge goes to its parent when its last letter
+    is x^-1 and to its child otherwise."""
     letters = [sign * (g + 1) for g in range(n) for sign in (1, -1)]
-    names = ["x%d" % (g + 1) for g in range(n)]
     # per last letter (0 at the root): the extending letters, and per
     # generator the position of the child its +edge goes to, None for the parent
     extend, plan, rows = {}, {}, {}
     for last in [0] + letters:
         kids = [x for x in letters if x != -last]
-        extend[last] = [(x,) for x in kids]
-        plan[last] = [(names[g], None if last == -(g + 1) else kids.index(g + 1))
-                      for g in range(n)]
+        extend[last] = kids
+        plan[last] = [(g, None if last == -(g + 1) else kids.index(g + 1)) for g in range(n)]
         rows[last] = {}  # parent height -> the children's heights
 
     def child_heights(h, last):
         out = []
-        for (x,) in extend[last]:
+        for x in extend[last]:
             g = abs(x) - 1
             out.append(h[:g] + (h[g] + (1 if x > 0 else -1),) + h[g + 1:])
         return out
@@ -205,27 +298,26 @@ def _ball_free(n, radius):
     # the root has 2n children and every other vertex 2n - 1, so the parent
     # of vertex i >= 2 is (i - 2) // (2n - 1); vertex 1 is x1, with no parent edge
     branch = 2 * n - 1
-    keys, heights, wordlen, edges = [()], [(0,) * n], [0], []
+    lasts, heights, wordlen, triples = [0], [(0,) * n], [0], []
     begin, end = 0, 1
     for d in range(1, radius + 1):
         for i in range(begin, end):
-            key, h = keys[i], heights[i]
-            last = key[-1] if key else 0
-            first = len(keys)
-            for name, pos in plan[last]:
-                edges.append((i, (i - 2) // branch if pos is None else first + pos, name))
-            keys += [key + x for x in extend[last]]
+            last, h = lasts[i], heights[i]
+            first = len(lasts)
+            for g, pos in plan[last]:
+                triples += (i, (i - 2) // branch if pos is None else first + pos, g)
+            lasts += extend[last]
             row = rows[last].get(h)
             if row is None:
                 row = rows[last][h] = child_heights(h, last)
             heights += row
-        begin, end = end, len(keys)
+        begin, end = end, len(lasts)
         wordlen += [d] * (end - begin)
     for i in range(begin, end):
-        last = keys[i][-1]
+        last = lasts[i]
         if last < 0:
-            edges.append((i, (i - 2) // branch, names[-last - 1]))
-    return keys, heights, wordlen, edges
+            triples += (i, (i - 2) // branch, -last - 1)
+    return lasts, heights, wordlen, triples
 
 
 def _ball_bs(n, radius):
@@ -239,26 +331,26 @@ def _ball_bs(n, radius):
       t^-1:   (p, q, s - 1) when s > 0, else (p + 1, q n, 0).
     p <= r and s <= r on the ball, but a shell vertex's t-move reaches
     s = r + 1, so W = r + 2 keeps p W + s in [0, W^2) and the code one-to-one.
-    A move's key tuple is built only when it finds a new vertex."""
+    A move's key tuple is built only when it finds a new vertex.  The
+    generators are a (index 0) and t (index 1)."""
     width = radius + 2
     square = width * width
     power = [n ** s for s in range(radius + 1)]  # s never exceeds the word length
     shift = [w * square for w in power]
     height = {v: (v,) for v in range(-radius, radius + 1)}
     index = {0: 0}
-    keys, heights, wordlen, edges = [(0, 0, 0)], [(0,)], [0], []
+    keys, heights, wordlen, triples = [(0, 0, 0)], [(0,)], [0], []
     begin, end = 0, 1
     for d in range(1, radius + 1):
         for i in range(begin, end):
             p, q, s = keys[i]
             code = (q * width + p) * width + s
             nxt = code + shift[s]
-            j = index.get(nxt)
-            if j is None:
-                j = index[nxt] = len(keys)
+            ja = index.get(nxt)
+            if ja is None:
+                ja = index[nxt] = len(keys)
                 keys.append((p, q + power[s], s))
                 heights.append(heights[i])
-            edges.append((i, j, "a"))
             nxt = code - shift[s]
             if nxt not in index:
                 index[nxt] = len(keys)
@@ -266,12 +358,12 @@ def _ball_bs(n, radius):
                 heights.append(heights[i])
             cancel = p and not s and not q % n
             nxt = (q // n * width + p - 1) * width if cancel else code + 1
-            j = index.get(nxt)
-            if j is None:
-                j = index[nxt] = len(keys)
+            jt = index.get(nxt)
+            if jt is None:
+                jt = index[nxt] = len(keys)
                 keys.append((p - 1, q // n, 0) if cancel else (p, q, s + 1))
                 heights.append(height[p - s - 1])
-            edges.append((i, j, "t"))
+            triples += (i, ja, 0, i, jt, 1)
             nxt = code - 1 if s else (q * n * width + p + 1) * width
             if nxt not in index:
                 index[nxt] = len(keys)
@@ -284,11 +376,11 @@ def _ball_bs(n, radius):
         code = (q * width + p) * width + s
         j = index.get(code + shift[s])
         if j is not None:
-            edges.append((i, j, "a"))
+            triples += (i, j, 0)
         j = index.get((q // n * width + p - 1) * width if p and not s and not q % n else code + 1)
         if j is not None:
-            edges.append((i, j, "t"))
-    return keys, heights, wordlen, edges
+            triples += (i, j, 1)
+    return keys, heights, wordlen, triples
 
 
 def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
@@ -296,10 +388,12 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
     exact heights and the full induced edge set, built in one pass by a
     builder for the atom's family: a dict-free tree for ``F(n)``, and for
     ``BS(1,n)``, ``Z^k`` and the Klein bottle group a dict keyed by one
-    integer per normal form, whose moves are integer steps.  ``keys`` are the
-    normal forms as tuples: reduced words for ``F(n)``, (p, q, s) for
-    ``BS(1,n)``, vectors for ``Z^k`` and (p, q) for Klein.  ``edges`` lists
-    each vertex's ``+gen`` edges in vertex order, then generator order."""
+    integer per normal form, whose moves are integer steps.  The ball is
+    stored as columns (see ``BallGraph``): ``F(n)`` keeps one last letter per
+    vertex, the other families their key tuples, which their builders need
+    for the moves, and every family one flat i, j, generator-index triple
+    per edge, each vertex's ``+gen`` edges in vertex order, then generator
+    order."""
     if radius < 2:
         raise ProbeConfigError("radius must be at least 2")
     if _predicted_order(atom, radius, MAX_BALL_ORDER) > MAX_BALL_ORDER:
@@ -308,32 +402,30 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
     if atom.kind == ex.FREE_ABELIAN and atom.params[0] >= 1:
         k = atom.params[0]
         gens = {"e%d" % (g + 1): _unit(k, g) for g in range(k)}
-        keys, wordlen, edges = _ball_lattice(list(gens), radius)
-        heights = keys  # a vector is its own height
+        column, wordlen, triples = _ball_lattice(k, radius)
+        heights = column = tuple(column)  # a vector is its own height
     elif atom.kind == ex.FREE:
         n = atom.params[0]
         gens = {"x%d" % (g + 1): _unit(n, g) for g in range(n)}
-        keys, heights, wordlen, edges = _ball_free(n, radius)
+        column, heights, wordlen, triples = _ball_free(n, radius)
     elif atom.kind == ex.BAUMSLAG_SOLITAR:
         gens = {"a": (0,), "t": (-1,)}
-        keys, heights, wordlen, edges = _ball_bs(atom.params[0], radius)
+        column, heights, wordlen, triples = _ball_bs(atom.params[0], radius)
     elif atom.kind == ex.KLEIN_BOTTLE:
         gens = {"a": (0,), "b": (1,)}
-        keys, wordlen, edges = _ball_lattice(list(gens), radius, twisted=True)
+        column, wordlen, triples = _ball_lattice(2, radius, twisted=True)
         height = {q: (q,) for q in range(-radius, radius + 1)}
-        heights = [height[q] for _, q in keys]
+        heights = [height[q] for _, q in column]
     else:
         raise _unsupported(atom)
-    return BallGraph(
-        atom=atom,
-        radius=radius,
-        keys=tuple(keys),
-        heights=tuple(heights),
-        wordlen=tuple(wordlen),
-        edges=tuple(edges),
-        height_dim=len(heights[0]),
-        gen_heights=gens,
-    )
+    # one column at a time, so each list is freed as soon as it is copied
+    column = tuple(column)
+    heights = tuple(heights)
+    wordlen = tuple(wordlen)
+    triples = tuple(triples)
+    return BallGraph(atom=atom, radius=radius, key_column=column, heights=heights,
+                     wordlen=wordlen, triples=triples, height_dim=len(heights[0]),
+                     gen_heights=gens)
 
 
 def _unit(k: int, g: int) -> tuple[int, ...]:
@@ -489,6 +581,44 @@ def _least_holding(s: Fraction, norm_sq: int) -> int:
     return -(-root // sq)
 
 
+def _merge_levels(grid: Sequence[Fraction], lambda_max: Fraction, clamp: bool):
+    """The levels of a probe: the distinct grid scales and retreat floors
+    s - lambda_max (at least 0 when ``clamp``), in increasing order, with
+    each scale's and each floor's index among them.  Both lists are
+    non-decreasing, so one merge finds them, comparing a/b with c/d as
+    a d with c b; a floor equal to a scale shares its level, and no Fraction
+    is hashed or subtracted."""
+    nums = [s.numerator for s in grid]
+    dens = [s.denominator for s in grid]
+    lp, lq = lambda_max.numerator, lambda_max.denominator
+    levels: list[Fraction] = []
+    scale_at: list[int] = []
+    floor_at: list[int] = []
+    top_num = top_den = 0  # the highest level so far, once there is one
+    a, n = 0, len(grid)
+    for sn, sd in zip(nums, dens):
+        fn, fd = sn * lq - lp * sd, sd * lq
+        if clamp and fn < 0:
+            fn, fd = 0, 1
+        # the scales at or below this floor come first
+        while a < n and nums[a] * fd <= fn * dens[a]:
+            if not levels or nums[a] * top_den != top_num * dens[a]:
+                levels.append(grid[a])
+                top_num, top_den = nums[a], dens[a]
+            scale_at.append(len(levels) - 1)
+            a += 1
+        if not levels or fn * top_den != top_num * fd:
+            levels.append(Fraction(fn, fd))
+            top_num, top_den = fn, fd
+        floor_at.append(len(levels) - 1)
+    for sn, sd, s in zip(nums[a:], dens[a:], grid[a:]):
+        if sn * top_den != top_num * sd:
+            levels.append(s)
+            top_num, top_den = sn, sd
+        scale_at.append(len(levels) - 1)
+    return levels, scale_at, floor_at
+
+
 def _entry_levels(ball: BallGraph, gamma: Direction, levels: Sequence[Fraction],
                   mode: str) -> list[int]:
     """For each vertex, the index of the highest level whose sublevel set
@@ -556,13 +686,7 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
                          lambda_max=Fraction(lambda_max), core_margin=core_margin)
     _check_direction(ball, gamma)
     grid = config.grid
-    floors = [s - config.lambda_max for s in grid]
-    if mode == TRUNCATED_CONE:
-        floors = [max(f, Fraction(0)) for f in floors]
-    levels = sorted(set(grid) | set(floors))
-    level_of = {t: k for k, t in enumerate(levels)}
-    scale_at = [level_of[s] for s in grid]
-    floor_at = [level_of[f] for f in floors]
+    levels, scale_at, floor_at = _merge_levels(grid, config.lambda_max, mode == TRUNCATED_CONE)
     entry = _entry_levels(ball, gamma, levels, mode)
 
     # vertices, core vertices and edges bucketed by the level they enter at
@@ -581,7 +705,8 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
         if d == radius and k > shell_top:
             shell_top = k
     edges_at: list[list[int]] = [[] for _ in levels]
-    for i, j, _ in ball.edges:
+    flat = iter(ball.triples)
+    for i, j, _ in zip(flat, flat, flat):
         ki, kj = entry[i], entry[j]
         k = ki if ki < kj else kj
         if k >= 0:

@@ -191,6 +191,15 @@ class GroupExpr:
     node: str  # "atom" | "direct" | "free"
     atom: GroupAtom | None = None
     factors: tuple["GroupExpr", ...] = ()
+    # product nodes on the longest path down to an atom
+    depth: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.factors:
+            depth = 1 + max([f.depth for f in self.factors])
+            if depth > MAX_DEPTH:
+                raise ValueError("products nested deeper than %d levels" % MAX_DEPTH)
+            object.__setattr__(self, "depth", depth)
 
     def __repr__(self):
         return "GroupExpr(%s)" % self.label()
@@ -318,6 +327,11 @@ def _tokenize(text: str):
 # each parenthesis costs three stack frames (expr, term, factor); the bound
 # keeps the descent far below the interpreter's recursion limit
 MAX_NESTING = 100
+# the deepest product tree a parsed string can give: the top level and each
+# parenthesis level add a free product and a direct product under it.  Trees
+# built through the API are refused beyond it, so every recursive walk over an
+# expression stays as shallow as it is for parsed text
+MAX_DEPTH = 2 * (MAX_NESTING + 1)
 
 
 class _Parser:

@@ -4,12 +4,15 @@ the filtration sweep against a brute-force rescanning reference."""
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupinv import ballprobe as bp
 from groupinv import expressions as ex
@@ -218,10 +221,19 @@ def _reference_ball(atom, radius):
     base = height(identity)
     gen_heights = {name: tuple(b - a for a, b in zip(base, height(step(identity, gen, 1))))
                    for name, gen in gens}
-    return bp.BallGraph(atom=atom, radius=radius, keys=tuple(order),
-                        heights=tuple(height(key) for key in order),
-                        wordlen=tuple(dist[key] for key in order), edges=tuple(edges),
-                        height_dim=len(base), gen_heights=gen_heights)
+    return dict(atom=atom, radius=radius, order=len(order), keys=tuple(order),
+                heights=tuple(height(key) for key in order),
+                wordlen=tuple(dist[key] for key in order), edge_count=len(edges),
+                edges=tuple(edges), height_dim=len(base), gen_heights=gen_heights)
+
+
+def _materialized(ball):
+    """Every view and field of a ball as plain tuples, in the layout of
+    ``_reference_ball``."""
+    return dict(atom=ball.atom, radius=ball.radius, order=ball.order, keys=tuple(ball.keys),
+                heights=tuple(ball.heights), wordlen=tuple(ball.wordlen),
+                edge_count=len(ball.edges), edges=tuple(ball.edges),
+                height_dim=ball.height_dim, gen_heights=ball.gen_heights)
 
 
 # Z^k, Klein and BS(1,n) at every radius from 2 to 12, so that a collision of
@@ -239,8 +251,49 @@ BUILDER_CASES = (
 @pytest.mark.parametrize("atom,radius", BUILDER_CASES,
                          ids=["%s-r%d" % (a.label(), r) for a, r in BUILDER_CASES])
 def test_one_pass_ball_equals_two_pass_reference(atom, radius):
-    # the dataclass compares every field, edge order included
-    assert enumerate_ball(atom, radius) == _reference_ball(atom, radius)
+    # every key, height, word length and edge, in order, and the counts
+    assert _materialized(enumerate_ball(atom, radius)) == _reference_ball(atom, radius)
+
+
+def test_views_index_like_tuples():
+    for atom in (ex.free_group(2), ex.free_group(3), ex.baumslag_solitar(1, 2), ex.klein_bottle()):
+        ball = enumerate_ball(atom, 4)
+        for view in (ball.keys, ball.edges):
+            whole = tuple(view)
+            assert len(view) == len(whole)
+            assert view[-1] == whole[-1] and view[3:9] == whole[3:9] and view[::-5] == whole[::-5]
+            with pytest.raises(IndexError):
+                view[len(whole)]
+        assert len(ball.edges) == len(ball.triples) // 3
+    # an F(n) ball stores each word's last letter, 0 for the empty word
+    ball = enumerate_ball(ex.free_group(2), 4)
+    assert list(ball.key_column) == [word[-1] if word else 0 for word in ball.keys]
+
+
+# the largest radius for each rank whose F(n) ball is no larger than F(2) at r = 10
+FREE_RADII = {1: 12, 2: 10, 3: 7, 4: 5}
+
+
+@functools.lru_cache(maxsize=4)
+def _free_ball(n, radius):
+    return enumerate_ball(ex.GroupAtom(ex.FREE, (n,)), radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decoded_free_words_are_normal_forms(data):
+    n = data.draw(st.sampled_from(sorted(FREE_RADII)), label="rank")
+    ball = _free_ball(n, data.draw(st.integers(2, FREE_RADII[n]), label="radius"))
+    for i in data.draw(st.lists(st.integers(0, ball.order - 1), min_size=1, max_size=20),
+                       label="vertices"):
+        word = ball.keys[i]
+        assert all(x != 0 and abs(x) <= n for x in word)
+        assert all(a != -b for a, b in zip(word, word[1:]))  # reduced
+        assert len(word) == ball.wordlen[i]
+        height = [0] * n
+        for x in word:
+            height[abs(x) - 1] += 1 if x > 0 else -1
+        assert tuple(height) == ball.heights[i]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from groupinv.expressions import (
     presentation,
     word,
 )
+from groupinv.rinf import UNKNOWN, decide
 from groupinv.spheres import (
     Direction,
     complement,
@@ -89,6 +90,32 @@ def test_free_product_rejects_trivial_factors():
     with pytest.raises(ValueError):
         ex.free_product([ex.atom_expr(ex.free_abelian(1)),
                          ex.atom_expr(ex.free_abelian(0))])
+
+
+def test_api_products_deeper_than_any_parsed_string_are_refused():
+    # alternating products built through the API, the deep factor first;
+    # unbounded, free_product's is_trivial check overflowed the stack within
+    # 450 levels
+    z = ex.atom_expr(ex.free_abelian(1))
+    expr = z
+    with pytest.raises(ValueError, match="nested deeper than %d levels" % ex.MAX_DEPTH):
+        for k in range(450):
+            expr = (ex.direct_product if k % 2 else ex.free_product)([expr, z])
+    assert expr.depth == ex.MAX_DEPTH
+    with pytest.raises(ValueError, match="nested deeper"):
+        ex.free_product([z, expr])  # one level more, on either side
+
+
+def test_parser_maximal_nesting_parses_and_decides():
+    text = "Z * Z x Z"
+    for _ in range(ex.MAX_NESTING):
+        text = "Z * Z x (%s)" % text
+    expr = parse_group_expr(text)
+    assert expr.depth == ex.MAX_DEPTH
+    assert decide(expr).conclusion == UNKNOWN  # no rule covers these products
+    assert lookup_invariants(expr).hom_rank == 2 * ex.MAX_NESTING + 3
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_group_expr("Z * Z x (%s)" % text)
 
 
 def test_label_round_trip():
