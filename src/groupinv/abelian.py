@@ -263,6 +263,7 @@ class FGAbelianAutomorphism:
     ``free_part`` A is k x k with det +-1, ``torsion_part`` T acts on the torsion
     generators mod the invariant factors, and ``mixing`` M records the torsion
     components of the images of the free generators (t rows, k columns).
+    Construction validates the blocks and raises ``InvalidAutomorphism``.
     """
 
     free_rank: int
@@ -283,17 +284,15 @@ class FGAbelianAutomorphism:
             torsion_part = identity_matrix(t)
         if mixing is None:
             mixing = [[0] * k for _ in range(t)]
-        phi = FGAbelianAutomorphism(
+        return FGAbelianAutomorphism(
             free_rank=k,
             free_part=free,
             torsion_factors=factors,
             torsion_part=_int_rows(torsion_part, "torsion part"),
             mixing=_int_rows(mixing, "mixing block"),
         )
-        phi.validate()
-        return phi
 
-    def validate(self) -> None:
+    def __post_init__(self):
         k, t = self.free_rank, len(self.torsion_factors)
         if len(self.free_part) != k or any(len(r) != k for r in self.free_part):
             raise InvalidAutomorphism("free part must be %d x %d" % (k, k))
@@ -339,7 +338,6 @@ class FGAbelianAutomorphism:
 
 def reidemeister_number(phi: FGAbelianAutomorphism) -> int | float:
     """#Coker(1 - phi) on Z^k + torsion, or INFINITE when the cokernel is infinite."""
-    phi.validate()
     k, t = phi.free_rank, len(phi.torsion_factors)
     n = k + t
     if n == 0:

@@ -22,16 +22,19 @@ The sublevel sets shrink as the scale grows, in both modes, so the probe is a
 single sweep over the sublevel filtration (0-dimensional persistence): each
 vertex gets the highest grid scale or retreat floor whose sublevel set holds
 it, and one union-find pass adds vertices and edges from the highest level
-down, answering every scale and retreat query at its level.  The levels come
-from one merge of the sorted scales and floors, compared by integer cross
-multiplication, so no Fraction is hashed.  The level of a vertex depends
-only on a = <h, gamma> (and |h|^2 in cone mode): the half-space level is one
-bisection of a over the least integer each level admits, the cone level a
-binary search below it, memoized by (a, |h|^2) and, in front, by the height.
-A scale's core is connected iff it lies within the prefix of the core
-vertices, in entry order, that shares the first one's component; unions only
-merge, so that prefix only grows, and the whole sweep costs
-O((V + E) alpha(V) + V log L) for V vertices, E edges and L levels.
+down.  The levels come from one merge of the sorted scales and floors,
+compared by integer cross multiplication, so no Fraction is hashed.  The
+level of a vertex depends only on a = <h, gamma> (and |h|^2 in cone mode):
+the half-space level is one bisection of a over the least integer each level
+admits, the cone level a binary search below it, memoized by (a, |h|^2) and,
+in front, by the height.  Each scale's core is a prefix of the core vertices
+in entry order, so the sweep asks no per-scale question: it records the
+highest level at which each prefix lies in one component (unions only merge,
+so the prefix in the first vertex's component only grows and each entry is
+written once), and the component count of each core still split at its
+floor.  After the sweep a scale's retreat is one bisection in the grid
+levels, and the whole probe costs O((V + E) alpha(V) + (V + Q) log L) for
+V vertices, E edges, Q scales and L levels.
 
 The work is capped before anything is allocated: the ball order predicted by
 the closed growth series of the atom (for ``BS(1,n)`` the ``F(2)`` count,
@@ -48,7 +51,7 @@ reported configuration.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -503,7 +506,12 @@ class ProbeConfig:
     core_margin: int | None = None  # defaults to radius - (radius // 2 + 1)
 
     def __post_init__(self):
-        if list(self.grid) != sorted(self.grid) or any(s < 0 for s in self.grid):
+        # a/b <= c/d as a d <= c b (denominators are positive), and a
+        # non-decreasing grid is non-negative when its first scale is
+        nums = [s.numerator for s in self.grid]
+        dens = [s.denominator for s in self.grid]
+        if nums and nums[0] < 0 or any(
+                a * d > c * b for a, b, c, d in zip(nums, dens, nums[1:], dens[1:])):
             raise ProbeConfigError("grid scales must be non-negative and non-decreasing")
         if self.mode not in (HALF_SPACE, TRUNCATED_CONE):
             raise ProbeConfigError("unknown mode %r" % self.mode)
@@ -678,9 +686,13 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
     The levels are the grid scales and the retreat floors.  One union-find
     pass adds the vertices and edges of each level from the highest down, so
     after level t it holds the components of the sublevel set at t; each
-    scale's retreat candidates are tested at their levels, highest first, up
-    to the first that joins its core into one component.  Each level's edges
-    go to ``UnionFind.union_pairs`` in one call."""
+    level's edges go to ``UnionFind.union_pairs`` in one call.  The pass
+    records ``joined_at[n]``, the highest level at which the first n core
+    vertices lie in one component, and the component count of each core
+    still split at its floor, down to the lowest level a row reads.  A scale
+    whose core has n vertices then retreats to the highest grid level at or
+    below both its own level and ``joined_at[n]``, or to its floor when no
+    grid level lies between."""
     config = ProbeConfig(radius=ball.radius, direction=gamma,
                          grid=tuple(Fraction(s) for s in grid), mode=mode,
                          lambda_max=Fraction(lambda_max), core_margin=core_margin)
@@ -723,69 +735,53 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
         core_at[k] = core_at[k + 1] + len(core_entering[k])
         core_order += core_entering[k]
 
-    # a scale with a core asks its retreat candidates in turn, highest first:
-    # the grid levels from its own down to its floor, then the floor
-    grid_levels = sorted(set(scale_at))
-    targets: list[list[int]] = []
-    pending: list[list[int]] = [[] for _ in levels]
-    lowest = top  # the lowest level a scale without core reads its count at
-    for q, (sk, fk) in enumerate(zip(scale_at, floor_at)):
-        span = grid_levels[bisect_left(grid_levels, fk):bisect_right(grid_levels, sk)]
-        targets.append(span if span[0] == fk else [fk] + span)  # last is next
-        if core_at[sk]:
-            pending[sk].append(q)
-        else:
-            lowest = min(lowest, sk)
-    open_queries = sum(len(p) for p in pending)
-    # scale index -> (the level its core joins at, or None; components)
-    answers: dict[int, tuple[int | None, int]] = {}
+    # joined_at[n] is the highest level at which core_order[:n] lies in one
+    # component; core_order[:gap] shares core_order[0]'s component, and unions
+    # only merge, so gap only grows and each entry is written once.  The sweep
+    # stops at the lowest level a row reads.
+    lowest = scale_at[0] if grid else top
+    need = core_at[lowest]  # the largest core a row reads
+    bottom = floor_at[0] if need else lowest
+    joined_at = [-1] * (need + 1)
+    split: dict[int, int] = {}  # scale index -> core components at its floor
     components_at = [0] * top
     uf = UnionFind(ball.order)
     find = uf.find
-    merged = 0
-    # core_order[:gap] lies in the component of core_order[0]; unions only
-    # merge, so gap only grows, and a core of n vertices is connected iff gap >= n
-    gap = 0
-    for k in range(top - 1, -1, -1):
-        if not open_queries and k < lowest:
-            break
+    merged = gap = 0
+    q = len(grid) - 1  # floors are non-decreasing, so they are met from the last
+    for k in range(top - 1, bottom - 1, -1):
         merged += uf.union_pairs(edges_at[k])
         components_at[k] = sub_at[k] - merged
-        if not pending[k]:
-            continue
-        root = find(core_order[0])
-        for q in sorted(pending[k]):
-            n = core_at[scale_at[q]]
-            while gap < n and find(core_order[gap]) == root:
+        if gap < need:
+            root = find(core_order[0])
+            while gap < need and find(core_order[gap]) == root:
                 gap += 1
-            targets[q].pop()
-            if gap >= n:
-                answers[q] = (k, 1)
-            elif not targets[q]:
-                answers[q] = (None, len({find(core_order[i]) for i in range(n)}))
-            else:
-                pending[targets[q][-1]].append(q)
-                continue
-            open_queries -= 1
+                joined_at[gap] = k
+        while q >= 0 and floor_at[q] == k:
+            n = core_at[scale_at[q]]
+            if gap < n:
+                split[q] = len({find(v) for v in core_order[:n]})
+            q -= 1
 
+    grid_levels = sorted(set(scale_at))
     rows: list[ProbeRow] = []
     split_seen = False
     descents: list[int] = []  # the level s - retreat, by index
-    for q, (s, sk) in enumerate(zip(grid, scale_at)):
+    for q, (s, sk, fk) in enumerate(zip(grid, scale_at, floor_at)):
         shell_touched = shell_top >= sk
-        if not core_at[sk]:
+        n = core_at[sk]
+        if not n:
             rows.append(ProbeRow(s, sub_at[sk], 0, components_at[sk], None, shell_touched,
                                  note="no core vertices at this scale"))
-            continue
-        joined, comps = answers[q]
-        if joined is None:
+        elif q in split:
             split_seen = True
-            rows.append(ProbeRow(s, sub_at[sk], core_at[sk], comps, None, shell_touched,
+            rows.append(ProbeRow(s, sub_at[sk], n, split[q], None, shell_touched,
                                  note="core components never merge within the budget"))
         else:
+            g = bisect_right(grid_levels, min(joined_at[n], sk)) - 1
+            joined = max(fk, grid_levels[g]) if g >= 0 else fk
             descents.append(joined)
-            rows.append(ProbeRow(s, sub_at[sk], core_at[sk], 1, s - levels[joined],
-                                 shell_touched))
+            rows.append(ProbeRow(s, sub_at[sk], n, 1, s - levels[joined], shell_touched))
     if split_seen:
         evidence = SUPPORTS_NON_MEMBERSHIP
     elif len(descents) >= 2:

@@ -155,6 +155,16 @@ def test_non_unimodular_rejected():
         FGAbelianAutomorphism.from_matrix([[2]])
 
 
+def test_direct_construction_is_validated():
+    # the dataclass constructor checks what from_matrix checks, so no invalid
+    # automorphism reaches fixed_subgroup_trivial or reidemeister_number
+    with pytest.raises(InvalidAutomorphism, match="not unimodular"):
+        FGAbelianAutomorphism(free_rank=1, free_part=((2,),))
+    with pytest.raises(InvalidAutomorphism, match="not invertible"):
+        FGAbelianAutomorphism(free_rank=0, free_part=(), torsion_factors=(4,),
+                              torsion_part=((2,),), mixing=((),))
+
+
 def test_mixed_torsion_automorphism():
     # Z + Z/2, phi = (-1 on Z) x (id on Z/2): R = |coker(2 on Z)| * |Z/2| = 4
     phi = FGAbelianAutomorphism.from_matrix([[-1]], torsion_factors=[2])

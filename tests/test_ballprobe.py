@@ -612,3 +612,55 @@ def test_probe_time_is_linear_in_the_scales():
     assert time.perf_counter() - start < 4.0
     assert report.evidence == SUPPORTS_MEMBERSHIP
     assert [r.retreat for r in report.rows] == [0] * 10001
+
+
+# the largest radius at which each atom's reference probe stays cheap
+PROPERTY_RADII = {ex.free_abelian(1): 10, ex.free_abelian(2): 6, ex.free_abelian(3): 4,
+                  ex.klein_bottle(): 6, ex.baumslag_solitar(1, 2): 6,
+                  ex.baumslag_solitar(1, 3): 5, ex.free_group(2): 4}
+
+
+@functools.lru_cache(maxsize=None)
+def _property_ball(atom, radius):
+    return enumerate_ball(atom, radius)
+
+
+def _rationals(top, dens):
+    """Fractions j / d in [0, top] with d drawn from ``dens``."""
+    return st.sampled_from(dens).flatmap(
+        lambda d: st.integers(0, top * d).map(lambda j: Fraction(j, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_equals_reference_on_drawn_probes(data):
+    atom = data.draw(st.sampled_from(list(PROPERTY_RADII)), label="atom")
+    radius = data.draw(st.integers(2, PROPERTY_RADII[atom]), label="radius")
+    ball = _property_ball(atom, radius)
+    coords = data.draw(st.lists(st.integers(-3, 3), min_size=ball.height_dim,
+                                max_size=ball.height_dim).filter(any), label="direction")
+    scales = data.draw(st.lists(_rationals(radius + 1, (1, 2, 3, 4, 7)), max_size=8),
+                       label="scales")
+    repeats = data.draw(st.lists(st.sampled_from(scales), max_size=3) if scales else st.just([]),
+                        label="repeats")
+    grid = sorted(scales + repeats)
+    lam = data.draw(_rationals(10, (1, 2, 3)), label="budget")
+    margin = data.draw(st.sampled_from([None, 0, 1, radius]), label="margin")
+    mode = data.draw(st.sampled_from([HALF_SPACE, TRUNCATED_CONE]), label="mode")
+    gamma = Direction(tuple(coords))
+    report = connectivity_probe(ball, gamma, grid, mode, lam, margin)
+    assert (report.config, report.rows, report.evidence) == \
+        _reference_probe(ball, gamma, grid, mode, lam, margin)
+
+
+def test_probe_time_with_many_retreat_candidates():
+    # F(2) at radius 6 with 4,001 scales 1/1000 apart and a budget of 4: each
+    # scale has up to 4,000 grid levels to retreat to, and finds its own by
+    # one bisection in the levels where the core prefixes join
+    ball = enumerate_ball(ex.free_group(2), 6)
+    grid = [Fraction(j, 1000) for j in range(4001)]
+    for mode in (HALF_SPACE, TRUNCATED_CONE):
+        start = time.perf_counter()
+        report = connectivity_probe(ball, Direction((1, 0)), grid, mode, 4)
+        assert time.perf_counter() - start < 1.0, mode
+        assert len(report.rows) == 4001
