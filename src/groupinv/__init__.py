@@ -8,81 +8,66 @@ Typical use::
     expr = parse_group_expr("BS(1,2) x F(3)")
     lookup_invariants(expr).omega_at(1)   # one rational surviving direction
     decide(expr).conclusion               # 'RInfinity', with a trace
+
+The library modules load on first use.  Importing the package registers each
+one in ``sys.modules`` and as a package attribute through
+``importlib.util.LazyLoader``; its code runs when one of its attributes is
+first read.  A name in ``__all__`` is read from its home module on every
+access and never copied into the package, so it always is that module's
+current attribute.
 """
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .abelian import (
-    FGAbelianAutomorphism,
-    FiniteGroupTable,
-    INFINITE,
-    brute_force_twisted_classes,
-    fixed_subgroup_trivial,
-    reidemeister_number,
-    smith_normal_form,
-    verify_central_extension,
-)
-from .ballprobe import (
-    BallGraph,
-    ProbeReport,
-    connectivity_probe,
-    cone_subgraph,
-    enumerate_ball,
-    halfspace_subgraph,
-    probe_direction_scan,
-)
-from .catalog import KnownInvariants, lookup_invariants
-from .cones import (
-    ConeShape,
-    RationalCone,
-    check_finite12,
-    cone_rays,
-    omega_from_sigma,
-    omega_of_product,
-    sigma1_complement_of_product,
-)
-from .expressions import (
-    FinitePresentation,
-    GroupAtom,
-    GroupExpr,
-    abelianization_of_presentation,
-    hom_rank,
-    parse_group_expr,
-)
-from .rinf import (
-    ExtensionSpec,
-    Verdict,
-    decide,
-    decide_free_product,
-    decide_gk,
-    decide_main,
-    decide_product,
-    decide_text,
-    propagate_extension,
-)
-from .spheres import (
-    Direction,
-    SphereSet,
-    antipode,
-    complement,
-    empty_set,
-    full_sphere,
-    join,
-    points_set,
-    union,
-)
+# home module -> the names the package exports from it
+_EXPORTS = {
+    "abelian": ("FGAbelianAutomorphism", "FiniteGroupTable", "INFINITE",
+                "brute_force_twisted_classes", "fixed_subgroup_trivial",
+                "reidemeister_number", "smith_normal_form", "verify_central_extension"),
+    "ballprobe": ("BallGraph", "ProbeReport", "connectivity_probe", "cone_subgraph",
+                  "enumerate_ball", "halfspace_subgraph", "probe_direction_scan"),
+    "catalog": ("KnownInvariants", "lookup_invariants"),
+    "cones": ("ConeShape", "RationalCone", "check_finite12", "cone_rays", "omega_from_sigma",
+              "omega_of_product", "sigma1_complement_of_product"),
+    "expressions": ("FinitePresentation", "GroupAtom", "GroupExpr",
+                    "abelianization_of_presentation", "hom_rank", "parse_group_expr"),
+    "rinf": ("ExtensionSpec", "Verdict", "decide", "decide_free_product", "decide_gk",
+             "decide_main", "decide_product", "decide_text", "propagate_extension"),
+    "spheres": ("Direction", "SphereSet", "antipode", "complement", "empty_set", "full_sphere",
+                "join", "points_set", "union"),
+    "unionfind": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BallGraph", "ConeShape", "Direction", "ExtensionSpec", "FGAbelianAutomorphism",
-    "FiniteGroupTable", "FinitePresentation", "GroupAtom", "GroupExpr", "INFINITE",
-    "KnownInvariants", "ProbeReport", "RationalCone", "SphereSet", "Verdict",
-    "abelianization_of_presentation", "antipode", "brute_force_twisted_classes",
-    "check_finite12", "complement", "cone_rays", "cone_subgraph",
-    "connectivity_probe", "decide", "decide_free_product", "decide_gk", "decide_main",
-    "decide_product", "decide_text", "empty_set", "enumerate_ball",
-    "fixed_subgroup_trivial", "full_sphere", "halfspace_subgraph", "hom_rank",
-    "join", "lookup_invariants", "omega_from_sigma", "omega_of_product",
-    "parse_group_expr", "points_set", "probe_direction_scan",
-    "propagate_extension", "reidemeister_number", "sigma1_complement_of_product",
-    "smith_normal_form", "union", "verify_central_extension",
-]
+__all__ = sorted(_HOME)
+
+
+def _register_lazily(name: str):
+    spec = importlib.util.find_spec(__name__ + "." + name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# `cli` and `selfcheck` are left out: `python -m groupinv.cli` warns when the
+# module it runs is in sys.modules already
+for _name in _EXPORTS:
+    globals()[_name] = _register_lazily(_name)
+del _name
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name)) from None
+    return getattr(globals()[home], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -58,8 +58,8 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
+from . import catalog
 from . import expressions as ex
-from .catalog import lookup_invariants
 from .spheres import Direction
 from .unionfind import UnionFind
 
@@ -813,7 +813,7 @@ class ScanRow:
 def catalog_membership(atom: ex.GroupAtom, gamma: Direction, mode: str) -> bool | None:
     """Expected membership from the catalog: level-one surviving set for cone
     mode, complement of the obstruction set for half-space mode."""
-    inv = lookup_invariants(ex.atom_expr(atom))
+    inv = catalog.lookup_invariants(ex.atom_expr(atom))
     if mode == TRUNCATED_CONE:
         omega = inv.omega_at(1)
         return None if omega is None else omega.member(gamma)

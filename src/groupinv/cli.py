@@ -15,19 +15,9 @@ from fractions import Fraction
 import click
 
 from . import __version__
+from . import abelian, ballprobe, catalog, spheres
 from . import expressions as ex
-from .abelian import (
-    FGAbelianAutomorphism,
-    FiniteGroupTable,
-    INFINITE,
-    brute_force_twisted_classes,
-    reidemeister_number,
-)
-from .ballprobe import HALF_SPACE, TRUNCATED_CONE, connectivity_probe, default_grid, enumerate_ball
-from .catalog import lookup_invariants
-from .expressions import parse_group_expr
-from .rinf import decide
-from .spheres import Direction
+from . import rinf as rinf_rules  # the `rinf` command below takes the plain name
 
 
 def _emit(payload: dict) -> None:
@@ -52,8 +42,8 @@ def main():
 def invariants(text: str, level: int):
     """Hom-rank, obstruction set, and surviving directions with provenance."""
     try:
-        expr = parse_group_expr(text)
-        inv = lookup_invariants(expr)
+        expr = ex.parse_group_expr(text)
+        inv = catalog.lookup_invariants(expr)
         _emit({"group": expr.label(), **inv.summary(level)})
     except (ex.ParseError, ValueError) as exc:
         _fail(str(exc))
@@ -64,8 +54,8 @@ def invariants(text: str, level: int):
 def rinf(text: str):
     """R-infinity verdict with its derivation trace."""
     try:
-        expr = parse_group_expr(text)
-        verdict = decide(expr)
+        expr = ex.parse_group_expr(text)
+        verdict = rinf_rules.decide(expr)
         _emit({"group": expr.label(), **verdict.to_json_dict()})
     except (ex.ParseError, ValueError) as exc:
         _fail(str(exc))
@@ -91,19 +81,19 @@ def reidemeister(matrix: str | None, torsion: str | None, torsion_map: str | Non
             rows = json.loads(table)
             if not isinstance(rows, list):
                 raise ValueError("--table must be a JSON list of rows")
-            group = FiniteGroupTable(rows)
+            group = abelian.FiniteGroupTable(rows)
             perm = (json.loads(automorphism) if automorphism
                     else list(range(group.order)))
-            count, reps = brute_force_twisted_classes(group, perm)
+            count, reps = abelian.brute_force_twisted_classes(group, perm)
             _emit({"reidemeister": count, "representatives": reps})
             return
         free_part = json.loads(matrix)
         factors = json.loads(torsion) if torsion else []
         tmap = json.loads(torsion_map) if torsion_map else None
         mix = json.loads(mixing) if mixing else None
-        phi = FGAbelianAutomorphism.from_matrix(free_part, factors, tmap, mix)
-        value = reidemeister_number(phi)
-        _emit({"reidemeister": "infinity" if value == INFINITE else value})
+        phi = abelian.FGAbelianAutomorphism.from_matrix(free_part, factors, tmap, mix)
+        value = abelian.reidemeister_number(phi)
+        _emit({"reidemeister": "infinity" if value == abelian.INFINITE else value})
     except (ValueError, json.JSONDecodeError) as exc:
         _fail(str(exc))
 
@@ -113,8 +103,10 @@ def reidemeister(matrix: str | None, torsion: str | None, torsion_map: str | Non
               help="probe atom: Z^k, F(n), BS(1,n), or Klein")
 @click.option("--dir", "direction_text", required=True,
               help="direction as comma-separated integers, e.g. '1,0'")
-@click.option("--mode", type=click.Choice([HALF_SPACE, TRUNCATED_CONE]),
-              default=HALF_SPACE, show_default=True)
+# ballprobe.HALF_SPACE and ballprobe.TRUNCATED_CONE, spelled out so that
+# building the command line does not load ballprobe
+@click.option("--mode", type=click.Choice(["halfspace", "cone"]),
+              default="halfspace", show_default=True)
 @click.option("--radius", default=6, show_default=True)
 @click.option("--grid", default=None,
               help="comma-separated scales (rationals allowed), e.g. '0,1/2,1,2'")
@@ -126,14 +118,14 @@ def probe(atom_text: str, direction_text: str, mode: str, radius: int,
           grid: str | None, lambda_max: str, fmt: str):
     """Connectivity probe of half-space or truncated-cone sublevel sets."""
     try:
-        expr = parse_group_expr(atom_text)
+        expr = ex.parse_group_expr(atom_text)
         if expr.node != "atom":
             raise ValueError("the probe runs on single atoms, not products")
-        gamma = Direction([int(c) for c in direction_text.split(",")])
-        ball = enumerate_ball(expr.atom, radius)
-        scales = (default_grid(radius) if grid is None
+        gamma = spheres.Direction([int(c) for c in direction_text.split(",")])
+        ball = ballprobe.enumerate_ball(expr.atom, radius)
+        scales = (ballprobe.default_grid(radius) if grid is None
                   else [_rational(chunk) for chunk in grid.split(",")])
-        report = connectivity_probe(ball, gamma, scales, mode, _rational(lambda_max))
+        report = ballprobe.connectivity_probe(ball, gamma, scales, mode, _rational(lambda_max))
         if fmt == "csv":
             click.echo(report.to_csv())
         else:

@@ -1,16 +1,52 @@
-"""CLI surface: JSON output shape, exit codes, and the probe/selfcheck paths."""
+"""CLI surface: JSON output shape, exit codes, the probe/selfcheck paths, and the
+modules each command loads."""
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import groupinv
+from groupinv import ballprobe
+from groupinv.cli import main, probe
+
+SRC = Path(groupinv.__file__).resolve().parents[1]
+
+# runs one command in a fresh interpreter, then prints on stderr the groupinv
+# modules whose code ran: a module registered by LazyLoader and not yet read
+# is still an instance of a ModuleType subclass
+_FOOTPRINT = """
+import sys, types
 from groupinv.cli import main
+try:
+    main(args=sys.argv[1:])
+finally:
+    print(" ".join(name for name, module in sys.modules.items()
+                   if name.startswith("groupinv.") and type(module) is types.ModuleType),
+          file=sys.stderr)
+"""
 
 
 def run(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def python(*args) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def loaded_modules(*args) -> set[str]:
+    proc = python("-c", _FOOTPRINT, *args)
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("groupinv.") for name in proc.stderr.split()}
 
 
 def test_rinf_golden():
@@ -69,6 +105,52 @@ def test_probe_json_and_csv():
                  "--grid", "0,1/2,1", "--format", "csv")
     assert result.exit_code == 0
     assert result.output.splitlines()[0].startswith("s,vertices")
+
+
+def test_probe_mode_literals_match_ballprobe():
+    # the command line spells the modes out so that building it does not load
+    # ballprobe; they must stay the names ballprobe answers to
+    mode = next(p for p in probe.params if p.name == "mode")
+    assert list(mode.type.choices) == [ballprobe.HALF_SPACE, ballprobe.TRUNCATED_CONE]
+    assert mode.default == ballprobe.HALF_SPACE
+
+
+def test_probe_takes_directions_that_start_with_a_minus_sign():
+    # a value such as -1,0 looks like an option; the command line must still
+    # read it as the value of --dir
+    for atom, direction, evidence in (("Z^2", "-1,0", "SupportsMembership"),
+                                      ("F(2)", "-1,0", "SupportsNonMembership"),
+                                      ("Z^2", "-1,-2", "SupportsMembership")):
+        result = run("probe", "--atom", atom, "--dir", direction, "--radius", "4")
+        assert result.exit_code == 0, (atom, direction)
+        data = json.loads(result.output)
+        assert data["direction"] == [int(c) for c in direction.split(",")]
+        assert data["evidence"] == evidence, (atom, direction)
+
+
+def test_each_command_loads_only_the_modules_it_calls():
+    table = json.dumps([[(i + j) % 4 for j in range(4)] for i in range(4)])
+    for args in (("reidemeister", "--matrix", "[[-1]]", "--torsion", "[2]"),
+                 ("reidemeister", "--table", table, "--automorphism", "[0, 3, 2, 1]")):
+        assert loaded_modules(*args) == {"cli", "abelian", "unionfind"}, args
+    for mode in ("halfspace", "cone"):
+        loaded = loaded_modules("probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "4",
+                                "--mode", mode)
+        assert "ballprobe" in loaded
+        assert not loaded & {"rinf", "catalog", "cones", "selfcheck"}, mode
+    for command in ("rinf", "invariants"):
+        loaded = loaded_modules(command, "-g", "BS(1,2) x F(3)")
+        assert "catalog" in loaded
+        assert not loaded & {"ballprobe", "selfcheck"}, command
+
+
+def test_run_as_a_module_without_a_runtime_warning():
+    # runpy warns when the module it runs is in sys.modules already, so the
+    # package must not register cli among its lazily loaded modules
+    proc = python("-W", "error::RuntimeWarning", "-m", "groupinv.cli", "rinf", "-g", "Z")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["group"] == "Z"
 
 
 def test_computation_errors_are_json_exit_1():

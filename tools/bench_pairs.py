@@ -1,0 +1,136 @@
+"""Compare two checkouts on the benchmark in alternating pairs of runs.
+
+Usage (from anywhere):
+
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \
+        [--pairs 10] [--seed 101] [--workloads verdicts,cli]
+
+The workloads, their run length and the end-to-end metrics are read from
+CHANGE's ``BENCHMARK.json``; ``--workloads`` picks a subset of its workloads.
+For every workload, pair i runs ``benchmark/run.py --seed SEED+i --trace 0``
+for ``run_seconds`` in PARENT and in CHANGE, one after the other; even pairs
+start with PARENT, odd pairs with CHANGE, so a drift of the machine's speed
+favours neither side.  Each checkout runs its own ``benchmark/run.py`` on its
+own ``src``.
+The output file holds, per workload and end-to-end metric, each side's
+median and quartiles, the pairs the change won and lost (ties count for
+neither), every run's figures, and the machine, the Python version and
+``PYTHONDONTWRITEBYTECODE``, which decides whether the ``cli`` figures
+include compiling the package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def checkout_state(root: Path) -> dict:
+    """The commit a checkout is at, and whether its tracked files differ from it."""
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    return {"commit": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit("bench_pairs: %s failed in %s:\n%s" % (" ".join(cmd), root, proc.stderr))
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(runs: list[dict], metrics: list[dict]) -> dict:
+    out = {}
+    for spec in metrics:
+        name, higher = spec["name"], spec["better"] == "higher"
+        sides = {side: [r[side]["metrics"][name] for r in runs] for side in SIDES}
+        wins = losses = 0
+        for p, c in zip(sides["parent"], sides["change"]):
+            if c != p:
+                if (c > p) == higher:
+                    wins += 1
+                else:
+                    losses += 1
+        out[name] = {"unit": spec["unit"], "better": spec["better"],
+                     **{side: summary(sides[side]) for side in SIDES},
+                     "change_wins": wins, "change_losses": losses}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--workloads", help="comma-separated subset of the benchmark's workloads")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 for quartiles")
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.workloads:
+        unknown = set(args.workloads.split(",")) - set(workloads)
+        if unknown:
+            parser.error("--workloads: not in BENCHMARK.json: %s" % ", ".join(sorted(unknown)))
+        workloads = [w for w in workloads if w in args.workloads.split(",")]
+
+    report = {
+        "machine": {"platform": platform.platform(), "machine": platform.machine(),
+                    "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "checkouts": {side: checkout_state(roots[side]) for side in SIDES},
+        "pairs": args.pairs, "seconds": seconds,
+        "seeds": [args.seed + i for i in range(args.pairs)],
+        "workloads": {},
+    }
+    for workload in workloads:
+        runs = []
+        for i in range(args.pairs):
+            seed = args.seed + i
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            run = {"seed": seed, "first": order[0]}
+            for side in order:
+                run[side] = run_once(roots[side], workload, seed, seconds)
+            runs.append(run)
+            print("bench_pairs: %s pair %d/%d done" % (workload, i + 1, args.pairs),
+                  file=sys.stderr)
+        report["workloads"][workload] = {
+            "metrics": compare(runs, spec["end_to_end"]),
+            "failed": {side: [r[side]["failed"] for r in runs] for side in SIDES},
+            "attempted": {side: [r[side]["attempted"] for r in runs] for side in SIDES},
+            "correct": all(r[side]["correct"] for r in runs for side in SIDES),
+            "runs": runs,
+        }
+        # written after every workload, so an interrupted comparison keeps what it measured
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
