@@ -33,11 +33,11 @@ _EXPORTS = {
     "cones": ("ConeShape", "RationalCone", "check_finite12", "cone_rays", "omega_from_sigma",
               "omega_of_product", "sigma1_complement_of_product"),
     "expressions": ("FinitePresentation", "GroupAtom", "GroupExpr",
-                    "abelianization_of_presentation", "hom_rank", "parse_group_expr"),
-    "rinf": ("ExtensionSpec", "Verdict", "decide", "decide_free_product", "decide_gk",
-             "decide_main", "decide_product", "decide_text", "propagate_extension"),
-    "spheres": ("Direction", "SphereSet", "antipode", "complement", "empty_set", "full_sphere",
-                "join", "points_set", "union"),
+                    "abelianization_of_presentation", "parse_group_expr"),
+    "rinf": ("Verdict", "decide", "decide_free_product", "decide_gk", "decide_main",
+             "decide_product", "decide_text"),
+    "spheres": ("Direction", "SphereSet", "complement", "empty_set", "full_sphere", "join",
+                "points_set", "union"),
     "unionfind": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -54,21 +54,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += c * bk[j]
-    return out
-
-
 def mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -450,15 +435,6 @@ class FiniteGroupTable:
         defect = _hom_defect(self, self, perm)
         if defect is not None:
             raise InvalidGroupTable("map is not a homomorphism at (%d, %d)" % defect)
-
-    def conjugacy_class_count(self) -> int:
-        # Burnside on the conjugation action: #classes = sum |C(x)| / |G|
-        n = self.order
-        total = 0
-        for x in range(n):
-            total += sum(1 for g in range(n) if self.table[g][x] == self.table[x][g])
-        assert total % n == 0
-        return total // n
 
 
 def _column(table: tuple[tuple[int, ...], ...], g: int) -> tuple[int, ...]:

@@ -25,7 +25,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from . import expressions as ex
-from .cones import o_class_of, omega_from_sigma, omega_of_product, sigma1_complement_of_product
+from .cones import (check_cone_dim, o_class_of, omega_from_sigma, omega_of_product,
+                    sigma1_complement_of_product)
 from .spheres import (
     SphereSet,
     complement,
@@ -141,6 +142,7 @@ def _atom_invariants(atom: ex.GroupAtom) -> KnownInvariants:
         )
     if kind in (ex.THOMPSON_F, ex.GENERALIZED_THOMPSON):
         m = 2 if kind == ex.THOMPSON_F else atom.params[0]
+        check_cone_dim(m)  # before the m-length characters are built
         chi1 = tuple(1 if i == 0 else 0 for i in range(m))
         chi2 = tuple(1 if i == 1 else 0 for i in range(m))
         sigma_c = points_set([m], [chi1, chi2])

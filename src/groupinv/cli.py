@@ -9,6 +9,7 @@ and exit 1, usage errors exit 2.  Output is deterministic.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -134,11 +135,30 @@ def probe(atom_text: str, direction_text: str, mode: str, radius: int,
         _fail(str(exc))
 
 
+_EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                            r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # Fraction's forms with an exponent
+
+
 def _rational(text: str) -> Fraction:
+    """An exact rational, refused when a part has more digits than Python prints; with d
+    mantissa digits and |exponent| > limit + d a part always has, and 10^e is not built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = "scale %r has a numerator or denominator of more than %d digits" % (text, limit)
+    match = limit and _EXPONENT_FORM.match(text)
+    if match:
+        exponent, digits = int(match[3]), (match[1] + (match[2] or "")).replace("_", "")
+        if not digits.strip("0"):
+            return Fraction(0)
+        if abs(exponent) > limit + len(digits):
+            raise ValueError(too_long)
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError("zero denominator in %r" % text) from None
+    big = max(abs(value.numerator), value.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:  # 2^(3L) < 10^L
+        raise ValueError(too_long)
+    return value
 
 
 @main.command()

@@ -43,6 +43,11 @@ class DimensionCapExceeded(ValueError):
 MAX_CONE_DIM = 8
 
 
+def check_cone_dim(m: int) -> None:
+    if m > MAX_CONE_DIM:
+        raise DimensionCapExceeded("cone dimension %d exceeds cap %d" % (m, MAX_CONE_DIM))
+
+
 @dataclass(frozen=True)
 class RationalCone:
     """{x in R^m : <x, f> <= 0 for all normals f}."""
@@ -111,8 +116,7 @@ def extreme_rays(cone: RationalCone) -> tuple[list[tuple[int, ...]], list[tuple[
     far is extreme iff its tight normals have rank m - dim(lineality) - 1).
     """
     m = cone.dim
-    if m > MAX_CONE_DIM:
-        raise DimensionCapExceeded("cone dimension %d exceeds cap %d" % (m, MAX_CONE_DIM))
+    check_cone_dim(m)
     if m == 0:
         return [], []
     lines: list[tuple[int, ...]] = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]

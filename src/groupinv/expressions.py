@@ -534,28 +534,6 @@ def word(text: str) -> tuple[tuple[str, int], ...]:
     return free_reduce(out)
 
 
-# hom_rank atom table: Z-rank of the abelianization
-_HOM_RANK = {
-    FREE_ABELIAN: lambda a: a.params[0],
-    FREE: lambda a: a.params[0],
-    BAUMSLAG_SOLITAR: lambda a: 1,
-    KLEIN_BOTTLE: lambda a: 1,
-    BRAID: lambda a: 1,
-    THOMPSON_F: lambda a: 2,
-    GENERALIZED_THOMPSON: lambda a: a.params[0],
-    LAMPLIGHTER: lambda a: 1,
-    FINITE_CYCLIC: lambda a: 0,
-    FINITE_TABLE: lambda a: 0,
-}
-
-
-def hom_rank(expr: GroupExpr) -> int:
-    """Rank of Hom(G, R); additive over direct and free products."""
-    if expr.node == "atom":
-        return _HOM_RANK[expr.atom.kind](expr.atom)
-    return sum(hom_rank(f) for f in expr.factors)
-
-
 def atom_presentation(atom: GroupAtom) -> FinitePresentation | None:
     """Finite presentation when the atom has one (Thompson's group included);
     None for the atoms presented infinitely (T(n), n > 2, and lamplighters)."""

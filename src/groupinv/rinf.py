@@ -21,7 +21,6 @@ runs first, fires on the same products with the same conclusion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import expressions as ex
@@ -32,10 +31,9 @@ from .cones import O_CLASS_0, O_CLASS_1, O_CLASS_2
 RINFINITY = "RInfinity"
 INDEX_TWO = "IndexTwoSubgroupAllRInf"
 FINITE_INDEX = "FiniteIndexSubgroupAllRInf"
-RVALUE = "ReidemeisterValue"
 UNKNOWN = "Unknown"
 
-_STRENGTH = {RINFINITY: 4, INDEX_TWO: 3, FINITE_INDEX: 2, RVALUE: 1, UNKNOWN: 0}
+_STRENGTH = {RINFINITY: 4, INDEX_TWO: 3, FINITE_INDEX: 2, UNKNOWN: 0}
 
 RULE_STATEMENTS = {
     "CatalogFact": "recorded fact with literature citation",
@@ -68,11 +66,6 @@ RULE_STATEMENTS = {
                     "with m <= n",
     "LemRFacts1": "if the induced automorphism on a quotient by a characteristic "
                   "subgroup has infinitely many twisted classes, so does the original",
-    "LemRFacts2": "if the induced quotient automorphism has a finite fixed subgroup and "
-                  "the restriction to the kernel has infinitely many twisted classes, "
-                  "so does the original",
-    "LemRFacts3": "for a central extension the twisted class counts multiply: "
-                  "R(phi) = R(phi') * R(phi-bar)",
 }
 
 
@@ -93,7 +86,6 @@ class TraceStep:
 class Verdict:
     conclusion: str
     trace: tuple[TraceStep, ...] = ()
-    value: int | float | None = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -109,8 +101,6 @@ class Verdict:
     def to_json_dict(self) -> dict:
         out = {"conclusion": self.conclusion,
                "trace": [s.to_json_dict() for s in self.trace]}
-        if self.conclusion == RVALUE:
-            out["value"] = "infinity" if self.value == math.inf else self.value
         if self.notes:
             out["notes"] = list(self.notes)
         return out
@@ -135,8 +125,8 @@ class _TraceBuilder:
             new_id = mapping[step.step_id] = self.add(step.rule, step.detail, new_premises)
         return new_id
 
-    def done(self, conclusion: str, value=None, notes=()) -> Verdict:
-        return Verdict(conclusion, tuple(self.steps), value, tuple(notes))
+    def done(self, conclusion: str) -> Verdict:
+        return Verdict(conclusion, tuple(self.steps))
 
 
 def _omega_evidence(expr: ex.GroupExpr, level: int, trace: _TraceBuilder) -> str | None:
@@ -300,32 +290,6 @@ def decide_free_product(expr: ex.GroupExpr) -> Verdict:
                        notes=("direct-product premise unverified: decide(%s) = %s"
                               % (bar.label(), sub.conclusion),))
     return Verdict(UNKNOWN, notes=("no free-product condition applies",))
-
-
-@dataclass(frozen=True)
-class ExtensionSpec:
-    """Premises about a commuting automorphism triple on 1 -> A -> B -> C -> 1."""
-
-    central: bool = False
-    r_kernel: int | float | None = None      # R(phi') on A
-    r_quotient: int | float | None = None    # R(phi-bar) on C
-    fix_quotient_finite: bool | None = None  # |Fix phi-bar| < infinity
-
-
-def propagate_extension(spec: ExtensionSpec) -> Verdict:
-    """Short-exact-sequence bookkeeping for a single automorphism triple."""
-    trace = _TraceBuilder()
-    if spec.r_quotient == math.inf:
-        trace.add("LemRFacts1", "R(phi-bar) is infinite")
-        return trace.done(RVALUE, value=math.inf)
-    if spec.fix_quotient_finite and spec.r_kernel == math.inf:
-        trace.add("LemRFacts2", "finite fixed subgroup on the quotient and R(phi') infinite")
-        return trace.done(RVALUE, value=math.inf)
-    if spec.central and spec.r_kernel is not None and spec.r_quotient is not None:
-        value = spec.r_kernel * spec.r_quotient
-        trace.add("LemRFacts3", "central extension: %s * %s" % (spec.r_kernel, spec.r_quotient))
-        return trace.done(RVALUE, value=value)
-    return Verdict(UNKNOWN, notes=("insufficient premises for the extension rules",))
 
 
 def _decide_catalog(expr: ex.GroupExpr) -> Verdict:

@@ -68,10 +68,6 @@ class Direction:
         return "Direction(%s)" % (self.coords,)
 
 
-def antipode(d: Direction) -> Direction:
-    return d.antipode()
-
-
 # ---------------------------------------------------------------------------
 # per-factor parts
 

@@ -15,7 +15,6 @@ from groupinv.expressions import (
     ParseError,
     abelianization_of_presentation,
     atom_presentation,
-    hom_rank,
     parse_group_expr,
     presentation,
     word,
@@ -136,13 +135,13 @@ def test_hom_rank_atoms():
         "Thompson": 2, "T(4)": 4, "L(3)": 1, "Zmod(5)": 0, "Z^0": 0,
     }
     for text, rank in table.items():
-        assert hom_rank(parse_group_expr(text)) == rank, text
+        assert lookup_invariants(parse_group_expr(text)).hom_rank == rank, text
 
 
 def test_hom_rank_products():
-    assert hom_rank(parse_group_expr("BS(1,2) x F(4)")) == 5
-    assert hom_rank(parse_group_expr("F(2) * F(3)")) == 5
-    assert hom_rank(parse_group_expr("Zmod(5) * Zmod(7)")) == 0
+    assert lookup_invariants(parse_group_expr("BS(1,2) x F(4)")).hom_rank == 5
+    assert lookup_invariants(parse_group_expr("F(2) * F(3)")).hom_rank == 5
+    assert lookup_invariants(parse_group_expr("Zmod(5) * Zmod(7)")).hom_rank == 0
 
 
 ATOM_POOL = ["Z", "Z^2", "F(2)", "F(3)", "BS(1,2)", "BS(1,3)", "Klein",
@@ -162,10 +161,10 @@ def test_hom_rank_additive_random():
     rng = random.Random(5150)
     for _ in range(300):
         kids = [random_expr(rng, 1) for _ in range(rng.randint(2, 4))]
-        total = sum(hom_rank(k) for k in kids)
-        assert hom_rank(ex.direct_product(kids)) == total
+        total = sum(lookup_invariants(k).hom_rank for k in kids)
+        assert lookup_invariants(ex.direct_product(kids)).hom_rank == total
         if all(not k.is_trivial for k in kids):
-            assert hom_rank(ex.free_product(kids)) == total
+            assert lookup_invariants(ex.free_product(kids)).hom_rank == total
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +196,7 @@ def test_atom_presentations_match_catalog_rank():
         if pres is None:
             continue
         rank, torsion = abelianization_of_presentation(pres)
-        assert rank == hom_rank(expr), text
+        assert rank == lookup_invariants(expr).hom_rank, text
     zmod6 = atom_presentation(ex.finite_cyclic(6))
     assert abelianization_of_presentation(zmod6) == (0, [6])
     braid4 = atom_presentation(ex.braid(4))

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -173,6 +174,49 @@ def test_probe_names_the_right_reason_for_unsupported_atoms():
         assert data["error"].startswith("no implemented normal form for %s " % atom), atom
         thompson = atom in ("T(3)", "Thompson")
         assert ("presented infinitely" in data["error"]) == thompson, data["error"]
+
+
+def timed(*args):
+    start = time.perf_counter()
+    result = run(*args)
+    return result, time.perf_counter() - start
+
+
+def test_cone_cap_is_checked_before_the_cone_is_built():
+    for command in ("rinf", "invariants"):
+        result, seconds = timed(command, "-g", "T(10000000)")
+        assert result.exit_code == 1, command
+        assert json.loads(result.output) == {
+            "version": groupinv.__version__,
+            "error": "cone dimension 10000000 exceeds cap 8"}, command
+        assert seconds < 1, (command, seconds)
+
+
+def test_scales_that_could_never_be_printed_are_refused_at_once():
+    digits = sys.get_int_max_str_digits()
+    for option, value in (("--grid", "0,1e1000000"), ("--lambda-max", "1e1000000000"),
+                          ("--grid", "1e-%d" % digits), ("--lambda-max", "1e%d" % digits)):
+        result, seconds = timed("probe", "--atom", "Z", "--dir", "1", "--radius", "4",
+                                option, value)
+        assert result.exit_code == 1, value
+        data = json.loads(result.output)
+        assert set(data) == {"version", "error"}, value
+        assert "more than %d digits" % digits in data["error"], value
+        assert seconds < 1, (value, seconds)
+
+
+def test_printable_scales_are_accepted():
+    result = run("probe", "--atom", "Z", "--dir", "1", "--radius", "4",
+                 "--grid", "0,1e-3,1/2")
+    assert result.exit_code == 0
+    assert [row["s"] for row in json.loads(result.output)["rows"]] == ["0", "1/1000", "1/2"]
+    digits = sys.get_int_max_str_digits()
+    result = run("probe", "--atom", "Z", "--dir", "1", "--radius", "4",
+                 "--grid", "0e99999,1e%d" % (digits - 1), "--lambda-max", "1e-%d" % (digits - 1))
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert [row["s"] for row in data["rows"]] == ["0", "1" + "0" * (digits - 1)]
+    assert data["lambda_max"] == "1/1" + "0" * (digits - 1)
 
 
 def test_usage_errors_exit_2():

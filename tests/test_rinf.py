@@ -1,9 +1,8 @@
-"""Verdict engine: rule-by-rule behavior, the combined strategy, trace
-structure, and the extension bookkeeping."""
+"""Verdict engine: rule-by-rule behavior, the combined strategy, and trace
+structure."""
 
 from __future__ import annotations
 
-import math
 import random
 from collections import Counter
 
@@ -18,9 +17,7 @@ from groupinv.rinf import (
     FINITE_INDEX,
     INDEX_TWO,
     RINFINITY,
-    RVALUE,
     UNKNOWN,
-    ExtensionSpec,
     Verdict,
     _TraceBuilder,
     decide,
@@ -29,7 +26,6 @@ from groupinv.rinf import (
     decide_main,
     decide_product,
     decide_text,
-    propagate_extension,
 )
 
 
@@ -293,24 +289,6 @@ def test_free_product_unverified_premise():
 
 
 # ---------------------------------------------------------------------------
-# extension bookkeeping
-
-
-def test_extension_rules():
-    v1 = propagate_extension(ExtensionSpec(r_quotient=math.inf))
-    assert v1.conclusion == RVALUE and v1.value == math.inf
-    assert v1.final_rule() == "LemRFacts1"
-    v2 = propagate_extension(ExtensionSpec(fix_quotient_finite=True, r_kernel=math.inf))
-    assert v2.conclusion == RVALUE and v2.value == math.inf
-    assert v2.final_rule() == "LemRFacts2"
-    v3 = propagate_extension(ExtensionSpec(central=True, r_kernel=3, r_quotient=2))
-    assert v3.conclusion == RVALUE and v3.value == 6
-    assert v3.final_rule() == "LemRFacts3"
-    assert propagate_extension(ExtensionSpec()).conclusion == UNKNOWN
-    assert propagate_extension(ExtensionSpec(central=True, r_kernel=3)).conclusion == UNKNOWN
-
-
-# ---------------------------------------------------------------------------
 # combined strategy
 
 
@@ -404,5 +382,3 @@ def test_verdict_json_shape():
     data = v.to_json_dict()
     assert data["conclusion"] == RINFINITY
     assert all({"rule", "quote", "premises"} <= set(step) for step in data["trace"])
-    ext = propagate_extension(ExtensionSpec(r_quotient=math.inf)).to_json_dict()
-    assert ext["value"] == "infinity"

@@ -18,7 +18,6 @@ from groupinv.spheres import (
     FinitePoints,
     SphereSet,
     UnsupportedComplement,
-    antipode,
     cofinite_set,
     complement,
     empty_set,
@@ -70,7 +69,7 @@ def test_direction_normalization():
     assert Direction((2, -4)).coords == (1, -2)
     assert Direction((0, 3)).coords == (0, 1)
     assert Direction((2, -3)).coords == (2, -3)
-    assert antipode(Direction((2, -3))).coords == (-2, 3)
+    assert Direction((2, -3)).antipode().coords == (-2, 3)
     with pytest.raises(ValueError):
         Direction((0, 0))
 

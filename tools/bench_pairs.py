@@ -12,9 +12,13 @@ for ``run_seconds`` in PARENT and in CHANGE, one after the other; even pairs
 start with PARENT, odd pairs with CHANGE, so a drift of the machine's speed
 favours neither side.  Each checkout runs its own ``benchmark/run.py`` on its
 own ``src``.
-The output file holds, per workload and end-to-end metric, each side's
-median and quartiles, the pairs the change won and lost (ties count for
-neither), every run's figures, and the machine, the Python version and
+Before the workloads, each checkout's tier-1 suite (``python -m pytest -q -p
+no:cacheprovider`` with ``PYTHONPATH=src``) runs three times, alternating
+sides the same way.
+The output file holds each side's median tier-1 wall time with every run's
+time, exit code and summary line; per workload and end-to-end metric, each
+side's median and quartiles, the pairs the change won and lost (ties count
+for neither), every run's figures; and the machine, the Python version and
 ``PYTHONDONTWRITEBYTECODE``, which decides whether the ``cli`` figures
 include compiling the package.
 """
@@ -28,9 +32,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+TIER1_RUNS = 3
 
 
 def checkout_state(root: Path) -> dict:
@@ -53,6 +60,26 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def tier1_once(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH="src")
+    start = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=root, capture_output=True, text=True, env=env)
+    seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": seconds, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
+
+
+def tier1_times(roots: dict) -> dict:
+    runs = {side: [] for side in SIDES}
+    for i in range(TIER1_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(tier1_once(roots[side]))
+        print("bench_pairs: tier-1 round %d/%d done" % (i + 1, TIER1_RUNS), file=sys.stderr)
+    return {"command": " ".join(["python", *TIER1[1:]]),
+            **{side: {"median_s": statistics.median(r["seconds"] for r in runs[side]),
+                      "runs": runs[side]} for side in SIDES}}
 
 
 def summary(values: list[float]) -> dict:
@@ -107,6 +134,7 @@ def main(argv=None) -> int:
         "checkouts": {side: checkout_state(roots[side]) for side in SIDES},
         "pairs": args.pairs, "seconds": seconds,
         "seeds": [args.seed + i for i in range(args.pairs)],
+        "tier1": tier1_times(roots),
         "workloads": {},
     }
     for workload in workloads:
