@@ -193,6 +193,9 @@ class GroupExpr:
     factors: tuple["GroupExpr", ...] = ()
     # product nodes on the longest path down to an atom
     depth: int = field(default=0, init=False, repr=False, compare=False)
+    # the generated dataclass hash, computed once: memo lookups would otherwise
+    # rehash the whole subtree on every call
+    hash_value: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.factors:
@@ -200,6 +203,10 @@ class GroupExpr:
             if depth > MAX_DEPTH:
                 raise ValueError("products nested deeper than %d levels" % MAX_DEPTH)
             object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "hash_value", hash((self.node, self.atom, self.factors)))
+
+    def __hash__(self):
+        return self.hash_value
 
     def __repr__(self):
         return "GroupExpr(%s)" % self.label()

@@ -125,6 +125,15 @@ def test_label_round_trip():
         assert again == expr
 
 
+def test_equal_trees_built_separately_hash_equal():
+    rng = random.Random(12)
+    for _ in range(100):
+        expr = random_expr(rng, depth=2)
+        again = parse_group_expr(expr.label())
+        assert again == expr and again is not expr
+        assert hash(again) == hash(expr) == hash((expr.node, expr.atom, expr.factors))
+
+
 # ---------------------------------------------------------------------------
 # hom rank
 

@@ -3,24 +3,28 @@ modules each command loads."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
-from click.testing import CliRunner
+import pytest
 
 import groupinv
 from groupinv import ballprobe
-from groupinv.cli import main, probe
+from groupinv.cli import COMMANDS, main
 
 SRC = Path(groupinv.__file__).resolve().parents[1]
 
-# runs one command in a fresh interpreter, then prints on stderr the groupinv
-# modules whose code ran: a module registered by LazyLoader and not yet read
-# is still an instance of a ModuleType subclass
+# runs one command in a fresh interpreter, then prints on stderr two lines: the
+# groupinv modules whose code ran (a module registered by LazyLoader and not yet
+# read is still an instance of a ModuleType subclass), and the loaded modules
+# that are neither in the standard library nor groupinv
 _FOOTPRINT = """
 import sys, types
 from groupinv.cli import main
@@ -30,11 +34,24 @@ finally:
     print(" ".join(name for name, module in sys.modules.items()
                    if name.startswith("groupinv.") and type(module) is types.ModuleType),
           file=sys.stderr)
+    print(" ".join(name for name in sys.modules
+                   if name.partition(".")[0] not in sys.stdlib_module_names | {"groupinv"}),
+          file=sys.stderr)
 """
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    """One command line run in this process: its exit code, and what it printed
+    on stdout (``output``) and on stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    exit_code = 0
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(args=list(args), prog_name="groupinv")
+        except SystemExit as exc:
+            exit_code = exc.code
+    return SimpleNamespace(exit_code=exit_code, output=stdout.getvalue(),
+                           stderr=stderr.getvalue())
 
 
 def python(*args) -> subprocess.CompletedProcess:
@@ -44,10 +61,15 @@ def python(*args) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-def loaded_modules(*args) -> set[str]:
+def footprint(*args) -> tuple[set[str], set[str]]:
     proc = python("-c", _FOOTPRINT, *args)
     assert proc.returncode == 0, proc.stderr
-    return {name.removeprefix("groupinv.") for name in proc.stderr.split()}
+    ran, foreign = proc.stderr.splitlines()[-2:]
+    return {name.removeprefix("groupinv.") for name in ran.split()}, set(foreign.split())
+
+
+def loaded_modules(*args) -> set[str]:
+    return footprint(*args)[0]
 
 
 def test_rinf_golden():
@@ -111,7 +133,7 @@ def test_probe_json_and_csv():
 def test_probe_mode_literals_match_ballprobe():
     # the command line spells the modes out so that building it does not load
     # ballprobe; they must stay the names ballprobe answers to
-    mode = next(p for p in probe.params if p.name == "mode")
+    mode = COMMANDS["probe"].options["mode"]
     assert list(mode.type.choices) == [ballprobe.HALF_SPACE, ballprobe.TRUNCATED_CONE]
     assert mode.default == ballprobe.HALF_SPACE
 
@@ -143,6 +165,19 @@ def test_each_command_loads_only_the_modules_it_calls():
         loaded = loaded_modules(command, "-g", "BS(1,2) x F(3)")
         assert "catalog" in loaded
         assert not loaded & {"ballprobe", "selfcheck"}, command
+
+
+def test_commands_load_nothing_beyond_the_standard_library():
+    # measured against a bare interpreter, whose site packages may load modules at start-up
+    bare = python("-c", "import sys; print(' '.join(sys.modules))")
+    at_start = set(bare.stdout.split())
+    table = json.dumps([[(i + j) % 4 for j in range(4)] for i in range(4)])
+    for args in (("--version",), ("rinf", "-g", "BS(1,2) x F(3)"),
+                 ("invariants", "-g", "BS(1,2) x F(3)"),
+                 ("reidemeister", "--matrix", "[[-1]]", "--torsion", "[2]"),
+                 ("reidemeister", "--table", table, "--automorphism", "[0, 3, 2, 1]"),
+                 ("probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "4")):
+        assert footprint(*args)[1] <= at_start, args
 
 
 def test_run_as_a_module_without_a_runtime_warning():
@@ -223,6 +258,41 @@ def test_usage_errors_exit_2():
     assert run("rinf").exit_code == 2
     assert run("nonsense").exit_code == 2
     assert run("probe", "--atom", "Z^2").exit_code == 2
+    probe = ("probe", "--atom", "Z", "--dir", "1")
+    for args in ((*probe, "--radius", "x"), ("invariants", "-g", "Z", "-n", "two"),
+                 (*probe, "--mode", "diagonal"), (*probe, "--format", "xml"),
+                 ("rinf", "-g", "Z", "--bogus", "1"), ("rinf", "-g", "Z", "extra"), (),
+                 ("probe", "--atom", "Z", "--dir"),
+                 # getopt alone would take a unique prefix for the whole name
+                 (*probe, "--rad", "5"), ("--vers",)):
+        result = run(*args)
+        assert result.exit_code == 2, args
+        assert result.output == "", args
+        assert result.stderr.startswith("Usage: groupinv "), args
+        assert "Traceback" not in result.stderr, args
+
+
+def test_version_and_help():
+    proc = python("-m", "groupinv.cli", "--version")
+    assert proc.returncode == 0
+    assert proc.stdout == "python -m groupinv.cli, version %s\n" % groupinv.__version__
+    for args in (("--help",), ("probe", "--help")):
+        result = run(*args)
+        assert result.exit_code == 0, args
+        assert result.output.startswith("Usage: groupinv "), args
+    assert "--lambda-max TEXT" in run("probe", "--help").output
+
+
+def test_main_runs_a_command_line_under_the_given_program_name(capsys):
+    # benchmark/traced_cli.py runs each command through this call
+    main(args=["rinf", "-g", "Z"], prog_name="groupinv")
+    assert json.loads(capsys.readouterr().out)["group"] == "Z"
+    main(args=["--version"], prog_name="groupinv")
+    assert capsys.readouterr().out == "groupinv, version %s\n" % groupinv.__version__
+    with pytest.raises(SystemExit) as exit_:
+        main(args=["rinf"], prog_name="groupinv")
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.startswith("Usage: groupinv rinf [OPTIONS]\n")
 
 
 def test_probe_and_parser_failures_print_one_json_document():

@@ -14,11 +14,13 @@ favours neither side.  Each checkout runs its own ``benchmark/run.py`` on its
 own ``src``.
 Before the workloads, each checkout's tier-1 suite (``python -m pytest -q -p
 no:cacheprovider`` with ``PYTHONPATH=src``) runs three times, alternating
-sides the same way.
+sides the same way, and its benchmark suite (the same command on
+``benchmark``) runs once.
 The output file holds each side's median tier-1 wall time with every run's
-time, exit code and summary line; per workload and end-to-end metric, each
-side's median and quartiles, the pairs the change won and lost (ties count
-for neither), every run's figures; and the machine, the Python version and
+time, exit code and summary line; each side's benchmark-suite time, exit
+code and summary line; per workload and end-to-end metric, each side's
+median and quartiles, the pairs the change won and lost (ties count for
+neither), every run's figures; and the machine, the Python version and
 ``PYTHONDONTWRITEBYTECODE``, which decides whether the ``cli`` figures
 include compiling the package.
 """
@@ -62,10 +64,10 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def tier1_once(root: Path) -> dict:
+def pytest_once(root: Path, *paths: str) -> dict:
     env = dict(os.environ, PYTHONPATH="src")
     start = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=root, capture_output=True, text=True, env=env)
+    proc = subprocess.run([*TIER1, *paths], cwd=root, capture_output=True, text=True, env=env)
     seconds = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"seconds": seconds, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
@@ -75,7 +77,7 @@ def tier1_times(roots: dict) -> dict:
     runs = {side: [] for side in SIDES}
     for i in range(TIER1_RUNS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            runs[side].append(tier1_once(roots[side]))
+            runs[side].append(pytest_once(roots[side]))
         print("bench_pairs: tier-1 round %d/%d done" % (i + 1, TIER1_RUNS), file=sys.stderr)
     return {"command": " ".join(["python", *TIER1[1:]]),
             **{side: {"median_s": statistics.median(r["seconds"] for r in runs[side]),
@@ -135,6 +137,8 @@ def main(argv=None) -> int:
         "pairs": args.pairs, "seconds": seconds,
         "seeds": [args.seed + i for i in range(args.pairs)],
         "tier1": tier1_times(roots),
+        "benchmark_suite": {"command": " ".join(["python", *TIER1[1:], "benchmark"]),
+                            **{side: pytest_once(roots[side], "benchmark") for side in SIDES}},
         "workloads": {},
     }
     for workload in workloads:
