@@ -58,50 +58,49 @@ def mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def matrix_rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by integer row reduction."""
+def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row echelon form: (rank over the rationals,
+    signed last pivot).  Each entry stays a minor of ``m``, since every update
+    divides exactly by the previous pivot; for a square matrix of full rank
+    the signed last pivot is the determinant."""
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    rank = 0
+    rank, sign, prev = 0, 1, 1
     for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                p, q = a[rank][col], a[i][col]
-                a[i] = [p * x - q * y for x, y in zip(a[i], a[rank])]
-        rank += 1
         if rank == rows:
             break
-    return rank
+        for pivot in range(rank, rows):
+            if a[pivot][col]:
+                break
+        else:
+            continue
+        if pivot != rank:
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[col]
+        # plain loops: on the small matrices of the callers a comprehension
+        # per row costs more than the arithmetic
+        for i in range(rank + 1, rows):
+            row = a[i]
+            q = row[col]
+            for j in range(col + 1, cols):
+                row[j] = (p * row[j] - q * top[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign * prev
+
+
+def det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square matrix."""
+    rank, pivot = _bareiss(m)
+    return pivot if rank == len(m) else 0
+
+
+def matrix_rank(m: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals."""
+    return _bareiss(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +408,6 @@ class FiniteGroupTable:
     @property
     def order(self) -> int:
         return len(self.table)
-
-    def mul(self, x: int, y: int) -> int:
-        return self.table[x][y]
 
     def is_abelian(self) -> bool:
         t, gens = self.table, self.generators

@@ -39,7 +39,9 @@ V vertices, E edges, Q scales and L levels.
 The work is capped before anything is allocated: the ball order predicted by
 the closed growth series of the atom (for ``BS(1,n)`` the ``F(2)`` count,
 which bounds the ball of any 2-generated group) may not exceed
-``MAX_BALL_ORDER``.
+``MAX_BALL_ORDER``, and that order times the number of generators, which
+bounds both the edges and the key coordinates the ball stores, may not exceed
+``MAX_BALL_WORK``.
 
 A finite window cannot certify the limit behavior, so reports are labelled as
 evidence.  Two safeguards keep ball-truncation artifacts out of the evidence:
@@ -73,6 +75,9 @@ INCONCLUSIVE = "Inconclusive"
 # F(2) at radius 12 has 1,062,881 vertices and fits; F(3) at radius 12 would
 # have about 3.7e8
 MAX_BALL_ORDER = 1_200_000
+# vertices times generators: every 2-generated ball under the order cap fits
+# (F(2) at radius 12: 2,125,762), Z^300 at radius 2 (180,601 x 300) does not
+MAX_BALL_WORK = 2 * MAX_BALL_ORDER
 
 
 class UnsupportedAtom(ValueError):
@@ -223,9 +228,6 @@ class BallGraph:
         """Each vertex's ``+gen`` edges (i, j, name), in vertex order, then
         generator order."""
         return _EdgeView(self.triples, tuple(self.gen_heights))
-
-    def shell(self, index: int) -> bool:
-        return self.wordlen[index] == self.radius
 
 
 def _ball_lattice(k, radius, twisted=False):
@@ -399,9 +401,15 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
     order."""
     if radius < 2:
         raise ProbeConfigError("radius must be at least 2")
-    if _predicted_order(atom, radius, MAX_BALL_ORDER) > MAX_BALL_ORDER:
+    order = _predicted_order(atom, radius, MAX_BALL_ORDER)
+    if order > MAX_BALL_ORDER:
         raise ProbeConfigError("the radius-%d ball of %s would have more than %d vertices"
                                % (radius, atom.label(), MAX_BALL_ORDER))
+    generators = atom.params[0] if atom.kind in (ex.FREE_ABELIAN, ex.FREE) else 2
+    if order * generators > MAX_BALL_WORK:
+        raise ProbeConfigError("the radius-%d ball of %s would have %d vertices times %d "
+                               "generators, more than %d"
+                               % (radius, atom.label(), order, generators, MAX_BALL_WORK))
     if atom.kind == ex.FREE_ABELIAN and atom.params[0] >= 1:
         k = atom.params[0]
         gens = {"e%d" % (g + 1): _unit(k, g) for g in range(k)}

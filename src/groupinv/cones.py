@@ -20,11 +20,13 @@ from typing import Iterable, Sequence
 from .abelian import matrix_rank
 from .spheres import (
     EMPTY,
-    CofinitePoints,
     ConeRegion,
     Direction,
     FinitePoints,
     SphereSet,
+    UnsupportedComplement,
+    _blocks,
+    complement,
     empty_set,
     full_sphere,
     join_all,
@@ -93,9 +95,7 @@ class ConeShape:
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(c))
+    g = gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(c // g for c in vec)
@@ -178,7 +178,8 @@ def _minimal_rays(rays: list[tuple[int, ...]], lines: list[tuple[int, ...]],
 def _in_span(vec: Sequence[int], basis: list[tuple[int, ...]]) -> bool:
     if not basis:
         return False
-    return matrix_rank(list(basis) + [list(vec)]) == matrix_rank(list(basis))
+    # the lineality basis is linearly independent, so its rank is its length
+    return matrix_rank(basis + [vec]) == len(basis)
 
 
 def cone_rays(cone: RationalCone) -> ConeShape:
@@ -211,9 +212,13 @@ def omega_from_sigma(sigma: SphereSet, m: int) -> SphereSet:
         return empty_set([m])
     if sigma.is_full():
         return full_sphere([m])
-    obstructions = _finite_complement(sigma, m)
-    if obstructions is None:
+    try:
+        parts = [atom[0] for atom in complement(sigma).atoms]
+    except UnsupportedComplement:
+        parts = []
+    if len(parts) != 1 or not isinstance(parts[0], FinitePoints):
         raise UnsupportedSigma("set is neither full, empty, nor cofinite")
+    obstructions = parts[0].points
     shape = cone_rays(RationalCone(m, obstructions))
     if shape.kind == "trivial":
         return empty_set([m])
@@ -222,19 +227,6 @@ def omega_from_sigma(sigma: SphereSet, m: int) -> SphereSet:
     if shape.kind == "line":
         return points_set([m], [shape.direction.coords, shape.direction.antipode().coords])
     return SphereSet([m], [(ConeRegion(obstructions),)])
-
-
-def _finite_complement(sigma: SphereSet, m: int) -> tuple[Direction, ...] | None:
-    """Obstruction set F with sigma = sphere minus F, or None outside the fragment."""
-    parts = [atom[0] for atom in sigma.atoms]
-    if len(parts) == 1 and isinstance(parts[0], CofinitePoints):
-        return parts[0].excluded
-    if m == 1 and all(isinstance(p, FinitePoints) for p in parts):
-        present: set[Direction] = set()
-        for p in parts:
-            present.update(p.points)
-        return tuple(sorted({Direction((1,)), Direction((-1,))} - present))
-    return None
 
 
 def omega_of_product(factors: Sequence[SphereSet | None]) -> SphereSet | None:
@@ -255,13 +247,10 @@ def sigma1_complement_of_product(factor_complements: Sequence[SphereSet | None])
     if any(f is None for f in factor_complements):
         return None
     full_ambient = tuple(r for f in factor_complements for r in f.ambient)
-    atoms = []
-    offset = 0
-    for f in factor_complements:
-        before = (EMPTY,) * offset
-        after = (EMPTY,) * (len(full_ambient) - offset - len(f.ambient))
-        atoms.extend(before + atom + after for atom in f.atoms)
-        offset += len(f.ambient)
+    k = len(full_ambient)
+    blocks = _blocks(len(f.ambient) for f in factor_complements)
+    atoms = [(EMPTY,) * start + atom + (EMPTY,) * (k - end)
+             for f, (start, end) in zip(factor_complements, blocks) for atom in f.atoms]
     return SphereSet(full_ambient, atoms)
 
 

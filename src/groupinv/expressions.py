@@ -223,14 +223,6 @@ class GroupExpr:
             parts.append(text)
         return sep.join(parts)
 
-    def atoms(self) -> list[GroupAtom]:
-        if self.node == "atom":
-            return [self.atom]
-        out = []
-        for f in self.factors:
-            out.extend(f.atoms())
-        return out
-
     @property
     def is_trivial(self) -> bool:
         if self.node == "atom":
@@ -276,31 +268,29 @@ def atom_expr(atom: GroupAtom) -> GroupExpr:
     return GroupExpr("atom", atom=atom)
 
 
-def direct_product(factors: Iterable[GroupExpr]) -> GroupExpr:
+def _flatten(node: str, factors: Iterable[GroupExpr]) -> tuple[GroupExpr, ...]:
+    """The factors of a ``node`` product, with nested ``node`` products
+    spliced in."""
     flat: list[GroupExpr] = []
     for f in factors:
-        if f.node == "direct":
+        if f.node == node:
             flat.extend(f.factors)
         else:
             flat.append(f)
     if len(flat) < 2:
-        raise ValueError("direct product needs at least two factors")
-    return GroupExpr("direct", factors=tuple(flat))
+        raise ValueError("%s product needs at least two factors" % node)
+    return tuple(flat)
+
+
+def direct_product(factors: Iterable[GroupExpr]) -> GroupExpr:
+    return GroupExpr("direct", factors=_flatten("direct", factors))
 
 
 def free_product(factors: Iterable[GroupExpr]) -> GroupExpr:
-    flat: list[GroupExpr] = []
-    for f in factors:
-        if f.node == "free":
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    if len(flat) < 2:
-        raise ValueError("free product needs at least two factors")
-    for f in flat:
-        if f.is_trivial:
-            raise ValueError("free-product factors must be non-trivial")
-    return GroupExpr("free", factors=tuple(flat))
+    flat = _flatten("free", factors)
+    if any(f.is_trivial for f in flat):
+        raise ValueError("free-product factors must be non-trivial")
+    return GroupExpr("free", factors=flat)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +321,8 @@ def _tokenize(text: str):
     yield ("end", None, len(text))
 
 
-# each parenthesis costs three stack frames (expr, term, factor); the bound
-# keeps the descent far below the interpreter's recursion limit
+# each parenthesis costs three stack frames (expr at both levels, factor);
+# the bound keeps the descent far below the interpreter's recursion limit
 MAX_NESTING = 100
 # the deepest product tree a parsed string can give: the top level and each
 # parenthesis level add a free product and a direct product under it.  Trees
@@ -371,7 +361,8 @@ class _Parser:
         return value
 
     # grammar: expr := term ('*' term)* ; term := factor ('x' factor)* ;
-    # factor := atom | '(' expr ')'
+    # factor := atom | '(' expr ')'.  expr(0) reads an expr, expr(1) a term
+    _LEVELS = ((("sym", "*"), free_product), (("word", "x"), direct_product))
 
     def parse(self) -> GroupExpr:
         expr = self.expr()
@@ -380,34 +371,20 @@ class _Parser:
             raise ParseError("unexpected trailing input", pos)
         return expr
 
-    def expr(self) -> GroupExpr:
-        factors = [self.term()]
+    def expr(self, level: int = 0) -> GroupExpr:
+        operator, build = self._LEVELS[level]
+        factors = []
         while True:
-            kind, value, pos = self.peek()
-            if kind == "sym" and value == "*":
-                self.advance()
-                factors.append(self.term())
-            else:
+            factors.append(self.factor() if level else self.expr(1))
+            if self.peek()[:2] != operator:
                 break
+            self.advance()
         if len(factors) == 1:
             return factors[0]
         try:
-            return free_product(factors)
+            return build(factors)
         except ValueError as exc:
             raise ParseError(str(exc), 0)
-
-    def term(self) -> GroupExpr:
-        factors = [self.factor()]
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "word" and value == "x":
-                self.advance()
-                factors.append(self.factor())
-            else:
-                break
-        if len(factors) == 1:
-            return factors[0]
-        return direct_product(factors)
 
     def factor(self) -> GroupExpr:
         kind, value, pos = self.peek()

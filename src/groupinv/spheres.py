@@ -44,9 +44,7 @@ class Direction:
         vec = tuple(int(c) for c in coords)
         if not vec or all(c == 0 for c in vec):
             raise ValueError("direction must be a non-zero vector")
-        g = 0
-        for c in vec:
-            g = gcd(g, abs(c))
+        g = gcd(*vec)
         if g > 1:
             vec = tuple(c // g for c in vec)
         object.__setattr__(self, "coords", vec)
@@ -112,6 +110,19 @@ class ConeRegion:
 Part = object  # EMPTY | FULL | FinitePoints | CofinitePoints | ConeRegion
 JoinAtom = tuple  # one Part per factor
 
+# S^0 = {+1, -1}, the whole sphere of a rank-one factor
+_RANK_ONE_SPHERE = frozenset({Direction((1,)), Direction((-1,))})
+
+
+def _blocks(sizes: Iterable[int]) -> list[tuple[int, int]]:
+    """(start, end) slices of consecutive blocks of the given sizes."""
+    out = []
+    pos = 0
+    for size in sizes:
+        out.append((pos, pos + size))
+        pos += size
+    return out
+
 
 def _part_sort_key(part):
     if part is EMPTY:
@@ -146,14 +157,13 @@ def _normalize_part(part, rank: int):
                 raise ValueError("cone normal length mismatch")
     if rank == 1:
         # S^0 = {+1, -1}: everything collapses to explicit points
-        both = {Direction((1,)), Direction((-1,))}
         if part is FULL:
-            return FinitePoints(both)
+            return FinitePoints(_RANK_ONE_SPHERE)
         if isinstance(part, CofinitePoints):
-            rest = both - set(part.excluded)
+            rest = _RANK_ONE_SPHERE.difference(part.excluded)
             return FinitePoints(rest) if rest else EMPTY
         if isinstance(part, ConeRegion):
-            rest = {d for d in both if all(d.dot(f) <= 0 for f in part.normals)}
+            rest = {d for d in _RANK_ONE_SPHERE if all(d.dot(f) <= 0 for f in part.normals)}
             return FinitePoints(rest) if rest else EMPTY
         return part
     if isinstance(part, CofinitePoints) and not part.excluded:
@@ -220,12 +230,7 @@ class SphereSet:
 
     def blocks(self) -> list[tuple[int, int]]:
         """(start, end) coordinate slices of the factors."""
-        out = []
-        pos = 0
-        for r in self.ambient:
-            out.append((pos, pos + r))
-            pos += r
-        return out
+        return _blocks(self.ambient)
 
     # -- queries -----------------------------------------------------------
 
@@ -396,15 +401,12 @@ def full_sphere(ambient: Iterable[int]) -> SphereSet:
 def points_set(ambient: Iterable[int], vectors: Iterable[Sequence[int]]) -> SphereSet:
     """Finite set of rational points, each supported on a single factor block."""
     ambient = tuple(int(r) for r in ambient)
-    blocks = []
-    pos = 0
-    for r in ambient:
-        blocks.append((pos, pos + r))
-        pos += r
+    blocks = _blocks(ambient)
+    dim = sum(ambient)
     atoms = []
     for vec in vectors:
         d = Direction(vec)
-        if len(d) != pos:
+        if len(d) != dim:
             raise ValueError("vector length does not match ambient dimension")
         live = [i for i, (s, e) in enumerate(blocks) if any(d.coords[s:e])]
         if len(live) != 1:
@@ -419,10 +421,6 @@ def points_set(ambient: Iterable[int], vectors: Iterable[Sequence[int]]) -> Sphe
 
 def single_factor_points(rank: int, vectors: Iterable[Sequence[int]]) -> SphereSet:
     return points_set([rank], vectors)
-
-
-def cofinite_set(rank: int, excluded: Iterable[Sequence[int]]) -> SphereSet:
-    return SphereSet([rank], [(CofinitePoints(Direction(v) for v in excluded),)])
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +480,7 @@ def complement(a: SphereSet) -> SphereSet:
         for p in parts:
             pts.update(p.points)
         if rank == 1:
-            rest = {Direction((1,)), Direction((-1,))} - pts
+            rest = _RANK_ONE_SPHERE - pts
             return SphereSet(a.ambient, [(FinitePoints(rest),)] if rest else [])
         return SphereSet(a.ambient, [(CofinitePoints(pts),)])
     if len(parts) == 1 and isinstance(parts[0], CofinitePoints):
@@ -500,12 +498,5 @@ def permute_factors(a: SphereSet, perm: Sequence[int]) -> SphereSet:
 
 
 def permute_vector(vec: Sequence[int], ambient: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    blocks = []
-    pos = 0
-    for r in ambient:
-        blocks.append(tuple(vec[pos:pos + r]))
-        pos += r
-    out: list[int] = []
-    for i in perm:
-        out.extend(blocks[i])
-    return tuple(out)
+    blocks = _blocks(ambient)
+    return tuple(c for i in perm for c in vec[blocks[i][0]:blocks[i][1]])

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 
@@ -117,6 +118,39 @@ def test_rank_and_det_consistency():
         assert (matrix_rank(m) == k) == (d != 0)
         snf = smith_normal_form(m)
         assert abs(d) == math.prod(snf.diagonal)
+
+
+def test_rank_and_det_against_sympy():
+    # square, non-square and singular matrices up to 20 x 20; a singular one
+    # repeats a random combination of its other rows
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(20261)
+    for _ in range(150):
+        rows = rng.randint(1, 20)
+        cols = rows if rng.random() < 0.5 else rng.randint(1, 20)
+        m = random_matrix(rng, rows, cols, 3)
+        if rows > 1 and rng.random() < 0.4:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            other = m[rng.randrange(rows - 1)]
+            m[-1] = [a * x + b * y for x, y in zip(m[0], other)]
+        expected = DomainMatrix.from_Matrix(sympy.Matrix(m))
+        assert matrix_rank(m) == expected.rank(), m
+        if rows == cols:
+            assert det(m) == expected.det(), m
+    assert det([]) == 1 and matrix_rank([]) == 0 and matrix_rank([[0, 0], [0, 0]]) == 0
+
+
+def test_rank_keeps_its_entries_small():
+    # elimination without division grows the entries of a 20 x 20 matrix to
+    # about 720,000 bits; Bareiss keeps them minors of the input
+    rng = random.Random(3)
+    m = random_matrix(rng, 20, 20, 3)
+    start = time.perf_counter()
+    rank = matrix_rank(m)
+    assert time.perf_counter() - start < 0.05
+    assert rank == 20 and det(m) != 0
 
 
 def test_abelianization_from_matrix():
@@ -476,7 +510,7 @@ def test_generators_generate_and_are_few():
         reached, frontier = {group.identity}, [group.identity]
         while frontier:
             x = frontier.pop()
-            for y in (group.mul(x, g) for g in gens):
+            for y in (group.table[x][g] for g in gens):
                 if y not in reached:
                     reached.add(y)
                     frontier.append(y)

@@ -20,6 +20,7 @@ from groupinv.ballprobe import (
     HALF_SPACE,
     INCONCLUSIVE,
     MAX_BALL_ORDER,
+    MAX_BALL_WORK,
     SUPPORTS_MEMBERSHIP,
     SUPPORTS_NON_MEMBERSHIP,
     TRUNCATED_CONE,
@@ -74,9 +75,17 @@ def test_ball_order_cap_checked_before_enumeration():
         enumerate_ball(ex.free_group(3), 12)
     with pytest.raises(ProbeConfigError):
         enumerate_ball(ex.free_abelian(100000), 10 ** 18)
+    # these fit the order cap, but each vertex carries a k-tuple key and up to k edges
+    for k, r in ((300, 2), (700, 2), (60, 3)):
+        order = bp._predicted_order(ex.free_abelian(k), r, MAX_BALL_ORDER)
+        assert order <= MAX_BALL_ORDER
+        with pytest.raises(ProbeConfigError, match="%d vertices times %d generators, more than %d"
+                                                   % (order, k, MAX_BALL_WORK)):
+            enumerate_ball(ex.free_abelian(k), r)
     assert time.perf_counter() - start < 0.5
-    # F(2) at radius 12 (1,062,881 vertices) and the BS(1,n) bound at it pass
+    # F(2) at radius 12 (1,062,881 vertices, 2 generators) and the BS(1,n) bound at it pass
     assert bp._predicted_order(ex.free_group(2), 12, MAX_BALL_ORDER) == 1062881 <= MAX_BALL_ORDER
+    assert 2 * 1062881 <= MAX_BALL_WORK
     assert bp._predicted_order(ex.baumslag_solitar(1, 2), 12, MAX_BALL_ORDER) == 1062881
 
 
@@ -502,7 +511,7 @@ def _reference_probe(ball, gamma, grid, mode, lambda_max, core_margin, rescan=No
     for s in config.grid:
         sub, roots = rescan(mode, s)
         core = [i for i in sub if ball.wordlen[i] <= config.core_radius]
-        shell_touched = any(ball.shell(i) for i in sub)
+        shell_touched = any(ball.wordlen[i] == ball.radius for i in sub)
         if not core:
             comps = len({roots[i] for i in sub})
             rows.append(ProbeRow(s, len(sub), 0, comps, None, shell_touched,

@@ -35,10 +35,17 @@ from groupinv.spheres import (
 # parsing
 
 
+def atoms(expr: ex.GroupExpr) -> list[ex.GroupAtom]:
+    """The atoms of an expression, left to right."""
+    if expr.node == "atom":
+        return [expr.atom]
+    return [a for f in expr.factors for a in atoms(f)]
+
+
 def test_parse_direct_product():
     expr = parse_group_expr("BS(1,2) x F(3)")
     assert expr.node == "direct"
-    assert [a.label() for a in expr.atoms()] == ["BS(1,2)", "F(3)"]
+    assert [a.label() for a in atoms(expr)] == ["BS(1,2)", "F(3)"]
 
 
 def test_parse_aliases():

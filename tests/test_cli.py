@@ -227,6 +227,17 @@ def test_cone_cap_is_checked_before_the_cone_is_built():
         assert seconds < 1, (command, seconds)
 
 
+def test_ball_work_cap_is_checked_before_the_ball_is_built():
+    # 180,601 vertices fit the order cap, but each has 300 generators
+    result, seconds = timed("probe", "--atom", "Z^300", "--dir", "1", "--radius", "2")
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "version": groupinv.__version__,
+        "error": "the radius-2 ball of Z^300 would have 180601 vertices times 300 "
+                 "generators, more than %d" % ballprobe.MAX_BALL_WORK}
+    assert seconds < 1, seconds
+
+
 def test_scales_that_could_never_be_printed_are_refused_at_once():
     digits = sys.get_int_max_str_digits()
     for option, value in (("--grid", "0,1e1000000"), ("--lambda-max", "1e1000000000"),

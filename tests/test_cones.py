@@ -24,10 +24,10 @@ from groupinv.cones import (
 )
 from groupinv.spheres import (
     EMPTY,
+    CofinitePoints,
     ConeRegion,
     Direction,
     SphereSet,
-    cofinite_set,
     empty_set,
     full_sphere,
     join,
@@ -35,6 +35,11 @@ from groupinv.spheres import (
     single_factor_points,
     union,
 )
+
+
+def cofinite_set(rank: int, excluded) -> SphereSet:
+    """The rank-``rank`` sphere minus the listed directions."""
+    return SphereSet([rank], [(CofinitePoints(Direction(v) for v in excluded),)])
 
 
 def primitive_solutions(cone: RationalCone, bound: int = 5):

@@ -13,12 +13,12 @@ from groupinv.spheres import (
     EMPTY,
     FULL,
     AmbientMismatch,
+    CofinitePoints,
     ConeRegion,
     Direction,
     FinitePoints,
     SphereSet,
     UnsupportedComplement,
-    cofinite_set,
     complement,
     empty_set,
     full_sphere,
@@ -29,6 +29,11 @@ from groupinv.spheres import (
     single_factor_points,
     union,
 )
+
+
+def cofinite_set(rank: int, excluded) -> SphereSet:
+    """The rank-``rank`` sphere minus the listed directions."""
+    return SphereSet([rank], [(CofinitePoints(Direction(v) for v in excluded),)])
 
 
 def intersect_with_finite(a: SphereSet, finite: SphereSet) -> SphereSet:

@@ -12,6 +12,9 @@ for ``run_seconds`` in PARENT and in CHANGE, one after the other; even pairs
 start with PARENT, odd pairs with CHANGE, so a drift of the machine's speed
 favours neither side.  Each checkout runs its own ``benchmark/run.py`` on its
 own ``src``.
+After the pairs, each checkout runs ``benchmark/run.py --trace 1`` once per
+workload, at the first pair's seed and ``run_seconds``, for the per-layer
+metrics.
 Before the workloads, each checkout's tier-1 suite (``python -m pytest -q -p
 no:cacheprovider`` with ``PYTHONPATH=src``) runs three times, alternating
 sides the same way, and its benchmark suite (the same command on
@@ -20,7 +23,8 @@ The output file holds each side's median tier-1 wall time with every run's
 time, exit code and summary line; each side's benchmark-suite time, exit
 code and summary line; per workload and end-to-end metric, each side's
 median and quartiles, the pairs the change won and lost (ties count for
-neither), every run's figures; and the machine, the Python version and
+neither), every run's figures, and under ``traced`` each side's per-layer
+metrics; and the machine, the Python version and
 ``PYTHONDONTWRITEBYTECODE``, which decides whether the ``cli`` figures
 include compiling the package.
 """
@@ -52,9 +56,9 @@ def checkout_state(root: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit("bench_pairs: %s failed in %s:\n%s" % (" ".join(cmd), root, proc.stderr))
@@ -159,6 +163,9 @@ def main(argv=None) -> int:
             "correct": all(r[side]["correct"] for r in runs for side in SIDES),
             "runs": runs,
         }
+        report["workloads"][workload]["traced"] = {
+            side: run_once(roots[side], workload, args.seed, seconds, trace=1) for side in SIDES}
+        print("bench_pairs: %s traced runs done" % workload, file=sys.stderr)
         # written after every workload, so an interrupted comparison keeps what it measured
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
