@@ -56,6 +56,15 @@ for _name in _EXPORTS:
 del _name
 
 
+def _refuse_assignment(self, name, value=None):
+    """``__setattr__`` and ``__delattr__`` of the library's immutable records,
+    which set their fields once, through ``object.__setattr__``."""
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError("%s is immutable: cannot set or delete %r"
+                              % (type(self).__name__, name))
+
+
 def __getattr__(name: str):
     try:
         home = _HOME[name]

@@ -26,11 +26,11 @@ twisted orbits are joined along g in S, so every scan costs O(|S| n), with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
+from . import _refuse_assignment
 from .unionfind import UnionFind
 
 INFINITE = math.inf
@@ -107,11 +107,11 @@ def matrix_rank(m: Sequence[Sequence[int]]) -> int:
 # Smith normal form
 
 
-@dataclass
 class SmithForm:
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    __slots__ = ("u", "d", "v")
+
+    def __init__(self, u: IntMatrix, d: IntMatrix, v: IntMatrix):
+        self.u, self.d, self.v = u, d, v
 
     @property
     def diagonal(self) -> list[int]:
@@ -240,7 +240,6 @@ def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(row, what + " rows") for row in rows)
 
 
-@dataclass(frozen=True)
 class FGAbelianAutomorphism:
     """Automorphism of Z^k + Z/d1 + ... + Z/dt as a block matrix [[A,0],[M,T]].
 
@@ -248,13 +247,10 @@ class FGAbelianAutomorphism:
     generators mod the invariant factors, and ``mixing`` M records the torsion
     components of the images of the free generators (t rows, k columns).
     Construction validates the blocks and raises ``InvalidAutomorphism``.
+    Immutable.
     """
 
-    free_rank: int
-    free_part: tuple[tuple[int, ...], ...]
-    torsion_factors: tuple[int, ...] = ()
-    torsion_part: tuple[tuple[int, ...], ...] = ()
-    mixing: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("free_rank", "free_part", "torsion_factors", "torsion_part", "mixing")
 
     @staticmethod
     def from_matrix(free_part: Sequence[Sequence[int]],
@@ -276,7 +272,15 @@ class FGAbelianAutomorphism:
             mixing=_int_rows(mixing, "mixing block"),
         )
 
-    def __post_init__(self):
+    def __init__(self, free_rank: int, free_part: tuple[tuple[int, ...], ...],
+                 torsion_factors: tuple[int, ...] = (),
+                 torsion_part: tuple[tuple[int, ...], ...] = (),
+                 mixing: tuple[tuple[int, ...], ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "free_part", free_part)
+        object.__setattr__(self, "torsion_factors", torsion_factors)
+        object.__setattr__(self, "torsion_part", torsion_part)
+        object.__setattr__(self, "mixing", mixing)
         k, t = self.free_rank, len(self.torsion_factors)
         if len(self.free_part) != k or any(len(r) != k for r in self.free_part):
             raise InvalidAutomorphism("free part must be %d x %d" % (k, k))
@@ -304,6 +308,8 @@ class FGAbelianAutomorphism:
                        for i in range(t)]
             if any(d != 1 for d in smith_normal_form(stacked).diagonal):
                 raise InvalidAutomorphism("torsion part is not invertible mod the factors")
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
     def full_matrix(self) -> IntMatrix:
         k, t = self.free_rank, len(self.torsion_factors)
@@ -353,7 +359,6 @@ def fixed_subgroup_trivial(phi: FGAbelianAutomorphism) -> bool:
 # finite groups given by multiplication tables
 
 
-@dataclass
 class FiniteGroupTable:
     """Finite group of order <= 512 as an n x n index table, table[i][j] = i*j.
 
@@ -361,12 +366,13 @@ class FiniteGroupTable:
     later scan of the table runs over it instead of over all n elements.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int = field(init=False)
-    inverse: tuple[int, ...] = field(init=False)
-    generators: tuple[int, ...] = field(init=False)
+    __slots__ = ("table", "identity", "inverse", "generators")
 
     MAX_ORDER = 512
+
+    def __init__(self, table: tuple[tuple[int, ...], ...]):
+        self.table = table
+        self.__post_init__()  # validation: a method of its own, which benchmark/tracer.py times
 
     def __post_init__(self):
         try:
@@ -521,13 +527,13 @@ def brute_force_twisted_classes(group: FiniteGroupTable,
     return uf.components, reps
 
 
-@dataclass
 class CentralExtensionReport:
-    valid: bool
-    problems: list[str]
-    r_sub: int | None = None
-    r_total: int | None = None
-    r_quot: int | None = None
+    __slots__ = ("valid", "problems", "r_sub", "r_total", "r_quot")
+
+    def __init__(self, valid: bool, problems: list[str], r_sub: int | None = None,
+                 r_total: int | None = None, r_quot: int | None = None):
+        self.valid, self.problems = valid, problems
+        self.r_sub, self.r_total, self.r_quot = r_sub, r_total, r_quot
 
     @property
     def product_holds(self) -> bool:

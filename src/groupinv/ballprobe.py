@@ -55,12 +55,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from . import catalog
+from . import _refuse_assignment, catalog
 from . import expressions as ex
 from .spheres import Direction
 from .unionfind import UnionFind
@@ -187,7 +186,6 @@ class _EdgeView(_ColumnView):
             yield i, j, names[g]
 
 
-@dataclass(frozen=True)
 class BallGraph:
     """A Cayley ball as integer columns, one entry per vertex in breadth-first
     order, or per edge.
@@ -200,16 +198,25 @@ class BallGraph:
     edge: vertex i times generator g (the g-th name of ``gen_heights``) is
     vertex j.  ``keys`` and ``edges`` are read-only views over these columns
     that build a key or an (i, j, name) edge only when it is read; ``order``
-    and ``len(edges)`` build nothing."""
+    and ``len(edges)`` build nothing.  Immutable."""
 
-    atom: ex.GroupAtom
-    radius: int
-    key_column: tuple
-    heights: tuple[tuple[int, ...], ...]
-    wordlen: tuple[int, ...]
-    triples: tuple[int, ...]
-    height_dim: int
-    gen_heights: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    __slots__ = ("atom", "radius", "key_column", "heights", "wordlen", "triples",
+                 "height_dim", "gen_heights")
+
+    def __init__(self, atom: ex.GroupAtom, radius: int, key_column: tuple,
+                 heights: tuple[tuple[int, ...], ...], wordlen: tuple[int, ...],
+                 triples: tuple[int, ...], height_dim: int,
+                 gen_heights: dict[str, tuple[int, ...]] | None = None):
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "key_column", key_column)
+        object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "wordlen", wordlen)
+        object.__setattr__(self, "triples", triples)
+        object.__setattr__(self, "height_dim", height_dim)
+        object.__setattr__(self, "gen_heights", {} if gen_heights is None else gen_heights)
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
     @property
     def order(self) -> int:
@@ -388,17 +395,9 @@ def _ball_bs(n, radius):
     return keys, heights, wordlen, triples
 
 
-def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
-    """All elements of word length <= radius in breadth-first order, with
-    exact heights and the full induced edge set, built in one pass by a
-    builder for the atom's family: a dict-free tree for ``F(n)``, and for
-    ``BS(1,n)``, ``Z^k`` and the Klein bottle group a dict keyed by one
-    integer per normal form, whose moves are integer steps.  The ball is
-    stored as columns (see ``BallGraph``): ``F(n)`` keeps one last letter per
-    vertex, the other families their key tuples, which their builders need
-    for the moves, and every family one flat i, j, generator-index triple
-    per edge, each vertex's ``+gen`` edges in vertex order, then generator
-    order."""
+def check_ball(atom: ex.GroupAtom, radius: int) -> None:
+    """Refuse a radius under 2, an atom without a normal form here, and a ball
+    over the order or work cap, before anything is built."""
     if radius < 2:
         raise ProbeConfigError("radius must be at least 2")
     order = _predicted_order(atom, radius, MAX_BALL_ORDER)
@@ -410,6 +409,20 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
         raise ProbeConfigError("the radius-%d ball of %s would have %d vertices times %d "
                                "generators, more than %d"
                                % (radius, atom.label(), order, generators, MAX_BALL_WORK))
+
+
+def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
+    """All elements of word length <= radius in breadth-first order, with
+    exact heights and the full induced edge set, built in one pass by a
+    builder for the atom's family: a dict-free tree for ``F(n)``, and for
+    ``BS(1,n)``, ``Z^k`` and the Klein bottle group a dict keyed by one
+    integer per normal form, whose moves are integer steps.  The ball is
+    stored as columns (see ``BallGraph``): ``F(n)`` keeps one last letter per
+    vertex, the other families their key tuples, which their builders need
+    for the moves, and every family one flat i, j, generator-index triple
+    per edge, each vertex's ``+gen`` edges in vertex order, then generator
+    order."""
+    check_ball(atom, radius)
     if atom.kind == ex.FREE_ABELIAN and atom.params[0] >= 1:
         k = atom.params[0]
         gens = {"e%d" % (g + 1): _unit(k, g) for g in range(k)}
@@ -484,47 +497,62 @@ def _in_cone(a: int, norm_h: int, norm_g: int, s: Fraction) -> bool:
 
 def halfspace_subgraph(ball: BallGraph, gamma: Direction, s) -> list[int]:
     s = Fraction(s)
-    _check_direction(ball, gamma)
+    _check_direction(gamma, ball.height_dim)
     return [i for i in range(ball.order) if halfspace_test(ball.heights[i], gamma, s)]
 
 
 def cone_subgraph(ball: BallGraph, gamma: Direction, s) -> list[int]:
     s = Fraction(s)
-    _check_direction(ball, gamma)
+    _check_direction(gamma, ball.height_dim)
     return [i for i in range(ball.order) if cone_test(ball.heights[i], gamma, s)]
 
 
-def _check_direction(ball: BallGraph, gamma: Direction):
-    if len(gamma) != ball.height_dim:
+def _check_direction(gamma: Direction, height_dim: int):
+    if len(gamma) != height_dim:
         raise ProbeConfigError("direction has %d coordinates, ball heights have %d"
-                               % (len(gamma), ball.height_dim))
+                               % (len(gamma), height_dim))
 
 
 # ---------------------------------------------------------------------------
 # the probe
 
 
-@dataclass(frozen=True)
 class ProbeConfig:
-    radius: int
-    direction: Direction
-    grid: tuple[Fraction, ...]
-    mode: str = HALF_SPACE
-    lambda_max: Fraction = Fraction(1)
-    core_margin: int | None = None  # defaults to radius - (radius // 2 + 1)
+    """Immutable; equal by its six fields.  ``core_margin`` None means a core
+    radius of radius // 2 + 1."""
 
-    def __post_init__(self):
+    __slots__ = ("radius", "direction", "grid", "mode", "lambda_max", "core_margin")
+
+    def __init__(self, radius: int, direction: Direction, grid: tuple[Fraction, ...],
+                 mode: str = HALF_SPACE, lambda_max: Fraction = Fraction(1),
+                 core_margin: int | None = None):
         # a/b <= c/d as a d <= c b (denominators are positive), and a
         # non-decreasing grid is non-negative when its first scale is
-        nums = [s.numerator for s in self.grid]
-        dens = [s.denominator for s in self.grid]
+        nums = [s.numerator for s in grid]
+        dens = [s.denominator for s in grid]
         if nums and nums[0] < 0 or any(
                 a * d > c * b for a, b, c, d in zip(nums, dens, nums[1:], dens[1:])):
             raise ProbeConfigError("grid scales must be non-negative and non-decreasing")
-        if self.mode not in (HALF_SPACE, TRUNCATED_CONE):
-            raise ProbeConfigError("unknown mode %r" % self.mode)
-        if self.lambda_max < 0:
+        if mode not in (HALF_SPACE, TRUNCATED_CONE):
+            raise ProbeConfigError("unknown mode %r" % mode)
+        if lambda_max < 0:
             raise ProbeConfigError("the retreat budget must be non-negative")
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "lambda_max", lambda_max)
+        object.__setattr__(self, "core_margin", core_margin)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is ProbeConfig:
+            return ((self.radius, self.direction, self.grid, self.mode, self.lambda_max,
+                     self.core_margin)
+                    == (other.radius, other.direction, other.grid, other.mode,
+                        other.lambda_max, other.core_margin))
+        return NotImplemented
 
     @property
     def core_radius(self) -> int:
@@ -533,19 +561,46 @@ class ProbeConfig:
         return self.radius // 2 + 1
 
 
+def check_probe(atom: ex.GroupAtom, gamma: Direction, radius: int, grid, mode: str = HALF_SPACE,
+                lambda_max=Fraction(1)) -> None:
+    """What ``connectivity_probe`` checks, checked before the ball of an atom
+    that ``check_ball`` accepted is built: the configuration, then the
+    direction's length against the atom's height dimension (k for ``Z^k``,
+    n for ``F(n)``, 1 for ``BS(1,n)`` and Klein)."""
+    ProbeConfig(radius=radius, direction=gamma, grid=tuple(Fraction(s) for s in grid),
+                mode=mode, lambda_max=Fraction(lambda_max))
+    _check_direction(gamma, atom.params[0] if atom.kind in (ex.FREE_ABELIAN, ex.FREE) else 1)
+
+
 def default_grid(radius: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(j) for j in range(radius // 2 + 1))
 
 
-@dataclass(frozen=True)
 class ProbeRow:
-    s: Fraction
-    vertices: int
-    core_vertices: int
-    components: int
-    retreat: Fraction | None
-    shell_touched: bool
-    note: str = ""
+    """Immutable; equal by its seven fields."""
+
+    __slots__ = ("s", "vertices", "core_vertices", "components", "retreat", "shell_touched",
+                 "note")
+
+    def __init__(self, s: Fraction, vertices: int, core_vertices: int, components: int,
+                 retreat: Fraction | None, shell_touched: bool, note: str = ""):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "core_vertices", core_vertices)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "retreat", retreat)
+        object.__setattr__(self, "shell_touched", shell_touched)
+        object.__setattr__(self, "note", note)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is ProbeRow:
+            return ((self.s, self.vertices, self.core_vertices, self.components,
+                     self.retreat, self.shell_touched, self.note)
+                    == (other.s, other.vertices, other.core_vertices, other.components,
+                        other.retreat, other.shell_touched, other.note))
+        return NotImplemented
 
     def to_json_dict(self) -> dict:
         return {"s": str(self.s), "vertices": self.vertices,
@@ -554,12 +609,25 @@ class ProbeRow:
                 "shell_touched": self.shell_touched, "note": self.note}
 
 
-@dataclass(frozen=True)
 class ProbeReport:
-    atom: ex.GroupAtom
-    config: ProbeConfig
-    rows: tuple[ProbeRow, ...]
-    evidence: str
+    """Immutable; equal by its four fields."""
+
+    __slots__ = ("atom", "config", "rows", "evidence")
+
+    def __init__(self, atom: ex.GroupAtom, config: ProbeConfig, rows: tuple[ProbeRow, ...],
+                 evidence: str):
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "evidence", evidence)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is ProbeReport:
+            return ((self.atom, self.config, self.rows, self.evidence)
+                    == (other.atom, other.config, other.rows, other.evidence))
+        return NotImplemented
 
     def to_json_dict(self) -> dict:
         return {
@@ -704,7 +772,7 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
     config = ProbeConfig(radius=ball.radius, direction=gamma,
                          grid=tuple(Fraction(s) for s in grid), mode=mode,
                          lambda_max=Fraction(lambda_max), core_margin=core_margin)
-    _check_direction(ball, gamma)
+    _check_direction(gamma, ball.height_dim)
     grid = config.grid
     levels, scale_at, floor_at = _merge_levels(grid, config.lambda_max, mode == TRUNCATED_CONE)
     entry = _entry_levels(ball, gamma, levels, mode)
@@ -804,13 +872,20 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
 # direction scans against the catalog
 
 
-@dataclass(frozen=True)
 class ScanRow:
-    direction: Direction
-    mode: str
-    evidence: str
-    catalog_member: bool | None
-    warn: bool
+    """Immutable."""
+
+    __slots__ = ("direction", "mode", "evidence", "catalog_member", "warn")
+
+    def __init__(self, direction: Direction, mode: str, evidence: str,
+                 catalog_member: bool | None, warn: bool):
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "evidence", evidence)
+        object.__setattr__(self, "catalog_member", catalog_member)
+        object.__setattr__(self, "warn", warn)
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
     def to_json_dict(self) -> dict:
         return {"direction": list(self.direction.coords), "mode": self.mode,

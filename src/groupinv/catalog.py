@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 
+from . import _refuse_assignment
 from . import expressions as ex
 from .cones import (check_cone_dim, o_class_of, omega_from_sigma, omega_of_product,
                     sigma1_complement_of_product)
@@ -46,21 +46,41 @@ CITE_KLEIN = "Goncalves-Wong: wallpaper groups (Klein bottle group)"
 CITE_KLEIN_TIMES_ZK = "Goncalves-Wong: nilpotent groups, Klein bottle group times Z^k"
 
 
-@dataclass(frozen=True)
 class KnownInvariants:
-    """Immutable invariant record of one expression node.
+    """Immutable invariant record of one expression node, equal and hashed by
+    its six fields.
 
     `omega` is the level-one surviving-direction set (None when unknown); with
     `omega_all_levels` it holds at every level.  `provenance` is a tuple of
     (field, source) pairs.
     """
 
-    hom_rank: int
-    sigma1_complement: SphereSet | None
-    omega: SphereSet | None = None
-    omega_all_levels: bool = False
-    rinf_known: str | None = None
-    provenance: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("hom_rank", "sigma1_complement", "omega", "omega_all_levels", "rinf_known",
+                 "provenance")
+
+    def __init__(self, hom_rank: int, sigma1_complement: SphereSet | None,
+                 omega: SphereSet | None = None, omega_all_levels: bool = False,
+                 rinf_known: str | None = None, provenance: tuple[tuple[str, str], ...] = ()):
+        object.__setattr__(self, "hom_rank", hom_rank)
+        object.__setattr__(self, "sigma1_complement", sigma1_complement)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega_all_levels", omega_all_levels)
+        object.__setattr__(self, "rinf_known", rinf_known)
+        object.__setattr__(self, "provenance", provenance)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def _fields(self) -> tuple:
+        return (self.hom_rank, self.sigma1_complement, self.omega, self.omega_all_levels,
+                self.rinf_known, self.provenance)
+
+    def __eq__(self, other):
+        if other.__class__ is KnownInvariants:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def omega_at(self, level: int) -> SphereSet | None:
         if level < 1:

@@ -19,7 +19,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
 from . import abelian, ballprobe, catalog, spheres
@@ -93,10 +92,15 @@ def probe(atom_text: str, direction_text: str, mode: str, radius: int,
         if expr.node != "atom":
             raise ValueError("the probe runs on single atoms, not products")
         gamma = spheres.Direction([int(c) for c in direction_text.split(",")])
-        ball = ballprobe.enumerate_ball(expr.atom, radius)
+        # every check runs before the ball is built, in the order the probe
+        # would meet them: the caps, the scales, the configuration, the direction
+        ballprobe.check_ball(expr.atom, radius)
         scales = (ballprobe.default_grid(radius) if grid is None
                   else [_rational(chunk) for chunk in grid.split(",")])
-        report = ballprobe.connectivity_probe(ball, gamma, scales, mode, _rational(lambda_max))
+        budget = _rational(lambda_max)
+        ballprobe.check_probe(expr.atom, gamma, radius, scales, mode, budget)
+        ball = ballprobe.enumerate_ball(expr.atom, radius)
+        report = ballprobe.connectivity_probe(ball, gamma, scales, mode, budget)
         if fmt == "csv":
             print(report.to_csv())
         else:
@@ -111,7 +115,10 @@ _EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+
 
 def _rational(text: str) -> Fraction:
     """An exact rational, refused when a part has more digits than Python prints; with d
-    mantissa digits and |exponent| > limit + d a part always has, and 10^e is not built."""
+    mantissa digits and |exponent| > limit + d a part always has, and 10^e is not built.
+    Only ``probe`` reads scales, so only it loads ``fractions`` (and with it ``decimal``)."""
+    from fractions import Fraction
+
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     too_long = "scale %r has a numerator or denominator of more than %d digits" % (text, limit)
     match = limit and _EXPONENT_FORM.match(text)

@@ -13,10 +13,10 @@ level-one obstruction set of a product are implemented on SphereSets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from . import _refuse_assignment
 from .abelian import matrix_rank
 from .spheres import (
     EMPTY,
@@ -50,12 +50,10 @@ def check_cone_dim(m: int) -> None:
         raise DimensionCapExceeded("cone dimension %d exceeds cap %d" % (m, MAX_CONE_DIM))
 
 
-@dataclass(frozen=True)
 class RationalCone:
-    """{x in R^m : <x, f> <= 0 for all normals f}."""
+    """{x in R^m : <x, f> <= 0 for all normals f}.  Immutable."""
 
-    dim: int
-    normals: tuple[Direction, ...]
+    __slots__ = ("dim", "normals")
 
     def __init__(self, dim: int, normals: Iterable[Sequence[int] | Direction]):
         ns = []
@@ -67,15 +65,32 @@ class RationalCone:
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "normals", tuple(sorted(set(ns))))
 
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __repr__(self):
+        return "RationalCone(dim=%r, normals=%r)" % (self.dim, self.normals)
+
     def contains(self, vec: Sequence[int]) -> bool:
         return all(sum(a * b for a, b in zip(f.coords, vec)) <= 0 for f in self.normals)
 
 
-@dataclass(frozen=True)
 class ConeShape:
-    kind: str  # "trivial" | "ray" | "line" | "higher"
-    direction: Direction | None = None
-    dimension: int = 0
+    """Immutable; equal by its three fields."""
+
+    __slots__ = ("kind", "direction", "dimension")
+
+    def __init__(self, kind: str, direction: Direction | None = None, dimension: int = 0):
+        object.__setattr__(self, "kind", kind)  # "trivial" | "ray" | "line" | "higher"
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "dimension", dimension)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is ConeShape:
+            return ((self.kind, self.direction, self.dimension)
+                    == (other.kind, other.direction, other.dimension))
+        return NotImplemented
 
     @staticmethod
     def trivial() -> "ConeShape":
@@ -258,11 +273,17 @@ def sigma1_complement_of_product(factor_complements: Sequence[SphereSet | None])
 # structural gates
 
 
-@dataclass(frozen=True)
 class Finite12Report:
-    ok: bool
-    cardinality: str
-    reason: str = ""
+    """Immutable."""
+
+    __slots__ = ("ok", "cardinality", "reason")
+
+    def __init__(self, ok: bool, cardinality: str, reason: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "cardinality", cardinality)
+        object.__setattr__(self, "reason", reason)
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
 
 def check_finite12(omega: SphereSet) -> Finite12Report:

@@ -13,10 +13,9 @@ Thompson group) so each group has one canonical atom.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from . import abelian
+from . import _refuse_assignment, abelian
 
 
 class ParseError(ValueError):
@@ -44,11 +43,27 @@ FINITE_CYCLIC = "FiniteCyclic"
 FINITE_TABLE = "FiniteTable"
 
 
-@dataclass(frozen=True)
 class GroupAtom:
-    kind: str
-    params: tuple[int, ...] = ()
-    table: tuple[tuple[int, ...], ...] | None = field(default=None, compare=True)
+    """Immutable; equal and hashed by kind, parameters and table."""
+
+    __slots__ = ("kind", "params", "table")
+
+    def __init__(self, kind: str, params: tuple[int, ...] = (),
+                 table: tuple[tuple[int, ...], ...] | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "table", table)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is GroupAtom:
+            return ((self.kind, self.params, self.table)
+                    == (other.kind, other.params, other.table))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.params, self.table))
 
     @property
     def finite(self) -> bool:
@@ -186,24 +201,35 @@ def finite_table(table: Sequence[Sequence[int]]) -> GroupAtom:
 # expressions
 
 
-@dataclass(frozen=True)
 class GroupExpr:
-    node: str  # "atom" | "direct" | "free"
-    atom: GroupAtom | None = None
-    factors: tuple["GroupExpr", ...] = ()
-    # product nodes on the longest path down to an atom
-    depth: int = field(default=0, init=False, repr=False, compare=False)
-    # the generated dataclass hash, computed once: memo lookups would otherwise
-    # rehash the whole subtree on every call
-    hash_value: int = field(default=0, init=False, repr=False, compare=False)
+    """Immutable expression node, equal by node kind, atom and factors.
 
-    def __post_init__(self):
-        if self.factors:
-            depth = 1 + max([f.depth for f in self.factors])
+    ``depth`` counts the product nodes on the longest path down to an atom.
+    ``hash_value`` is the hash of (node, atom, factors), computed once: memo
+    lookups would otherwise rehash the whole subtree on every call."""
+
+    __slots__ = ("node", "atom", "factors", "depth", "hash_value")
+
+    def __init__(self, node: str, atom: GroupAtom | None = None,
+                 factors: tuple["GroupExpr", ...] = ()):
+        depth = 0
+        if factors:
+            depth = 1 + max([f.depth for f in factors])
             if depth > MAX_DEPTH:
                 raise ValueError("products nested deeper than %d levels" % MAX_DEPTH)
-            object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "hash_value", hash((self.node, self.atom, self.factors)))
+        object.__setattr__(self, "node", node)  # "atom" | "direct" | "free"
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "hash_value", hash((node, atom, factors)))
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is GroupExpr:
+            return ((self.node, self.atom, self.factors)
+                    == (other.node, other.atom, other.factors))
+        return NotImplemented
 
     def __hash__(self):
         return self.hash_value
@@ -449,24 +475,28 @@ def parse_group_expr(text: str) -> GroupExpr:
 # presentations and abelianization
 
 
-@dataclass(frozen=True)
 class FinitePresentation:
-    """Finitely many generators and relators; relators are (generator, exponent) words."""
+    """Finitely many generators and relators; relators are (generator, exponent)
+    words.  Immutable."""
 
-    generators: tuple[str, ...]
-    relators: tuple[tuple[tuple[str, int], ...], ...]
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators: tuple[str, ...],
+                 relators: tuple[tuple[tuple[str, int], ...], ...]):
+        if len(set(generators)) != len(generators):
             raise ValueError("generator names must be distinct")
-        for rel in self.relators:
+        for rel in relators:
             for g, _ in rel:
-                if g not in self.generators:
+                if g not in generators:
                     raise ValueError("relator uses unknown generator %r" % g)
-        for rel in self.relators:
+        for rel in relators:
             reduced = free_reduce(rel)
             if reduced != rel:
                 raise ValueError("relators must be freely reduced")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relators", relators)
+
+    __setattr__ = __delattr__ = _refuse_assignment
 
 
 def free_reduce(word: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:

@@ -21,8 +21,7 @@ runs first, fires on the same products with the same conclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from . import _refuse_assignment
 from . import expressions as ex
 from .abelian import matrix_rank
 from .catalog import lookup_invariants, query_memo
@@ -69,12 +68,24 @@ RULE_STATEMENTS = {
 }
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    step_id: str
-    rule: str
-    detail: str
-    premises: tuple[str, ...] = ()
+    """Immutable; equal by its four fields."""
+
+    __slots__ = ("step_id", "rule", "detail", "premises")
+
+    def __init__(self, step_id: str, rule: str, detail: str, premises: tuple[str, ...] = ()):
+        object.__setattr__(self, "step_id", step_id)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "premises", premises)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is TraceStep:
+            return ((self.step_id, self.rule, self.detail, self.premises)
+                    == (other.step_id, other.rule, other.detail, other.premises))
+        return NotImplemented
 
     def to_json_dict(self) -> dict:
         return {"id": self.step_id, "rule": self.rule,
@@ -82,11 +93,24 @@ class TraceStep:
                 "detail": self.detail, "premises": list(self.premises)}
 
 
-@dataclass(frozen=True)
 class Verdict:
-    conclusion: str
-    trace: tuple[TraceStep, ...] = ()
-    notes: tuple[str, ...] = ()
+    """Immutable; equal by its three fields."""
+
+    __slots__ = ("conclusion", "trace", "notes")
+
+    def __init__(self, conclusion: str, trace: tuple[TraceStep, ...] = (),
+                 notes: tuple[str, ...] = ()):
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "notes", notes)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is Verdict:
+            return ((self.conclusion, self.trace, self.notes)
+                    == (other.conclusion, other.trace, other.notes))
+        return NotImplemented
 
     @property
     def strength(self) -> int:

@@ -12,7 +12,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from math import gcd
 
 from . import expressions as ex
@@ -61,12 +60,11 @@ from .spheres import (
 from .unionfind import UnionFind
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+    __slots__ = ("name", "ok", "detail", "seconds")
+
+    def __init__(self, name: str, ok: bool, detail: str, seconds: float):
+        self.name, self.ok, self.detail, self.seconds = name, ok, detail, seconds
 
     def line(self) -> str:
         return "[%s] %s: %s (%.2fs)" % ("PASS" if self.ok else "FAIL",

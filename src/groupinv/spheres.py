@@ -17,9 +17,11 @@ geometry is integer arithmetic; there is no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from math import gcd
 from typing import Iterable, Sequence
+
+from . import _refuse_assignment
 
 
 class AmbientMismatch(ValueError):
@@ -34,11 +36,12 @@ class UnsupportedComplement(ValueError):
 # directions
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Direction:
-    """Primitive non-zero integer vector; one rational point of a sphere."""
+    """Primitive non-zero integer vector; one rational point of a sphere.
+    Immutable; equal, hashed and ordered by its coordinates."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[int]):
         vec = tuple(int(c) for c in coords)
@@ -48,6 +51,21 @@ class Direction:
         if g > 1:
             vec = tuple(c // g for c in vec)
         object.__setattr__(self, "coords", vec)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is Direction:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __lt__(self, other):
+        if other.__class__ is Direction:
+            return self.coords < other.coords
+        return NotImplemented
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -73,25 +91,64 @@ EMPTY = "empty"
 FULL = "full"
 
 
-@dataclass(frozen=True, order=True)
+# the parts are immutable; each is equal, hashed and ordered by its one field
+
+
+@total_ordering
 class FinitePoints:
-    points: tuple[Direction, ...]
+    __slots__ = ("points",)
 
     def __init__(self, points: Iterable[Direction]):
         object.__setattr__(self, "points", tuple(sorted(set(points))))
         if not self.points:
             raise ValueError("use EMPTY for an empty part")
 
+    __setattr__ = __delattr__ = _refuse_assignment
 
-@dataclass(frozen=True, order=True)
+    def __eq__(self, other):
+        if other.__class__ is FinitePoints:
+            return self.points == other.points
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.points,))
+
+    def __lt__(self, other):
+        if other.__class__ is FinitePoints:
+            return self.points < other.points
+        return NotImplemented
+
+    def __repr__(self):
+        return "FinitePoints(points=%r)" % (self.points,)
+
+
+@total_ordering
 class CofinitePoints:
-    excluded: tuple[Direction, ...]
+    __slots__ = ("excluded",)
 
     def __init__(self, excluded: Iterable[Direction]):
         object.__setattr__(self, "excluded", tuple(sorted(set(excluded))))
 
+    __setattr__ = __delattr__ = _refuse_assignment
 
-@dataclass(frozen=True, order=True)
+    def __eq__(self, other):
+        if other.__class__ is CofinitePoints:
+            return self.excluded == other.excluded
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.excluded,))
+
+    def __lt__(self, other):
+        if other.__class__ is CofinitePoints:
+            return self.excluded < other.excluded
+        return NotImplemented
+
+    def __repr__(self):
+        return "CofinitePoints(excluded=%r)" % (self.excluded,)
+
+
+@total_ordering
 class ConeRegion:
     """Directions d with <d, f> <= 0 for every listed normal.
 
@@ -99,12 +156,30 @@ class ConeRegion:
     guaranteed infinite; the normals are the witness description.
     """
 
-    normals: tuple[Direction, ...]
+    __slots__ = ("normals",)
 
     def __init__(self, normals: Iterable[Direction]):
         object.__setattr__(self, "normals", tuple(sorted(set(normals))))
         if not self.normals:
             raise ValueError("cone region requires at least one normal")
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is ConeRegion:
+            return self.normals == other.normals
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.normals,))
+
+    def __lt__(self, other):
+        if other.__class__ is ConeRegion:
+            return self.normals < other.normals
+        return NotImplemented
+
+    def __repr__(self):
+        return "ConeRegion(normals=%r)" % (self.normals,)
 
 
 Part = object  # EMPTY | FULL | FinitePoints | CofinitePoints | ConeRegion
@@ -202,12 +277,11 @@ def _part_subset(a, b) -> bool:
 # sphere sets
 
 
-@dataclass(frozen=True)
 class SphereSet:
-    """Union of join atoms over a factor decomposition of R^m."""
+    """Union of join atoms over a factor decomposition of R^m.  Immutable;
+    equal and hashed by its ambient and its atoms in normal form."""
 
-    ambient: tuple[int, ...]
-    atoms: tuple[JoinAtom, ...]
+    __slots__ = ("ambient", "atoms")
 
     def __init__(self, ambient: Iterable[int], atoms: Iterable[JoinAtom]):
         ambient = tuple(int(r) for r in ambient)
@@ -215,6 +289,16 @@ class SphereSet:
             raise ValueError("ambient must list non-negative factor ranks")
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "atoms", _normal_form(ambient, atoms))
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is SphereSet:
+            return (self.ambient, self.atoms) == (other.ambient, other.atoms)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ambient, self.atoms))
 
     # -- structure ---------------------------------------------------------
 
@@ -313,11 +397,26 @@ class SphereSet:
         return "SphereSet(ambient=%r, atoms=%r)" % (self.ambient, self.atoms)
 
 
-@dataclass(frozen=True)
 class Cardinality:
-    kind: str  # "zero" | "finite" | "infinite"
-    count: int | None = None
-    points: tuple[Direction, ...] = ()
+    """Immutable; equal and hashed by its three fields."""
+
+    __slots__ = ("kind", "count", "points")
+
+    def __init__(self, kind: str, count: int | None = None, points: tuple[Direction, ...] = ()):
+        object.__setattr__(self, "kind", kind)  # "zero" | "finite" | "infinite"
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "points", points)
+
+    __setattr__ = __delattr__ = _refuse_assignment
+
+    def __eq__(self, other):
+        if other.__class__ is Cardinality:
+            return ((self.kind, self.count, self.points)
+                    == (other.kind, other.count, other.points))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.count, self.points))
 
     @staticmethod
     def zero() -> "Cardinality":

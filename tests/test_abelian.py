@@ -193,7 +193,7 @@ def test_non_unimodular_rejected():
 
 
 def test_direct_construction_is_validated():
-    # the dataclass constructor checks what from_matrix checks, so no invalid
+    # the constructor checks what from_matrix checks, so no invalid
     # automorphism reaches fixed_subgroup_trivial or reidemeister_number
     with pytest.raises(InvalidAutomorphism, match="not unimodular"):
         FGAbelianAutomorphism(free_rank=1, free_part=((2,),))

@@ -139,6 +139,12 @@ def test_equal_trees_built_separately_hash_equal():
         again = parse_group_expr(expr.label())
         assert again == expr and again is not expr
         assert hash(again) == hash(expr) == hash((expr.node, expr.atom, expr.factors))
+        for atom, other in zip(atoms(again), atoms(expr)):
+            assert atom == other and hash(atom) == hash(other)
+            assert hash(atom) == hash((atom.kind, atom.params, atom.table))
+    expr = parse_group_expr("BS(1,2) x (Z * F(2))")
+    assert repr(expr) == "GroupExpr(BS(1,2) x (Z * F(2)))"
+    assert repr(expr.factors[0].atom) == "GroupAtom(BS(1,2))"
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +332,9 @@ def test_invariants_are_immutable_records():
     hash(inv)  # no mutable fields left
     with pytest.raises(dataclasses.FrozenInstanceError):
         inv.omega = None
+    again = lookup_invariants(parse_group_expr("BS(1,2) x L(2)"))
+    assert again == inv and again is not inv and hash(again) == hash(inv)
+    assert lookup_invariants(parse_group_expr("Z x L(2)")) != inv
     assert inv.provenance == (
         ("sigma1_complement", "derived: embedded union of factor obstruction sets"),
         ("omega", "derived: spherical join of factor sets"))

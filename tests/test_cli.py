@@ -4,6 +4,7 @@ modules each command loads."""
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -21,10 +22,11 @@ from groupinv.cli import COMMANDS, main
 
 SRC = Path(groupinv.__file__).resolve().parents[1]
 
-# runs one command in a fresh interpreter, then prints on stderr two lines: the
-# groupinv modules whose code ran (a module registered by LazyLoader and not yet
-# read is still an instance of a ModuleType subclass), and the loaded modules
-# that are neither in the standard library nor groupinv
+# runs one command in a fresh interpreter, then prints on stderr three lines:
+# the groupinv modules whose code ran (a module registered by LazyLoader and not
+# yet read is still an instance of a ModuleType subclass), the loaded modules
+# that are neither in the standard library nor groupinv, and the loaded modules
+# of the standard library
 _FOOTPRINT = """
 import sys, types
 from groupinv.cli import main
@@ -37,6 +39,8 @@ finally:
     print(" ".join(name for name in sys.modules
                    if name.partition(".")[0] not in sys.stdlib_module_names | {"groupinv"}),
           file=sys.stderr)
+    print(" ".join(name for name in sys.modules
+                   if name.partition(".")[0] in sys.stdlib_module_names), file=sys.stderr)
 """
 
 
@@ -61,11 +65,22 @@ def python(*args) -> subprocess.CompletedProcess:
                           timeout=120)
 
 
-def footprint(*args) -> tuple[set[str], set[str]]:
+@functools.cache
+def bare_modules() -> frozenset[str]:
+    """The modules a bare interpreter has loaded when it runs its first line;
+    its site packages may load some at start-up."""
+    return frozenset(python("-c", "import sys; print(' '.join(sys.modules))").stdout.split())
+
+
+def footprint(*args) -> tuple[set[str], set[str], set[str]]:
+    """What one command line loads in a fresh interpreter: the groupinv modules
+    whose code ran, the modules outside the standard library and groupinv, and
+    the standard-library modules that a bare interpreter does not load."""
     proc = python("-c", _FOOTPRINT, *args)
     assert proc.returncode == 0, proc.stderr
-    ran, foreign = proc.stderr.splitlines()[-2:]
-    return {name.removeprefix("groupinv.") for name in ran.split()}, set(foreign.split())
+    ran, foreign, stdlib = proc.stderr.splitlines()[-3:]
+    return ({name.removeprefix("groupinv.") for name in ran.split()}, set(foreign.split()),
+            set(stdlib.split()) - bare_modules())
 
 
 def loaded_modules(*args) -> set[str]:
@@ -167,17 +182,27 @@ def test_each_command_loads_only_the_modules_it_calls():
         assert not loaded & {"ballprobe", "selfcheck"}, command
 
 
-def test_commands_load_nothing_beyond_the_standard_library():
-    # measured against a bare interpreter, whose site packages may load modules at start-up
-    bare = python("-c", "import sys; print(' '.join(sys.modules))")
-    at_start = set(bare.stdout.split())
-    table = json.dumps([[(i + j) % 4 for j in range(4)] for i in range(4)])
-    for args in (("--version",), ("rinf", "-g", "BS(1,2) x F(3)"),
+_Z4 = json.dumps([[(i + j) % 4 for j in range(4)] for i in range(4)])
+# one command line of each kind
+COMMAND_LINES = (("--version",), ("rinf", "-g", "BS(1,2) x F(3)"),
                  ("invariants", "-g", "BS(1,2) x F(3)"),
                  ("reidemeister", "--matrix", "[[-1]]", "--torsion", "[2]"),
-                 ("reidemeister", "--table", table, "--automorphism", "[0, 3, 2, 1]"),
-                 ("probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "4")):
-        assert footprint(*args)[1] <= at_start, args
+                 ("reidemeister", "--table", _Z4, "--automorphism", "[0, 3, 2, 1]"),
+                 ("probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "4"))
+
+
+def test_commands_load_nothing_beyond_the_standard_library():
+    # measured against a bare interpreter, whose site packages may load modules at start-up
+    for args in COMMAND_LINES:
+        assert footprint(*args)[1] <= bare_modules(), args
+
+
+def test_start_up_loads_no_dataclasses_and_fractions_only_for_probe():
+    # dataclasses brings inspect, ast, dis and tokenize; fractions brings decimal
+    for args in COMMAND_LINES:
+        stdlib = footprint(*args)[2]
+        assert not stdlib & {"dataclasses", "inspect"}, (args, stdlib)
+        assert ("fractions" in stdlib) == (args[0] == "probe"), (args, stdlib)
 
 
 def test_run_as_a_module_without_a_runtime_warning():
@@ -236,6 +261,36 @@ def test_ball_work_cap_is_checked_before_the_ball_is_built():
         "error": "the radius-2 ball of Z^300 would have 180601 vertices times 300 "
                  "generators, more than %d" % ballprobe.MAX_BALL_WORK}
     assert seconds < 1, seconds
+
+
+def test_direction_length_is_checked_before_the_ball_is_built(monkeypatch):
+    # the ball of F(2) at radius 12 has 1,062,881 vertices; a direction of the
+    # wrong length is refused without it, after the checks the probe met first
+    def refuse(atom, radius):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(ballprobe, "enumerate_ball", refuse)
+    probe = ("probe", "--atom", "F(2)", "--dir", "1", "--radius", "12")
+    for args, error in (
+            (probe, "direction has 1 coordinates, ball heights have 2"),
+            (("probe", "--atom", "Z^3", "--dir", "1,0", "--radius", "9"),
+             "direction has 2 coordinates, ball heights have 3"),
+            (("probe", "--atom", "BS(1,3)", "--dir", "1,0", "--radius", "12"),
+             "direction has 2 coordinates, ball heights have 1"),
+            (("probe", "--atom", "Klein", "--dir", "0,1", "--radius", "12"),
+             "direction has 2 coordinates, ball heights have 1"),
+            # the caps, the scales and the configuration still come first
+            (("probe", "--atom", "F(3)", "--dir", "1", "--radius", "12"),
+             "the radius-12 ball of F(3) would have more than %d vertices"
+             % ballprobe.MAX_BALL_ORDER),
+            ((*probe, "--grid", "0,1/0"), "zero denominator in '1/0'"),
+            ((*probe, "--grid", "1,0"), "grid scales must be non-negative and non-decreasing"),
+            ((*probe, "--lambda-max", "-1"), "the retreat budget must be non-negative")):
+        result, seconds = timed(*args)
+        assert result.exit_code == 1, args
+        assert json.loads(result.output) == {"version": groupinv.__version__,
+                                             "error": error}, args
+        assert seconds < 1, (args, seconds)
 
 
 def test_scales_that_could_never_be_printed_are_refused_at_once():

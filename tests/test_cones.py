@@ -86,6 +86,9 @@ def test_cone_examples():
     shape = cone_rays(RationalCone(2, [(1, 0), (0, 1)]))
     assert shape.kind == "higher" and shape.dimension == 2
     assert RationalCone(2, [(1, 0), (0, 1)]).contains((-1, -1))
+    # a failed selfcheck prints the cone
+    assert repr(RationalCone(2, [(1, 0), (0, 2)])) == (
+        "RationalCone(dim=2, normals=(Direction((0, 1)), Direction((1, 0))))")
     assert RationalCone(2, [(1, 0), (0, 1)]).contains((-2, -1))
     # opposite pairs in the plane leave only the origin
     assert cone_rays(RationalCone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])) == ConeShape.trivial()
@@ -301,6 +304,7 @@ def test_check_finite12():
     bad = single_factor_points(2, [(1, 0), (0, 1)])
     report = check_finite12(bad)
     assert not report.ok and "distance" in report.reason
+    assert report.reason == "two points at distance < pi: (Direction((0, 1)), Direction((1, 0)))"
     assert check_finite12(full_sphere([2])).ok
     assert check_finite12(empty_set([2])).ok
 

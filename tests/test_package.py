@@ -1,12 +1,16 @@
-"""The package surface: exported names, resolved from the lazily loaded modules."""
+"""The package surface: exported names, resolved from the lazily loaded modules,
+and the immutable records its modules hand out."""
 
 from __future__ import annotations
 
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 import groupinv
+from groupinv import abelian, ballprobe, catalog, cones, rinf, spheres
+from groupinv import expressions as ex
 
 
 def test_every_exported_name_is_its_home_modules_object():
@@ -41,3 +45,64 @@ def test_exported_names_follow_their_module(monkeypatch):
     assert groupinv.lookup_invariants is fake
     monkeypatch.undo()
     assert groupinv.lookup_invariants is not fake
+
+
+def _probe():
+    ball = ballprobe.enumerate_ball(ex.free_abelian(2), 4)
+    return ballprobe.connectivity_probe(ball, spheres.Direction((1, 0)), [0, 1])
+
+
+# (name, builder, compared by value, hashed by value); each builder builds an
+# equal value, but not the same object, when it is called again
+RECORDS = [
+    ("Direction", lambda: spheres.Direction((2, -4)), True, True),
+    ("FinitePoints", lambda: spheres.FinitePoints([spheres.Direction((1, 0))]), True, True),
+    ("CofinitePoints", lambda: spheres.CofinitePoints([spheres.Direction((1, 0))]), True, True),
+    ("ConeRegion", lambda: spheres.ConeRegion([spheres.Direction((1, 0))]), True, True),
+    ("SphereSet", lambda: spheres.full_sphere([2, 1]), True, True),
+    ("Cardinality", lambda: spheres.full_sphere([1]).cardinality(), True, True),
+    ("GroupAtom", lambda: ex.free_group(2), True, True),
+    ("GroupExpr", lambda: ex.parse_group_expr("F(2) x Z"), True, True),
+    ("KnownInvariants",
+     lambda: catalog.lookup_invariants(ex.parse_group_expr("BS(1,2) x Z")), True, True),
+    ("ProbeConfig", lambda: _probe().config, True, False),
+    ("ProbeRow", lambda: _probe().rows[0], True, False),
+    ("ProbeReport", _probe, True, False),
+    ("ConeShape", lambda: cones.cone_rays(cones.RationalCone(1, [(-1,)])), True, False),
+    ("TraceStep", lambda: rinf.decide(ex.parse_group_expr("BS(1,2)")).trace[0], True, False),
+    ("Verdict", lambda: rinf.decide(ex.parse_group_expr("BS(1,2) x F(2)")), True, False),
+    ("FinitePresentation", lambda: ex.atom_presentation(ex.klein_bottle()), False, False),
+    ("FGAbelianAutomorphism",
+     lambda: abelian.FGAbelianAutomorphism.from_matrix([[-1]], [2]), False, False),
+    ("BallGraph", lambda: ballprobe.enumerate_ball(ex.free_abelian(1), 2), False, False),
+    ("ScanRow", lambda: ballprobe.probe_direction_scan(
+        ex.free_abelian(1), [spheres.Direction((1,))], 4)[0][0], False, False),
+    ("RationalCone", lambda: cones.RationalCone(2, [(1, 0)]), False, False),
+    ("Finite12Report",
+     lambda: cones.check_finite12(spheres.full_sphere([1])), False, False),
+]
+
+
+@pytest.mark.parametrize("name,build,by_value,hashed", RECORDS, ids=[r[0] for r in RECORDS])
+def test_immutable_records_refuse_assignment_and_compare_by_value(name, build, by_value,
+                                                                   hashed):
+    a, b = build(), build()
+    assert type(a).__name__ == name and a is not b
+    for field in type(a).__slots__:
+        value = getattr(a, field)
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, field, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(a, field)
+        assert getattr(a, field) is value
+    with pytest.raises(FrozenInstanceError):
+        a.no_such_field = 1
+    if by_value:
+        assert a == b and not a != b
+        assert a != object() and a != None  # noqa: E711
+    else:
+        assert a != b
+    if hashed:
+        assert hash(a) == hash(b)
+        assert hash(a) == hash(tuple(getattr(a, f) for f in type(a).__slots__
+                                     if f not in ("depth", "hash_value")))

@@ -79,6 +79,51 @@ def test_direction_normalization():
         Direction((0, 0))
 
 
+def _directions(*vectors):
+    return [Direction(v) for v in vectors]
+
+
+# each ordered record with its one field and inputs that build distinct values
+ORDERED = [
+    (Direction, "coords", [(1, 0), (0, 1), (-1, 2), (2, -1), (0, -1), (-3, 1)]),
+    (FinitePoints, "points", [_directions((1, 0)), _directions((0, 1), (1, 0)),
+                              _directions((-1, 0)), _directions((1, 1), (-1, 0))]),
+    (CofinitePoints, "excluded", [[], _directions((1, 0)), _directions((0, 1), (-1, 0)),
+                                  _directions((-1, 0))]),
+    (ConeRegion, "normals", [_directions((1, 0)), _directions((0, 1), (1, 0)),
+                             _directions((-1, 1)), _directions((1, 0), (0, -1))]),
+]
+
+
+@pytest.mark.parametrize("cls,field,inputs", ORDERED, ids=[c.__name__ for c, _, _ in ORDERED])
+def test_ordered_records_are_sorted_and_compared_by_their_field(cls, field, inputs):
+    records = [cls(i) for i in inputs]
+    assert sorted(records) == sorted(records, key=lambda r: (getattr(r, field),))
+    assert sorted(records, reverse=True) == sorted(records, key=lambda r: (getattr(r, field),),
+                                                   reverse=True)
+    for a, b in product(records, repeat=2):
+        fa, fb = (getattr(a, field),), (getattr(b, field),)
+        assert ((a < b), (a <= b), (a > b), (a >= b), (a == b), (a != b)) == (
+            (fa < fb), (fa <= fb), (fa > fb), (fa >= fb), (fa == fb), (fa != fb))
+    for i in inputs:  # built separately from the same input
+        assert cls(i) == cls(i) and hash(cls(i)) == hash(cls(i)) == hash((getattr(cls(i), field),))
+    with pytest.raises(TypeError):
+        records[0] < (getattr(records[0], field),)
+
+
+def test_printed_reprs_keep_their_text():
+    # SphereSet's repr prints its parts; a failed selfcheck comparison prints it
+    assert repr(Direction((2, -4))) == "Direction((1, -2))"
+    a = SphereSet([1, 2], [(FinitePoints(_directions((1,), (-1,))), EMPTY),
+                           (EMPTY, CofinitePoints(_directions((0, 1)))),
+                           (EMPTY, ConeRegion(_directions((1, 0), (0, 1))))])
+    assert repr(a) == (
+        "SphereSet(ambient=(1, 2), atoms=("
+        "('empty', CofinitePoints(excluded=(Direction((0, 1)),))), "
+        "('empty', ConeRegion(normals=(Direction((0, 1)), Direction((1, 0))))), "
+        "(FinitePoints(points=(Direction((-1,)), Direction((1,)))), 'empty')))")
+
+
 def test_rank_one_normalization():
     # the whole S^0 is two explicit points
     full = full_sphere([1])

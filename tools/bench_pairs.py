@@ -19,9 +19,15 @@ Before the workloads, each checkout's tier-1 suite (``python -m pytest -q -p
 no:cacheprovider`` with ``PYTHONPATH=src``) runs three times, alternating
 sides the same way, and its benchmark suite (the same command on
 ``benchmark``) runs once.
+Then ``cli_startup`` times fresh ``python -m groupinv.cli`` processes on each
+checkout's ``src``, one command line per kind of ``cli`` operation, and
+``python -c pass`` as the floor: 25 runs of each, alternating sides, pinned
+to one CPU.  This is the only view of start-up layer by layer, since the
+traced ``cli.import_ms`` does not see the modules that load lazily.
 The output file holds each side's median tier-1 wall time with every run's
 time, exit code and summary line; each side's benchmark-suite time, exit
-code and summary line; per workload and end-to-end metric, each side's
+code and summary line; under ``cli_startup``, per command each side's median
+and quartiles in ms and the exit codes seen; per workload and end-to-end metric, each side's
 median and quartiles, the pairs the change won and lost (ties count for
 neither), every run's figures, and under ``traced`` each side's per-layer
 metrics; and the machine, the Python version and
@@ -44,6 +50,22 @@ from pathlib import Path
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 TIER1_RUNS = 3
+_CLI = ["-m", "groupinv.cli"]
+_Z8 = json.dumps([[(i + j) % 8 for j in range(8)] for i in range(8)])
+# what cli_startup times: the interpreter alone, then one command line per
+# kind of `cli` operation; the last one the parser refuses with exit 1
+STARTUP_COMMANDS = {
+    "floor": ["-c", "pass"],
+    "rinf": [*_CLI, "rinf", "-g", "BS(1,2) x F(3)"],
+    "invariants": [*_CLI, "invariants", "-g", "BS(1,2) x F(3)"],
+    "probe": [*_CLI, "probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "5"],
+    "reidemeister_matrix": [*_CLI, "reidemeister", "--matrix", "[[2,1],[1,1]]",
+                            "--torsion", "[2]"],
+    "reidemeister_table": [*_CLI, "reidemeister", "--table", _Z8,
+                           "--automorphism", "[0,3,6,1,4,7,2,5]"],
+    "deep_parens": [*_CLI, "rinf", "-g", "(" * 400 + "Z" + ")" * 400],
+}
+STARTUP_RUNS = 25
 
 
 def checkout_state(root: Path) -> dict:
@@ -86,6 +108,34 @@ def tier1_times(roots: dict) -> dict:
     return {"command": " ".join(["python", *TIER1[1:]]),
             **{side: {"median_s": statistics.median(r["seconds"] for r in runs[side]),
                       "runs": runs[side]} for side in SIDES}}
+
+
+def cli_startup(roots: dict) -> dict:
+    """Median wall time of fresh processes per command in STARTUP_COMMANDS,
+    alternating sides, with this process and so its children pinned to one CPU."""
+    try:
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+    except (AttributeError, OSError):  # not Linux, or not allowed: run unpinned
+        cpus = None
+    ms = {kind: {side: [] for side in SIDES} for kind in STARTUP_COMMANDS}
+    exits = {kind: {side: set() for side in SIDES} for kind in STARTUP_COMMANDS}
+    try:
+        for i in range(STARTUP_RUNS):
+            for kind, args in STARTUP_COMMANDS.items():
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    env = dict(os.environ, PYTHONPATH="src")
+                    start = time.perf_counter()
+                    proc = subprocess.run([sys.executable, *args], cwd=roots[side], env=env,
+                                          capture_output=True)
+                    ms[kind][side].append((time.perf_counter() - start) * 1000)
+                    exits[kind][side].add(proc.returncode)
+    finally:
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
+    return {"runs": STARTUP_RUNS,
+            **{kind: {side: {**summary(ms[kind][side]), "exits": sorted(exits[kind][side])}
+                      for side in SIDES} for kind in STARTUP_COMMANDS}}
 
 
 def summary(values: list[float]) -> dict:
@@ -143,6 +193,7 @@ def main(argv=None) -> int:
         "tier1": tier1_times(roots),
         "benchmark_suite": {"command": " ".join(["python", *TIER1[1:], "benchmark"]),
                             **{side: pytest_once(roots[side], "benchmark") for side in SIDES}},
+        "cli_startup": cli_startup(roots),
         "workloads": {},
     }
     for workload in workloads:
