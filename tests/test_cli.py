@@ -83,6 +83,15 @@ def footprint(*args) -> tuple[set[str], set[str], set[str]]:
             set(stdlib.split()) - bare_modules())
 
 
+_Z4 = json.dumps([[(i + j) % 4 for j in range(4)] for i in range(4)])
+# one command line of each kind
+COMMAND_LINES = (("--version",), ("rinf", "-g", "BS(1,2) x F(3)"),
+                 ("invariants", "-g", "BS(1,2) x F(3)"),
+                 ("reidemeister", "--matrix", "[[-1]]", "--torsion", "[2]"),
+                 ("reidemeister", "--table", _Z4, "--automorphism", "[0, 3, 2, 1]"),
+                 ("probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "4"))
+
+
 def loaded_modules(*args) -> set[str]:
     return footprint(*args)[0]
 
@@ -167,9 +176,8 @@ def test_probe_takes_directions_that_start_with_a_minus_sign():
 
 
 def test_each_command_loads_only_the_modules_it_calls():
-    table = json.dumps([[(i + j) % 4 for j in range(4)] for i in range(4)])
     for args in (("reidemeister", "--matrix", "[[-1]]", "--torsion", "[2]"),
-                 ("reidemeister", "--table", table, "--automorphism", "[0, 3, 2, 1]")):
+                 ("reidemeister", "--table", _Z4, "--automorphism", "[0, 3, 2, 1]")):
         assert loaded_modules(*args) == {"cli", "abelian", "unionfind"}, args
     for mode in ("halfspace", "cone"):
         loaded = loaded_modules("probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "4",
@@ -180,15 +188,6 @@ def test_each_command_loads_only_the_modules_it_calls():
         loaded = loaded_modules(command, "-g", "BS(1,2) x F(3)")
         assert "catalog" in loaded
         assert not loaded & {"ballprobe", "selfcheck"}, command
-
-
-_Z4 = json.dumps([[(i + j) % 4 for j in range(4)] for i in range(4)])
-# one command line of each kind
-COMMAND_LINES = (("--version",), ("rinf", "-g", "BS(1,2) x F(3)"),
-                 ("invariants", "-g", "BS(1,2) x F(3)"),
-                 ("reidemeister", "--matrix", "[[-1]]", "--torsion", "[2]"),
-                 ("reidemeister", "--table", _Z4, "--automorphism", "[0, 3, 2, 1]"),
-                 ("probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "4"))
 
 
 def test_commands_load_nothing_beyond_the_standard_library():
