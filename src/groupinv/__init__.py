@@ -19,6 +19,7 @@ current attribute.
 
 import importlib.util
 import sys
+from operator import attrgetter
 
 __version__ = "0.1.0"
 
@@ -56,13 +57,56 @@ for _name in _EXPORTS:
 del _name
 
 
-def _refuse_assignment(self, name, value=None):
-    """``__setattr__`` and ``__delattr__`` of the library's immutable records,
-    which set their fields once, through ``object.__setattr__``."""
-    from dataclasses import FrozenInstanceError
+class _Record:
+    """An immutable record: its ``__init__`` fills the ``__slots__`` once, in
+    order, through ``_set``, and any later assignment or deletion raises
+    ``dataclasses.FrozenInstanceError``, imported only when one does.  Equal
+    by identity unless a subclass says otherwise."""
 
-    raise FrozenInstanceError("%s is immutable: cannot set or delete %r"
-                              % (type(self).__name__, name))
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slots' own setters, which do not go through __setattr__
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _set(self, *values):
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError("%s is immutable: cannot set or delete %r"
+                                  % (type(self).__name__, name))
+
+    __delattr__ = __setattr__
+
+
+class _Value(_Record):
+    """A record that is equal to, hashes as and prints as the tuple of its
+    fields in slot order; a record of another class is never equal to it."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:  # a base that adds no fields has no key
+            # the value of a record's one field, or the tuple of its fields
+            cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        key = self._key(self)
+        return hash((key,) if len(self.__slots__) == 1 else key)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
 def __getattr__(name: str):

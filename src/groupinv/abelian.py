@@ -30,7 +30,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
-from . import _refuse_assignment
+from . import _Record
 from .unionfind import UnionFind
 
 INFINITE = math.inf
@@ -240,14 +240,13 @@ def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(row, what + " rows") for row in rows)
 
 
-class FGAbelianAutomorphism:
+class FGAbelianAutomorphism(_Record):
     """Automorphism of Z^k + Z/d1 + ... + Z/dt as a block matrix [[A,0],[M,T]].
 
     ``free_part`` A is k x k with det +-1, ``torsion_part`` T acts on the torsion
     generators mod the invariant factors, and ``mixing`` M records the torsion
     components of the images of the free generators (t rows, k columns).
     Construction validates the blocks and raises ``InvalidAutomorphism``.
-    Immutable.
     """
 
     __slots__ = ("free_rank", "free_part", "torsion_factors", "torsion_part", "mixing")
@@ -276,11 +275,7 @@ class FGAbelianAutomorphism:
                  torsion_factors: tuple[int, ...] = (),
                  torsion_part: tuple[tuple[int, ...], ...] = (),
                  mixing: tuple[tuple[int, ...], ...] = ()):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "free_part", free_part)
-        object.__setattr__(self, "torsion_factors", torsion_factors)
-        object.__setattr__(self, "torsion_part", torsion_part)
-        object.__setattr__(self, "mixing", mixing)
+        self._set(free_rank, free_part, torsion_factors, torsion_part, mixing)
         k, t = self.free_rank, len(self.torsion_factors)
         if len(self.free_part) != k or any(len(r) != k for r in self.free_part):
             raise InvalidAutomorphism("free part must be %d x %d" % (k, k))
@@ -308,8 +303,6 @@ class FGAbelianAutomorphism:
                        for i in range(t)]
             if any(d != 1 for d in smith_normal_form(stacked).diagonal):
                 raise InvalidAutomorphism("torsion part is not invertible mod the factors")
-
-    __setattr__ = __delattr__ = _refuse_assignment
 
     def full_matrix(self) -> IntMatrix:
         k, t = self.free_rank, len(self.torsion_factors)

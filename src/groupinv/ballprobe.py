@@ -59,7 +59,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from . import _refuse_assignment, catalog
+from . import _Record, _Value, catalog
 from . import expressions as ex
 from .spheres import Direction
 from .unionfind import UnionFind
@@ -186,7 +186,7 @@ class _EdgeView(_ColumnView):
             yield i, j, names[g]
 
 
-class BallGraph:
+class BallGraph(_Record):
     """A Cayley ball as integer columns, one entry per vertex in breadth-first
     order, or per edge.
 
@@ -198,7 +198,7 @@ class BallGraph:
     edge: vertex i times generator g (the g-th name of ``gen_heights``) is
     vertex j.  ``keys`` and ``edges`` are read-only views over these columns
     that build a key or an (i, j, name) edge only when it is read; ``order``
-    and ``len(edges)`` build nothing.  Immutable."""
+    and ``len(edges)`` build nothing."""
 
     __slots__ = ("atom", "radius", "key_column", "heights", "wordlen", "triples",
                  "height_dim", "gen_heights")
@@ -207,16 +207,8 @@ class BallGraph:
                  heights: tuple[tuple[int, ...], ...], wordlen: tuple[int, ...],
                  triples: tuple[int, ...], height_dim: int,
                  gen_heights: dict[str, tuple[int, ...]] | None = None):
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "key_column", key_column)
-        object.__setattr__(self, "heights", heights)
-        object.__setattr__(self, "wordlen", wordlen)
-        object.__setattr__(self, "triples", triples)
-        object.__setattr__(self, "height_dim", height_dim)
-        object.__setattr__(self, "gen_heights", {} if gen_heights is None else gen_heights)
-
-    __setattr__ = __delattr__ = _refuse_assignment
+        self._set(atom, radius, key_column, heights, wordlen, triples, height_dim,
+                  {} if gen_heights is None else gen_heights)
 
     @property
     def order(self) -> int:
@@ -517,9 +509,8 @@ def _check_direction(gamma: Direction, height_dim: int):
 # the probe
 
 
-class ProbeConfig:
-    """Immutable; equal by its six fields.  ``core_margin`` None means a core
-    radius of radius // 2 + 1."""
+class ProbeConfig(_Value):
+    """``core_margin`` None means a core radius of radius // 2 + 1."""
 
     __slots__ = ("radius", "direction", "grid", "mode", "lambda_max", "core_margin")
 
@@ -537,22 +528,7 @@ class ProbeConfig:
             raise ProbeConfigError("unknown mode %r" % mode)
         if lambda_max < 0:
             raise ProbeConfigError("the retreat budget must be non-negative")
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "lambda_max", lambda_max)
-        object.__setattr__(self, "core_margin", core_margin)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is ProbeConfig:
-            return ((self.radius, self.direction, self.grid, self.mode, self.lambda_max,
-                     self.core_margin)
-                    == (other.radius, other.direction, other.grid, other.mode,
-                        other.lambda_max, other.core_margin))
-        return NotImplemented
+        self._set(radius, direction, grid, mode, lambda_max, core_margin)
 
     @property
     def core_radius(self) -> int:
@@ -576,31 +552,13 @@ def default_grid(radius: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(j) for j in range(radius // 2 + 1))
 
 
-class ProbeRow:
-    """Immutable; equal by its seven fields."""
-
+class ProbeRow(_Value):
     __slots__ = ("s", "vertices", "core_vertices", "components", "retreat", "shell_touched",
                  "note")
 
     def __init__(self, s: Fraction, vertices: int, core_vertices: int, components: int,
                  retreat: Fraction | None, shell_touched: bool, note: str = ""):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "core_vertices", core_vertices)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "retreat", retreat)
-        object.__setattr__(self, "shell_touched", shell_touched)
-        object.__setattr__(self, "note", note)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is ProbeRow:
-            return ((self.s, self.vertices, self.core_vertices, self.components,
-                     self.retreat, self.shell_touched, self.note)
-                    == (other.s, other.vertices, other.core_vertices, other.components,
-                        other.retreat, other.shell_touched, other.note))
-        return NotImplemented
+        self._set(s, vertices, core_vertices, components, retreat, shell_touched, note)
 
     def to_json_dict(self) -> dict:
         return {"s": str(self.s), "vertices": self.vertices,
@@ -609,25 +567,12 @@ class ProbeRow:
                 "shell_touched": self.shell_touched, "note": self.note}
 
 
-class ProbeReport:
-    """Immutable; equal by its four fields."""
-
+class ProbeReport(_Value):
     __slots__ = ("atom", "config", "rows", "evidence")
 
     def __init__(self, atom: ex.GroupAtom, config: ProbeConfig, rows: tuple[ProbeRow, ...],
                  evidence: str):
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "evidence", evidence)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is ProbeReport:
-            return ((self.atom, self.config, self.rows, self.evidence)
-                    == (other.atom, other.config, other.rows, other.evidence))
-        return NotImplemented
+        self._set(atom, config, rows, evidence)
 
     def to_json_dict(self) -> dict:
         return {
@@ -872,20 +817,12 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
 # direction scans against the catalog
 
 
-class ScanRow:
-    """Immutable."""
-
+class ScanRow(_Record):
     __slots__ = ("direction", "mode", "evidence", "catalog_member", "warn")
 
     def __init__(self, direction: Direction, mode: str, evidence: str,
                  catalog_member: bool | None, warn: bool):
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "evidence", evidence)
-        object.__setattr__(self, "catalog_member", catalog_member)
-        object.__setattr__(self, "warn", warn)
-
-    __setattr__ = __delattr__ = _refuse_assignment
+        self._set(direction, mode, evidence, catalog_member, warn)
 
     def to_json_dict(self) -> dict:
         return {"direction": list(self.direction.coords), "mode": self.mode,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence
 
-from . import _refuse_assignment
+from . import _Record, _Value
 from .abelian import matrix_rank
 from .spheres import (
     EMPTY,
@@ -50,8 +50,8 @@ def check_cone_dim(m: int) -> None:
         raise DimensionCapExceeded("cone dimension %d exceeds cap %d" % (m, MAX_CONE_DIM))
 
 
-class RationalCone:
-    """{x in R^m : <x, f> <= 0 for all normals f}.  Immutable."""
+class RationalCone(_Record):
+    """{x in R^m : <x, f> <= 0 for all normals f}."""
 
     __slots__ = ("dim", "normals")
 
@@ -62,10 +62,7 @@ class RationalCone:
             if len(d) != dim:
                 raise ValueError("normal length does not match the cone dimension")
             ns.append(d)
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "normals", tuple(sorted(set(ns))))
-
-    __setattr__ = __delattr__ = _refuse_assignment
+        self._set(int(dim), tuple(sorted(set(ns))))
 
     def __repr__(self):
         return "RationalCone(dim=%r, normals=%r)" % (self.dim, self.normals)
@@ -74,23 +71,11 @@ class RationalCone:
         return all(sum(a * b for a, b in zip(f.coords, vec)) <= 0 for f in self.normals)
 
 
-class ConeShape:
-    """Immutable; equal by its three fields."""
-
+class ConeShape(_Value):
     __slots__ = ("kind", "direction", "dimension")
 
     def __init__(self, kind: str, direction: Direction | None = None, dimension: int = 0):
-        object.__setattr__(self, "kind", kind)  # "trivial" | "ray" | "line" | "higher"
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "dimension", dimension)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is ConeShape:
-            return ((self.kind, self.direction, self.dimension)
-                    == (other.kind, other.direction, other.dimension))
-        return NotImplemented
+        self._set(kind, direction, dimension)  # kind: "trivial" | "ray" | "line" | "higher"
 
     @staticmethod
     def trivial() -> "ConeShape":
@@ -273,17 +258,11 @@ def sigma1_complement_of_product(factor_complements: Sequence[SphereSet | None])
 # structural gates
 
 
-class Finite12Report:
-    """Immutable."""
-
+class Finite12Report(_Record):
     __slots__ = ("ok", "cardinality", "reason")
 
     def __init__(self, ok: bool, cardinality: str, reason: str = ""):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "cardinality", cardinality)
-        object.__setattr__(self, "reason", reason)
-
-    __setattr__ = __delattr__ = _refuse_assignment
+        self._set(ok, cardinality, reason)
 
 
 def check_finite12(omega: SphereSet) -> Finite12Report:
@@ -294,7 +273,7 @@ def check_finite12(omega: SphereSet) -> Finite12Report:
     if card.count == 1:
         return Finite12Report(ok=True, cardinality="1")
     if card.count == 2:
-        if omega.is_antipodal_pair():
+        if card.is_antipodal_pair():
             return Finite12Report(ok=True, cardinality="2")
         return Finite12Report(ok=False, cardinality="2",
                               reason="two points at distance < pi: %r" % (card.points,))

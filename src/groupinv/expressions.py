@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from . import _refuse_assignment, abelian
+from . import _Record, _Value, abelian
 
 
 class ParseError(ValueError):
@@ -43,27 +43,12 @@ FINITE_CYCLIC = "FiniteCyclic"
 FINITE_TABLE = "FiniteTable"
 
 
-class GroupAtom:
-    """Immutable; equal and hashed by kind, parameters and table."""
-
+class GroupAtom(_Value):
     __slots__ = ("kind", "params", "table")
 
     def __init__(self, kind: str, params: tuple[int, ...] = (),
                  table: tuple[tuple[int, ...], ...] | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "table", table)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is GroupAtom:
-            return ((self.kind, self.params, self.table)
-                    == (other.kind, other.params, other.table))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.params, self.table))
+        self._set(kind, params, table)
 
     @property
     def finite(self) -> bool:
@@ -201,8 +186,8 @@ def finite_table(table: Sequence[Sequence[int]]) -> GroupAtom:
 # expressions
 
 
-class GroupExpr:
-    """Immutable expression node, equal by node kind, atom and factors.
+class GroupExpr(_Record):
+    """Expression node, equal by node kind, atom and factors.
 
     ``depth`` counts the product nodes on the longest path down to an atom.
     ``hash_value`` is the hash of (node, atom, factors), computed once: memo
@@ -217,13 +202,8 @@ class GroupExpr:
             depth = 1 + max([f.depth for f in factors])
             if depth > MAX_DEPTH:
                 raise ValueError("products nested deeper than %d levels" % MAX_DEPTH)
-        object.__setattr__(self, "node", node)  # "atom" | "direct" | "free"
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "hash_value", hash((node, atom, factors)))
-
-    __setattr__ = __delattr__ = _refuse_assignment
+        # node: "atom" | "direct" | "free"
+        self._set(node, atom, factors, depth, hash((node, atom, factors)))
 
     def __eq__(self, other):
         if other.__class__ is GroupExpr:
@@ -475,9 +455,9 @@ def parse_group_expr(text: str) -> GroupExpr:
 # presentations and abelianization
 
 
-class FinitePresentation:
+class FinitePresentation(_Record):
     """Finitely many generators and relators; relators are (generator, exponent)
-    words.  Immutable."""
+    words."""
 
     __slots__ = ("generators", "relators")
 
@@ -493,10 +473,7 @@ class FinitePresentation:
             reduced = free_reduce(rel)
             if reduced != rel:
                 raise ValueError("relators must be freely reduced")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
-
-    __setattr__ = __delattr__ = _refuse_assignment
+        self._set(generators, relators)
 
 
 def free_reduce(word: Sequence[tuple[str, int]]) -> tuple[tuple[str, int], ...]:

@@ -21,7 +21,7 @@ runs first, fires on the same products with the same conclusion.
 
 from __future__ import annotations
 
-from . import _refuse_assignment
+from . import _Value
 from . import expressions as ex
 from .abelian import matrix_rank
 from .catalog import lookup_invariants, query_memo
@@ -68,24 +68,11 @@ RULE_STATEMENTS = {
 }
 
 
-class TraceStep:
-    """Immutable; equal by its four fields."""
-
+class TraceStep(_Value):
     __slots__ = ("step_id", "rule", "detail", "premises")
 
     def __init__(self, step_id: str, rule: str, detail: str, premises: tuple[str, ...] = ()):
-        object.__setattr__(self, "step_id", step_id)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "premises", premises)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is TraceStep:
-            return ((self.step_id, self.rule, self.detail, self.premises)
-                    == (other.step_id, other.rule, other.detail, other.premises))
-        return NotImplemented
+        self._set(step_id, rule, detail, premises)
 
     def to_json_dict(self) -> dict:
         return {"id": self.step_id, "rule": self.rule,
@@ -93,24 +80,12 @@ class TraceStep:
                 "detail": self.detail, "premises": list(self.premises)}
 
 
-class Verdict:
-    """Immutable; equal by its three fields."""
-
+class Verdict(_Value):
     __slots__ = ("conclusion", "trace", "notes")
 
     def __init__(self, conclusion: str, trace: tuple[TraceStep, ...] = (),
                  notes: tuple[str, ...] = ()):
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "notes", notes)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is Verdict:
-            return ((self.conclusion, self.trace, self.notes)
-                    == (other.conclusion, other.trace, other.notes))
-        return NotImplemented
+        self._set(conclusion, trace, notes)
 
     @property
     def strength(self) -> int:
@@ -131,12 +106,11 @@ class Verdict:
 
 
 class _TraceBuilder:
-    def __init__(self, prefix: str = "s"):
+    def __init__(self):
         self.steps: list[TraceStep] = []
-        self.prefix = prefix
 
     def add(self, rule: str, detail: str, premises=()) -> str:
-        step_id = "%s%d" % (self.prefix, len(self.steps) + 1)
+        step_id = "s%d" % (len(self.steps) + 1)
         self.steps.append(TraceStep(step_id, rule, detail, tuple(premises)))
         return step_id
 
@@ -191,7 +165,7 @@ def decide_main(expr: ex.GroupExpr, level: int = 1) -> Verdict:
     if card.kind == "finite" and card.count == 1:
         rule, conclusion = "ThmMain1", RINFINITY
         found = "exactly one surviving rational direction %s" % (card.points[0].coords,)
-    elif card.kind == "finite" and card.count == 2 and omega.is_antipodal_pair():
+    elif card.is_antipodal_pair():
         rule, conclusion = "ThmMain2", INDEX_TWO
         found = "the antipodal rational pair %s" % (tuple(p.coords for p in card.points),)
     else:

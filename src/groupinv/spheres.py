@@ -21,7 +21,7 @@ from functools import total_ordering
 from math import gcd
 from typing import Iterable, Sequence
 
-from . import _refuse_assignment
+from . import _Value
 
 
 class AmbientMismatch(ValueError):
@@ -32,14 +32,24 @@ class UnsupportedComplement(ValueError):
     pass
 
 
+@total_ordering
+class _Ordered(_Value):
+    """A value record that is also ordered by its fields, in slot order."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) < other._key(other)
+        return NotImplemented
+
+
 # ---------------------------------------------------------------------------
 # directions
 
 
-@total_ordering
-class Direction:
-    """Primitive non-zero integer vector; one rational point of a sphere.
-    Immutable; equal, hashed and ordered by its coordinates."""
+class Direction(_Ordered):
+    """Primitive non-zero integer vector; one rational point of a sphere."""
 
     __slots__ = ("coords",)
 
@@ -50,22 +60,7 @@ class Direction:
         g = gcd(*vec)
         if g > 1:
             vec = tuple(c // g for c in vec)
-        object.__setattr__(self, "coords", vec)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is Direction:
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    def __lt__(self, other):
-        if other.__class__ is Direction:
-            return self.coords < other.coords
-        return NotImplemented
+        self._set(vec)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -91,65 +86,23 @@ EMPTY = "empty"
 FULL = "full"
 
 
-# the parts are immutable; each is equal, hashed and ordered by its one field
-
-
-@total_ordering
-class FinitePoints:
+class FinitePoints(_Ordered):
     __slots__ = ("points",)
 
     def __init__(self, points: Iterable[Direction]):
-        object.__setattr__(self, "points", tuple(sorted(set(points))))
+        self._set(tuple(sorted(set(points))))
         if not self.points:
             raise ValueError("use EMPTY for an empty part")
 
-    __setattr__ = __delattr__ = _refuse_assignment
 
-    def __eq__(self, other):
-        if other.__class__ is FinitePoints:
-            return self.points == other.points
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.points,))
-
-    def __lt__(self, other):
-        if other.__class__ is FinitePoints:
-            return self.points < other.points
-        return NotImplemented
-
-    def __repr__(self):
-        return "FinitePoints(points=%r)" % (self.points,)
-
-
-@total_ordering
-class CofinitePoints:
+class CofinitePoints(_Ordered):
     __slots__ = ("excluded",)
 
     def __init__(self, excluded: Iterable[Direction]):
-        object.__setattr__(self, "excluded", tuple(sorted(set(excluded))))
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is CofinitePoints:
-            return self.excluded == other.excluded
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.excluded,))
-
-    def __lt__(self, other):
-        if other.__class__ is CofinitePoints:
-            return self.excluded < other.excluded
-        return NotImplemented
-
-    def __repr__(self):
-        return "CofinitePoints(excluded=%r)" % (self.excluded,)
+        self._set(tuple(sorted(set(excluded))))
 
 
-@total_ordering
-class ConeRegion:
+class ConeRegion(_Ordered):
     """Directions d with <d, f> <= 0 for every listed normal.
 
     Constructed only for cones of dimension >= 2, so the denoted set is
@@ -159,27 +112,9 @@ class ConeRegion:
     __slots__ = ("normals",)
 
     def __init__(self, normals: Iterable[Direction]):
-        object.__setattr__(self, "normals", tuple(sorted(set(normals))))
+        self._set(tuple(sorted(set(normals))))
         if not self.normals:
             raise ValueError("cone region requires at least one normal")
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is ConeRegion:
-            return self.normals == other.normals
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.normals,))
-
-    def __lt__(self, other):
-        if other.__class__ is ConeRegion:
-            return self.normals < other.normals
-        return NotImplemented
-
-    def __repr__(self):
-        return "ConeRegion(normals=%r)" % (self.normals,)
 
 
 Part = object  # EMPTY | FULL | FinitePoints | CofinitePoints | ConeRegion
@@ -277,9 +212,9 @@ def _part_subset(a, b) -> bool:
 # sphere sets
 
 
-class SphereSet:
-    """Union of join atoms over a factor decomposition of R^m.  Immutable;
-    equal and hashed by its ambient and its atoms in normal form."""
+class SphereSet(_Value):
+    """Union of join atoms over a factor decomposition of R^m; its atoms are
+    kept in normal form."""
 
     __slots__ = ("ambient", "atoms")
 
@@ -287,18 +222,7 @@ class SphereSet:
         ambient = tuple(int(r) for r in ambient)
         if not ambient or any(r < 0 for r in ambient):
             raise ValueError("ambient must list non-negative factor ranks")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "atoms", _normal_form(ambient, atoms))
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is SphereSet:
-            return (self.ambient, self.atoms) == (other.ambient, other.atoms)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ambient, self.atoms))
+        self._set(ambient, _normal_form(ambient, atoms))
 
     # -- structure ---------------------------------------------------------
 
@@ -371,11 +295,6 @@ class SphereSet:
             return Cardinality.zero()
         return Cardinality.finite(tuple(sorted(Direction(v) for v in points)))
 
-    def is_antipodal_pair(self) -> bool:
-        card = self.cardinality()
-        return (card.kind == "finite" and card.count == 2
-                and card.points[0] == card.points[1].antipode())
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -393,30 +312,12 @@ class SphereSet:
         return {"ambient": list(self.ambient),
                 "atoms": [[encode(p) for p in atom] for atom in self.atoms]}
 
-    def __repr__(self):
-        return "SphereSet(ambient=%r, atoms=%r)" % (self.ambient, self.atoms)
 
-
-class Cardinality:
-    """Immutable; equal and hashed by its three fields."""
-
+class Cardinality(_Value):
     __slots__ = ("kind", "count", "points")
 
     def __init__(self, kind: str, count: int | None = None, points: tuple[Direction, ...] = ()):
-        object.__setattr__(self, "kind", kind)  # "zero" | "finite" | "infinite"
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "points", points)
-
-    __setattr__ = __delattr__ = _refuse_assignment
-
-    def __eq__(self, other):
-        if other.__class__ is Cardinality:
-            return ((self.kind, self.count, self.points)
-                    == (other.kind, other.count, other.points))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.count, self.points))
+        self._set(kind, count, points)  # kind: "zero" | "finite" | "infinite"
 
     @staticmethod
     def zero() -> "Cardinality":
@@ -434,6 +335,10 @@ class Cardinality:
         if self.kind == "infinite":
             return "infinite"
         return str(self.count)
+
+    def is_antipodal_pair(self) -> bool:
+        return (self.kind == "finite" and self.count == 2
+                and self.points[0] == self.points[1].antipode())
 
 
 def _normal_form(ambient: tuple[int, ...], atoms: Iterable[JoinAtom]) -> tuple[JoinAtom, ...]:

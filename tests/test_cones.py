@@ -214,7 +214,7 @@ def test_omega_of_product_examples():
     # empty times S^0: two antipodal points
     prod2 = omega_of_product([free, z])
     assert prod2.cardinality().count == 2
-    assert prod2.is_antipodal_pair()
+    assert prod2.cardinality().is_antipodal_pair()
     # S^0 times S^0: a full circle
     assert omega_of_product([z, z]) == full_sphere([1, 1])
     assert omega_of_product([z, None]) is None

@@ -65,12 +65,12 @@ RECORDS = [
     ("GroupExpr", lambda: ex.parse_group_expr("F(2) x Z"), True, True),
     ("KnownInvariants",
      lambda: catalog.lookup_invariants(ex.parse_group_expr("BS(1,2) x Z")), True, True),
-    ("ProbeConfig", lambda: _probe().config, True, False),
-    ("ProbeRow", lambda: _probe().rows[0], True, False),
-    ("ProbeReport", _probe, True, False),
-    ("ConeShape", lambda: cones.cone_rays(cones.RationalCone(1, [(-1,)])), True, False),
-    ("TraceStep", lambda: rinf.decide(ex.parse_group_expr("BS(1,2)")).trace[0], True, False),
-    ("Verdict", lambda: rinf.decide(ex.parse_group_expr("BS(1,2) x F(2)")), True, False),
+    ("ProbeConfig", lambda: _probe().config, True, True),
+    ("ProbeRow", lambda: _probe().rows[0], True, True),
+    ("ProbeReport", _probe, True, True),
+    ("ConeShape", lambda: cones.cone_rays(cones.RationalCone(1, [(-1,)])), True, True),
+    ("TraceStep", lambda: rinf.decide(ex.parse_group_expr("BS(1,2)")).trace[0], True, True),
+    ("Verdict", lambda: rinf.decide(ex.parse_group_expr("BS(1,2) x F(2)")), True, True),
     ("FinitePresentation", lambda: ex.atom_presentation(ex.klein_bottle()), False, False),
     ("FGAbelianAutomorphism",
      lambda: abelian.FGAbelianAutomorphism.from_matrix([[-1]], [2]), False, False),
@@ -88,6 +88,10 @@ def test_immutable_records_refuse_assignment_and_compare_by_value(name, build, b
                                                                    hashed):
     a, b = build(), build()
     assert type(a).__name__ == name and a is not b
+    assert isinstance(a, groupinv._Record)
+    # equal by value exactly when the record derives it from its fields, or is
+    # an expression node, which caches its hash
+    assert by_value == (isinstance(a, groupinv._Value) or name == "GroupExpr")
     for field in type(a).__slots__:
         value = getattr(a, field)
         with pytest.raises(FrozenInstanceError):

@@ -198,10 +198,10 @@ def test_cardinality_examples():
     omega = join(empty_set([3]), full_sphere([1]))
     card = omega.cardinality()
     assert card.count == 2
-    assert omega.is_antipodal_pair()
+    assert omega.cardinality().is_antipodal_pair()
     assert full_sphere([2]).cardinality().kind == "infinite"
     assert empty_set([2]).cardinality().kind == "zero"
-    assert not single_factor_points(2, [(1, 0), (0, 1)]).is_antipodal_pair()
+    assert not single_factor_points(2, [(1, 0), (0, 1)]).cardinality().is_antipodal_pair()
 
 
 def test_subsumption_and_merging():
