@@ -1,8 +1,8 @@
 """Curated invariant facts for catalog atoms plus derived facts for products.
 
 Atom entries carry literature citations; product entries are derived on the
-fly through the join product formula and the level-one complement formula and
-are tagged with their derivation.  Anything not stored and not derivable
+fly through the join product formula and the level-one union formula for
+obstruction sets, and are tagged with their derivation.  Anything not stored and not derivable
 stays unknown, never guessed.
 
 Within one `rinf.decide` query every distinct expression node is evaluated
@@ -25,11 +25,10 @@ from contextvars import ContextVar
 
 from . import _Value
 from . import expressions as ex
-from .cones import (check_cone_dim, o_class_of, omega_from_sigma, omega_of_product,
+from .cones import (check_cone_dim, o_class_of, omega_from_obstructions, omega_of_product,
                     sigma1_complement_of_product)
 from .spheres import (
     SphereSet,
-    complement,
     empty_set,
     full_sphere,
     points_set,
@@ -149,7 +148,7 @@ def _atom_invariants(atom: ex.GroupAtom) -> KnownInvariants:
         return KnownInvariants(
             hom_rank=m,
             sigma1_complement=sigma_c,
-            omega=omega_from_sigma(complement(sigma_c), m),
+            omega=omega_from_obstructions(sigma_c),
             omega_all_levels=True,
             rinf_known=CITE_THOMPSON if kind == ex.THOMPSON_F else CITE_GEN_THOMPSON,
             provenance=(("sigma1_complement", "two independent obstructed characters "

@@ -42,7 +42,7 @@ def invariants(text: str, level: int):
         expr = ex.parse_group_expr(text)
         inv = catalog.lookup_invariants(expr)
         _emit({"group": expr.label(), **inv.summary(level)})
-    except (ex.ParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
 
 
@@ -52,7 +52,7 @@ def rinf(text: str):
         expr = ex.parse_group_expr(text)
         verdict = rinf_rules.decide(expr)
         _emit({"group": expr.label(), **verdict.to_json_dict()})
-    except (ex.ParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
 
 
@@ -80,7 +80,7 @@ def reidemeister(matrix: str | None, torsion: str | None, torsion_map: str | Non
         phi = abelian.FGAbelianAutomorphism.from_matrix(free_part, factors, tmap, mix)
         value = abelian.reidemeister_number(phi)
         _emit({"reidemeister": "infinity" if value == abelian.INFINITE else value})
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
 
 
@@ -105,7 +105,7 @@ def probe(atom_text: str, direction_text: str, mode: str, radius: int,
             print(report.to_csv())
         else:
             _emit(report.to_json_dict())
-    except (ex.ParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
 
 

@@ -5,9 +5,11 @@ neighborhood avoids the obstruction set F, i.e. <e, f> <= 0 for every f in F.
 The surviving directions therefore form the polar cone of F, which this
 module computes exactly over the integers with the double description method
 and classifies as trivial / one ray / a full line / higher dimensional.
+`omega_from_obstructions` reads the survivors straight off F, the
+complement of the Bieri-Neumann-Strebel invariant that the catalog stores.
 
 The product formula says the invariant of a direct product is the spherical
-join of the factor invariants; both that and the complement formula for the
+join of the factor invariants; both that and the union formula for the
 level-one obstruction set of a product are implemented on SphereSets.
 """
 
@@ -20,13 +22,12 @@ from . import _Record, _Value
 from .abelian import matrix_rank
 from .spheres import (
     EMPTY,
+    FULL,
     ConeRegion,
     Direction,
     FinitePoints,
     SphereSet,
-    UnsupportedComplement,
     _blocks,
-    complement,
     empty_set,
     full_sphere,
     join_all,
@@ -203,21 +204,21 @@ def cone_rays(cone: RationalCone) -> ConeShape:
 # level invariants from obstruction data
 
 
-def omega_from_sigma(sigma: SphereSet, m: int) -> SphereSet:
-    """Directions whose open quarter-sphere neighborhood avoids the obstruction
-    set; exact via the polar cone when the obstruction set is finite."""
-    if len(sigma.ambient) != 1 or sigma.ambient[0] != m:
-        raise UnsupportedSigma("expected a single-factor ambient of rank %d" % m)
-    if sigma.is_empty():
-        return empty_set([m])
-    if sigma.is_full():
+def omega_from_obstructions(sigma_c: SphereSet) -> SphereSet:
+    """Directions whose open quarter-sphere neighborhood avoids every point of
+    the obstruction set of one factor: the whole sphere when nothing is
+    obstructed, nothing when everything is, and otherwise the polar cone of
+    the finitely many obstructed points."""
+    if len(sigma_c.ambient) != 1:
+        raise UnsupportedSigma("expected a single-factor ambient")
+    m = sigma_c.ambient[0]
+    if sigma_c.is_empty():
         return full_sphere([m])
-    try:
-        parts = [atom[0] for atom in complement(sigma).atoms]
-    except UnsupportedComplement:
-        parts = []
+    parts = [atom[0] for atom in sigma_c.atoms]
+    if parts == [FULL]:
+        return empty_set([m])
     if len(parts) != 1 or not isinstance(parts[0], FinitePoints):
-        raise UnsupportedSigma("set is neither full, empty, nor cofinite")
+        raise UnsupportedSigma("obstruction set is neither empty, full, nor finite")
     obstructions = parts[0].points
     shape = cone_rays(RationalCone(m, obstructions))
     if shape.kind == "trivial":

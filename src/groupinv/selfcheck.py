@@ -39,13 +39,13 @@ from .ballprobe import (
     probe_direction_scan,
 )
 from .catalog import lookup_invariants
-from .cones import RationalCone, check_finite12, cone_rays, omega_from_sigma
+from .cones import RationalCone, check_finite12, cone_rays, omega_from_obstructions
 from .expressions import parse_group_expr
 from .rinf import INDEX_TWO, RINFINITY, decide_text
 from .spheres import (
     EMPTY,
     FULL,
-    CofinitePoints,
+    ConeRegion,
     Direction,
     SphereSet,
     empty_set,
@@ -155,7 +155,7 @@ def _random_sphere_set(rng, rank):
         dirs.append(tuple(vec))
     if kind == 2 or rank == 1:
         return single_factor_points(rank, dirs)
-    return SphereSet([rank], [(CofinitePoints(Direction(v) for v in dirs),)])
+    return SphereSet([rank], [(ConeRegion([Direction(dirs[0])]),)])  # a closed half-space
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +506,7 @@ def golden_examples():
         enumerate_ball(ex.free_abelian(2), 2).order == 13,
         enumerate_ball(ex.free_group(2), 2).order == 17,
         enumerate_ball(ex.baumslag_solitar(1, 2), 6).order == 375,
-        omega_from_sigma(SphereSet([1], [(FULL,)]), 1) == full_sphere([1]),
+        omega_from_obstructions(empty_set([1])) == full_sphere([1]),
         decide_text("B(4)").conclusion == INDEX_TWO,
         decide_text("Zmod(7)").conclusion == "Unknown",
     ]

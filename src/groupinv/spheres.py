@@ -5,9 +5,9 @@ blocks ("factors").  It is a finite union of join atoms; each atom assigns one
 part per factor and denotes the iterated spherical join of those parts, with
 the convention that an empty part is simply skipped (join with the empty set
 embeds the other side).  Parts are either nothing, the whole factor sphere, a
-finite set of rational directions, the complement of a finite set, or the
-directions of an exact rational polyhedral cone (used to witness provably
-infinite sets without enumerating them).
+finite set of rational directions, or the directions of an exact rational
+polyhedral cone (used to witness provably infinite sets without enumerating
+them).
 
 Only rational points, i.e. primitive integer vectors, are ever explicit.
 Rank-one factor spheres consist of exactly two points and are normalized to
@@ -25,10 +25,6 @@ from . import _Value
 
 
 class AmbientMismatch(ValueError):
-    pass
-
-
-class UnsupportedComplement(ValueError):
     pass
 
 
@@ -95,13 +91,6 @@ class FinitePoints(_Ordered):
             raise ValueError("use EMPTY for an empty part")
 
 
-class CofinitePoints(_Ordered):
-    __slots__ = ("excluded",)
-
-    def __init__(self, excluded: Iterable[Direction]):
-        self._set(tuple(sorted(set(excluded))))
-
-
 class ConeRegion(_Ordered):
     """Directions d with <d, f> <= 0 for every listed normal.
 
@@ -117,7 +106,7 @@ class ConeRegion(_Ordered):
             raise ValueError("cone region requires at least one normal")
 
 
-Part = object  # EMPTY | FULL | FinitePoints | CofinitePoints | ConeRegion
+Part = object  # EMPTY | FULL | FinitePoints | ConeRegion
 JoinAtom = tuple  # one Part per factor
 
 # S^0 = {+1, -1}, the whole sphere of a rank-one factor
@@ -141,9 +130,7 @@ def _part_sort_key(part):
         return (1,)
     if isinstance(part, FinitePoints):
         return (2, part.points)
-    if isinstance(part, CofinitePoints):
-        return (3, part.excluded)
-    return (4, part.normals)
+    return (4, part.normals)  # ConeRegion; only the order of the tags matters
 
 
 def _atom_sort_key(atom: JoinAtom):
@@ -156,9 +143,8 @@ def _normalize_part(part, rank: int):
         if isinstance(part, FinitePoints):
             raise ValueError("no directions exist on a rank-zero factor")
         return EMPTY
-    if isinstance(part, (FinitePoints, CofinitePoints)):
-        pts = part.points if isinstance(part, FinitePoints) else part.excluded
-        for d in pts:
+    if isinstance(part, FinitePoints):
+        for d in part.points:
             if len(d) != rank:
                 raise ValueError("direction length %d does not match factor rank %d" % (len(d), rank))
     if isinstance(part, ConeRegion):
@@ -169,15 +155,9 @@ def _normalize_part(part, rank: int):
         # S^0 = {+1, -1}: everything collapses to explicit points
         if part is FULL:
             return FinitePoints(_RANK_ONE_SPHERE)
-        if isinstance(part, CofinitePoints):
-            rest = _RANK_ONE_SPHERE.difference(part.excluded)
-            return FinitePoints(rest) if rest else EMPTY
         if isinstance(part, ConeRegion):
             rest = {d for d in _RANK_ONE_SPHERE if all(d.dot(f) <= 0 for f in part.normals)}
             return FinitePoints(rest) if rest else EMPTY
-        return part
-    if isinstance(part, CofinitePoints) and not part.excluded:
-        return FULL
     return part
 
 
@@ -192,14 +172,8 @@ def _part_subset(a, b) -> bool:
     if isinstance(a, FinitePoints):
         if isinstance(b, FinitePoints):
             return set(a.points) <= set(b.points)
-        if isinstance(b, CofinitePoints):
-            return not (set(a.points) & set(b.excluded))
         if isinstance(b, ConeRegion):
             return all(all(p.dot(f) <= 0 for f in b.normals) for p in a.points)
-        return False
-    if isinstance(a, CofinitePoints):
-        if isinstance(b, CofinitePoints):
-            return set(b.excluded) <= set(a.excluded)
         return False
     if isinstance(a, ConeRegion):
         if isinstance(b, ConeRegion):
@@ -233,9 +207,6 @@ class SphereSet(_Value):
     def is_empty(self) -> bool:
         return not self.atoms
 
-    def is_full(self) -> bool:
-        return self == full_sphere(self.ambient)
-
     def blocks(self) -> list[tuple[int, int]]:
         """(start, end) coordinate slices of the factors."""
         return _blocks(self.ambient)
@@ -267,9 +238,6 @@ class SphereSet(_Value):
             if isinstance(part, FinitePoints):
                 if comp not in part.points:
                     return False
-            elif isinstance(part, CofinitePoints):
-                if comp in part.excluded:
-                    return False
             elif isinstance(part, ConeRegion):
                 if any(comp.dot(f) > 0 for f in part.normals):
                     return False
@@ -289,7 +257,7 @@ class SphereSet(_Value):
                     vec[start:end] = d.coords
                     points.add(tuple(vec))
             else:
-                # FULL or cofinite on rank >= 2, or a cone region: infinite
+                # FULL on rank >= 2, or a cone region: infinite
                 return Cardinality.infinite()
         if not points:
             return Cardinality.zero()
@@ -305,8 +273,6 @@ class SphereSet(_Value):
                 return "full"
             if isinstance(part, FinitePoints):
                 return {"points": [list(d.coords) for d in part.points]}
-            if isinstance(part, CofinitePoints):
-                return {"cofinite": [list(d.coords) for d in part.excluded]}
             return {"cone": [list(d.coords) for d in part.normals]}
 
         return {"ambient": list(self.ambient),
@@ -464,32 +430,6 @@ def union(a: SphereSet, b: SphereSet) -> SphereSet:
     if a.ambient != b.ambient:
         raise AmbientMismatch("union requires identical ambient decompositions")
     return SphereSet(a.ambient, a.atoms + b.atoms)
-
-
-def complement(a: SphereSet) -> SphereSet:
-    """Set complement within the ambient sphere, on the decidable fragment:
-    empty or full sets in any ambient, and single-factor finite/cofinite sets."""
-    if a.is_empty():
-        return full_sphere(a.ambient)
-    if a.is_full():
-        return empty_set(a.ambient)
-    if len(a.ambient) != 1:
-        raise UnsupportedComplement(
-            "complement of a non-trivial join union is outside the decidable fragment; "
-            "complement factor-level data before joining")
-    rank = a.ambient[0]
-    parts = [atom[0] for atom in a.atoms]
-    if all(isinstance(p, FinitePoints) for p in parts):
-        pts: set[Direction] = set()
-        for p in parts:
-            pts.update(p.points)
-        if rank == 1:
-            rest = _RANK_ONE_SPHERE - pts
-            return SphereSet(a.ambient, [(FinitePoints(rest),)] if rest else [])
-        return SphereSet(a.ambient, [(CofinitePoints(pts),)])
-    if len(parts) == 1 and isinstance(parts[0], CofinitePoints):
-        return SphereSet(a.ambient, [(FinitePoints(parts[0].excluded),)])
-    raise UnsupportedComplement("set is outside the decidable complement fragment")
 
 
 def permute_factors(a: SphereSet, perm: Sequence[int]) -> SphereSet:

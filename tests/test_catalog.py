@@ -9,7 +9,7 @@ import pytest
 
 from groupinv import expressions as ex
 from groupinv.catalog import lookup_invariants
-from groupinv.cones import check_finite12, omega_from_sigma
+from groupinv.cones import check_finite12, omega_from_obstructions
 from groupinv.expressions import (
     FinitePresentation,
     ParseError,
@@ -22,7 +22,7 @@ from groupinv.expressions import (
 from groupinv.rinf import UNKNOWN, decide
 from groupinv.spheres import (
     Direction,
-    complement,
+    SphereSet,
     empty_set,
     full_sphere,
     points_set,
@@ -390,8 +390,24 @@ def test_internal_consistency_sweep():
         inv = lookup_invariants(expr)
         if inv.sigma1_complement is None or inv.omega_at(1) is None:
             continue
-        sigma = complement(inv.sigma1_complement)
-        derived = omega_from_sigma(sigma, inv.hom_rank)
+        derived = omega_from_obstructions(inv.sigma1_complement)
         assert derived == inv.omega_at(1), text
         report = check_finite12(inv.omega_at(1))
         assert report.ok, text
+
+
+@pytest.mark.parametrize("text", ["Thompson", "T(3)", "T(8)"])
+def test_thompson_type_lookup_builds_two_sphere_sets(monkeypatch, text):
+    """A Thompson-type atom builds its obstruction set and the survivor set
+    read off it, and no other SphereSet."""
+    expr = parse_group_expr(text)
+    built = []
+    init = SphereSet.__init__
+
+    def counting_init(self, ambient, atoms):
+        built.append(ambient)
+        init(self, ambient, atoms)
+
+    monkeypatch.setattr(SphereSet, "__init__", counting_init)
+    lookup_invariants(expr)
+    assert len(built) == 2, built

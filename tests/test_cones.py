@@ -18,13 +18,12 @@ from groupinv.cones import (
     check_finite12,
     cone_rays,
     o_class_of,
-    omega_from_sigma,
+    omega_from_obstructions,
     omega_of_product,
     sigma1_complement_of_product,
 )
 from groupinv.spheres import (
     EMPTY,
-    CofinitePoints,
     ConeRegion,
     Direction,
     SphereSet,
@@ -35,11 +34,6 @@ from groupinv.spheres import (
     single_factor_points,
     union,
 )
-
-
-def cofinite_set(rank: int, excluded) -> SphereSet:
-    """The rank-``rank`` sphere minus the listed directions."""
-    return SphereSet([rank], [(CofinitePoints(Direction(v) for v in excluded),)])
 
 
 def primitive_solutions(cone: RationalCone, bound: int = 5):
@@ -143,26 +137,27 @@ def test_structured_cones_all_shapes():
 
 
 # ---------------------------------------------------------------------------
-# omega_from_sigma
+# omega from the obstruction set, the complement of sigma
 
 
 def test_omega_from_sigma_rank1():
     # obstruction {-1} leaves the +1 ray
-    sigma = cofinite_set(1, [(-1,)])
-    assert omega_from_sigma(sigma, 1) == single_factor_points(1, [(1,)])
+    sigma_c = single_factor_points(1, [(-1,)])
+    assert omega_from_obstructions(sigma_c) == single_factor_points(1, [(1,)])
     # no obstruction: everything survives
-    assert omega_from_sigma(full_sphere([1]), 1) == full_sphere([1])
-    assert omega_from_sigma(empty_set([1]), 1) == empty_set([1])
+    assert omega_from_obstructions(empty_set([1])) == full_sphere([1])
+    # everything obstructed: nothing survives
+    assert omega_from_obstructions(full_sphere([1])) == empty_set([1])
 
 
 def test_omega_from_sigma_line():
-    sigma = cofinite_set(2, [(1, 0), (-1, 0)])
-    assert omega_from_sigma(sigma, 2) == single_factor_points(2, [(0, 1), (0, -1)])
+    sigma_c = points_set([2], [(1, 0), (-1, 0)])
+    assert omega_from_obstructions(sigma_c) == single_factor_points(2, [(0, 1), (0, -1)])
 
 
 def test_omega_from_sigma_higher_keeps_witness():
-    sigma = cofinite_set(2, [(1, 0), (0, 1)])
-    omega = omega_from_sigma(sigma, 2)
+    sigma_c = points_set([2], [(1, 0), (0, 1)])
+    omega = omega_from_obstructions(sigma_c)
     assert omega.cardinality().kind == "infinite"
     assert omega.member(Direction((-1, -1)))
     assert not omega.member(Direction((1, 0)))
@@ -170,13 +165,14 @@ def test_omega_from_sigma_higher_keeps_witness():
 
 def test_omega_from_sigma_rejects_outside_fragment():
     with pytest.raises(UnsupportedSigma):
-        omega_from_sigma(points_set([2], [(1, 0)]), 2)  # finite sigma, m >= 2
+        # an infinite obstruction set short of the sphere, m >= 2
+        omega_from_obstructions(SphereSet([2], [(ConeRegion([Direction((1, 0))]),)]))
     with pytest.raises(UnsupportedSigma):
-        omega_from_sigma(full_sphere([1, 1]), 2)  # joined ambient
+        omega_from_obstructions(full_sphere([1, 1]))  # joined ambient
 
 
 def test_omega_from_sigma_brute_force_sweep():
-    """omega_from_sigma vs direct enumeration on random obstruction sets."""
+    """omega_from_obstructions vs direct enumeration on random obstruction sets."""
     rng = random.Random(2718)
     done = 0
     while done < 100:
@@ -189,8 +185,7 @@ def test_omega_from_sigma_brute_force_sweep():
                 vec = [rng.randint(-2, 2) for _ in range(m)]
             normals.append(tuple(vec))
         cone = RationalCone(m, normals)
-        sigma = cofinite_set(m, [d.coords for d in cone.normals])
-        omega = omega_from_sigma(sigma, m)
+        omega = omega_from_obstructions(points_set([m], [d.coords for d in cone.normals]))
         for vec in primitive_solutions(cone, 3):
             assert omega.member(Direction(vec))
         card = omega.cardinality()
@@ -252,10 +247,9 @@ def pairwise_sigma1_complement_of_product(factor_complements):
 
 
 def random_factor_set(rng):
-    """An obstruction set of one factor: unknown, rank 0, rank 1, cofinite,
-    cone, full, empty, explicit points, or a set over several blocks."""
-    kind = rng.choice(["none", "rank0", "rank1", "cofinite", "cone", "full", "empty",
-                       "points", "blocks"])
+    """An obstruction set of one factor: unknown, rank 0, rank 1, cone, full,
+    empty, explicit points, or a set over several blocks."""
+    kind = rng.choice(["none", "rank0", "rank1", "cone", "full", "empty", "points", "blocks"])
     rank = rng.randint(2, 4)
 
     def vec():
@@ -270,8 +264,6 @@ def random_factor_set(rng):
         return empty_set([0])
     if kind == "rank1":
         return points_set([1], rng.sample([(1,), (-1,)], rng.randint(0, 2)))
-    if kind == "cofinite":
-        return cofinite_set(rank, [vec() for _ in range(rng.randint(1, 3))])
     if kind == "cone":
         return SphereSet([rank], [(ConeRegion(Direction(vec()) for _ in range(rng.randint(1, 3))),)])
     if kind == "full":

@@ -57,7 +57,6 @@ def _probe():
 RECORDS = [
     ("Direction", lambda: spheres.Direction((2, -4)), True, True),
     ("FinitePoints", lambda: spheres.FinitePoints([spheres.Direction((1, 0))]), True, True),
-    ("CofinitePoints", lambda: spheres.CofinitePoints([spheres.Direction((1, 0))]), True, True),
     ("ConeRegion", lambda: spheres.ConeRegion([spheres.Direction((1, 0))]), True, True),
     ("SphereSet", lambda: spheres.full_sphere([2, 1]), True, True),
     ("Cardinality", lambda: spheres.full_sphere([1]).cardinality(), True, True),

@@ -13,13 +13,10 @@ from groupinv.spheres import (
     EMPTY,
     FULL,
     AmbientMismatch,
-    CofinitePoints,
     ConeRegion,
     Direction,
     FinitePoints,
     SphereSet,
-    UnsupportedComplement,
-    complement,
     empty_set,
     full_sphere,
     join,
@@ -29,11 +26,6 @@ from groupinv.spheres import (
     single_factor_points,
     union,
 )
-
-
-def cofinite_set(rank: int, excluded) -> SphereSet:
-    """The rank-``rank`` sphere minus the listed directions."""
-    return SphereSet([rank], [(CofinitePoints(Direction(v) for v in excluded),)])
 
 
 def intersect_with_finite(a: SphereSet, finite: SphereSet) -> SphereSet:
@@ -88,8 +80,6 @@ ORDERED = [
     (Direction, "coords", [(1, 0), (0, 1), (-1, 2), (2, -1), (0, -1), (-3, 1)]),
     (FinitePoints, "points", [_directions((1, 0)), _directions((0, 1), (1, 0)),
                               _directions((-1, 0)), _directions((1, 1), (-1, 0))]),
-    (CofinitePoints, "excluded", [[], _directions((1, 0)), _directions((0, 1), (-1, 0)),
-                                  _directions((-1, 0))]),
     (ConeRegion, "normals", [_directions((1, 0)), _directions((0, 1), (1, 0)),
                              _directions((-1, 1)), _directions((1, 0), (0, -1))]),
 ]
@@ -115,11 +105,9 @@ def test_printed_reprs_keep_their_text():
     # SphereSet's repr prints its parts; a failed selfcheck comparison prints it
     assert repr(Direction((2, -4))) == "Direction((1, -2))"
     a = SphereSet([1, 2], [(FinitePoints(_directions((1,), (-1,))), EMPTY),
-                           (EMPTY, CofinitePoints(_directions((0, 1)))),
                            (EMPTY, ConeRegion(_directions((1, 0), (0, 1))))])
     assert repr(a) == (
         "SphereSet(ambient=(1, 2), atoms=("
-        "('empty', CofinitePoints(excluded=(Direction((0, 1)),))), "
         "('empty', ConeRegion(normals=(Direction((0, 1)), Direction((1, 0))))), "
         "(FinitePoints(points=(Direction((-1,)), Direction((1,)))), 'empty')))")
 
@@ -128,9 +116,6 @@ def test_rank_one_normalization():
     # the whole S^0 is two explicit points
     full = full_sphere([1])
     assert full.atoms == ((FinitePoints([Direction((1,)), Direction((-1,))]),),)
-    # cofinite on S^0 becomes finite
-    cof = cofinite_set(1, [(-1,)])
-    assert cof.atoms == ((FinitePoints([Direction((1,))]),),)
 
 
 def test_rank_zero_factors_vanish():
@@ -165,16 +150,6 @@ def test_join_two_singletons_is_infinite_arc():
     for p, q in ((1, 1), (1, 2), (2, 1), (3, 5)):
         assert arc.member(Direction((p, q)))
     assert not arc.member(Direction((-1, 1)))
-
-
-def test_complement_fragment():
-    assert complement(empty_set([3])) == full_sphere([3])
-    assert complement(full_sphere([3])) == empty_set([3])
-    minus = single_factor_points(1, [(-1,)])
-    assert complement(minus) == single_factor_points(1, [(1,)])
-    assert complement(complement(cofinite_set(2, [(1, 0)]))) == cofinite_set(2, [(1, 0)])
-    with pytest.raises(UnsupportedComplement):
-        complement(join(single_factor_points(1, [(1,)]), single_factor_points(1, [(1,)])))
 
 
 def test_union_and_intersection():
@@ -231,8 +206,6 @@ def test_json_encoding_of_each_part_kind():
          {"ambient": [2, 0, 1], "atoms": [["full", "empty", {"points": [[-1], [1]]}]]}),
         (single_factor_points(2, [(2, -4), (0, 1)]),
          {"ambient": [2], "atoms": [[{"points": [[0, 1], [1, -2]]}]]}),
-        (cofinite_set(3, [(1, 0, 0), (0, -2, 1)]),
-         {"ambient": [3], "atoms": [[{"cofinite": [[0, -2, 1], [1, 0, 0]]}]]}),
         (cone, {"ambient": [2], "atoms": [[{"cone": [[0, 1], [1, 0]]}]]}),
     ]
     for sphere_set, expected in cases:
@@ -257,7 +230,7 @@ def random_sphere_set(rng: random.Random, rank: int) -> SphereSet:
         dirs.append(tuple(vec))
     if kind == 2 or rank == 1:
         return single_factor_points(rank, dirs)
-    return cofinite_set(rank, dirs)
+    return SphereSet([rank], [(ConeRegion([Direction(dirs[0])]),)])  # a closed half-space
 
 
 def test_join_assoc_comm_and_cardinality_laws():
@@ -318,7 +291,7 @@ def _any_point(s: SphereSet):
     if card.kind == "finite":
         return card.points[0]
     rank = s.dim
-    # full or cofinite: try small vectors until one is a member
+    # full or a half-space: try small vectors until one is a member
     for vec in sorted(product(range(-3, 4), repeat=rank), key=lambda v: sum(abs(x) for x in v)):
         if any(vec) and s.member(Direction(vec)):
             return Direction(vec)
