@@ -2,8 +2,8 @@
 
 Atom entries carry literature citations; product entries are derived on the
 fly through the join product formula and the level-one union formula for
-obstruction sets, and are tagged with their derivation.  Anything not stored and not derivable
-stays unknown, never guessed.
+obstruction sets, and are tagged with their derivation.  Anything not stored
+and not derivable stays unknown, never guessed.
 
 Within one `rinf.decide` query every distinct expression node is evaluated
 once: the query opens a memo (`query_memo`) that `lookup_invariants` reads
