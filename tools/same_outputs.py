@@ -2,13 +2,13 @@
 
 Usage (from anywhere):
 
-    python3 tools/same_outputs.py PARENT CHANGE [--labels 3000] [--seed 17]
+    python3 tools/same_outputs.py PARENT CHANGE
 
 One list of command lines is generated once, from PARENT's ``src`` and
 ``benchmark``:
 
-- ``rinf -g``, ``invariants -g`` and ``invariants -n 2 -g`` on LABELS labels of
-  ``selfcheck._random_expr`` (depths 2 and 3) and on LABELS renderings of
+- ``rinf -g``, ``invariants -g`` and ``invariants -n 2 -g`` on 3,000 labels of
+  ``selfcheck._random_expr`` (depths 2 and 3) and on 3,000 renderings of
   ``benchmark/workloads.random_expr``;
 - the same three commands on ``T(2)`` to ``T(11)``, products with ``T(9)``
   and other Thompson-type products, and inputs the parser refuses;
@@ -40,6 +40,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+LABELS = 3000  # labels of each kind
+SEED = 17
 _TIMING = re.compile(r" \(\d+\.\d+s\)$", re.M)  # selfcheck's per-criterion wall time
 PROBE_ATOMS = {"Z": 1, "Z^2": 2, "Z^3": 3, "Klein": 1, "BS(1,2)": 1, "BS(1,3)": 1, "F(2)": 2}
 FIXED_GROUPS = ["T(%d)" % n for n in range(2, 12)] + [
@@ -94,15 +96,15 @@ def _reidemeister_lines(rng, workloads, count):
     return lines
 
 
-def generate(labels: int, seed: int) -> list:
+def generate() -> list:
     """The command lines, built from the checkout whose src and benchmark are on sys.path."""
     import oracles
     import workloads
     from groupinv import selfcheck
 
-    rng = random.Random(seed)
-    texts = [selfcheck._random_expr(rng, 2 + i % 2).label() for i in range(labels)]
-    texts += [oracles.render(workloads.random_expr(rng)) for _ in range(labels)]
+    rng = random.Random(SEED)
+    texts = [selfcheck._random_expr(rng, 2 + i % 2).label() for i in range(LABELS)]
+    texts += [oracles.render(workloads.random_expr(rng)) for _ in range(LABELS)]
     return (_group_lines(texts + FIXED_GROUPS) + _probe_lines(rng, 400)
             + _reidemeister_lines(rng, workloads, 40) + [["selfcheck"]])
 
@@ -141,8 +143,7 @@ def _child(root: Path, mode: str, payload: str, extra_path: str = "") -> str:
 
 def main() -> int:
     if sys.argv[1:2] == ["--generate"]:
-        options = json.loads(sys.stdin.read())
-        json.dump(generate(options["labels"], options["seed"]), sys.stdout)
+        json.dump(generate(), sys.stdout)
         return 0
     if sys.argv[1:2] == ["--run"]:
         json.dump(run(json.loads(sys.stdin.read())), sys.stdout)
@@ -150,12 +151,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--labels", type=int, default=3000)
-    parser.add_argument("--seed", type=int, default=17)
     args = parser.parse_args()
     parent, change = args.parent.resolve(), args.change.resolve()
-    payload = _child(parent, "--generate", json.dumps({"labels": args.labels, "seed": args.seed}),
-                     str(parent / "benchmark"))
+    payload = _child(parent, "--generate", "", str(parent / "benchmark"))
     lines = json.loads(payload)
     digests = {}
     for name, root in (("parent", parent), ("change", change)):
