@@ -824,11 +824,6 @@ class ScanRow(_Record):
                  catalog_member: bool | None, warn: bool):
         self._set(direction, mode, evidence, catalog_member, warn)
 
-    def to_json_dict(self) -> dict:
-        return {"direction": list(self.direction.coords), "mode": self.mode,
-                "evidence": self.evidence, "catalog_member": self.catalog_member,
-                "warn": self.warn}
-
 
 def catalog_membership(atom: ex.GroupAtom, gamma: Direction, mode: str) -> bool | None:
     """Expected membership from the catalog: level-one surviving set for cone

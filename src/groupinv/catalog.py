@@ -32,7 +32,6 @@ from .spheres import (
     empty_set,
     full_sphere,
     points_set,
-    single_factor_points,
 )
 
 # literature tags used in verdict traces and invariant provenance
@@ -113,8 +112,8 @@ def _atom_invariants(atom: ex.GroupAtom) -> KnownInvariants:
     if kind == ex.BAUMSLAG_SOLITAR:
         return KnownInvariants(
             hom_rank=1,
-            sigma1_complement=single_factor_points(1, [(-1,)]),
-            omega=single_factor_points(1, [(1,)]),
+            sigma1_complement=points_set([1], [(-1,)]),
+            omega=points_set([1], [(1,)]),
             provenance=(("sigma1_complement", "one obstructed direction (Bieri-Strebel); "
                                               "the surviving end is written +1"),
                         ("omega", "single surviving rational direction")),

@@ -38,75 +38,63 @@ def _fail(message: str) -> None:
 
 def invariants(text: str, level: int):
     """Hom-rank, obstruction set, and surviving directions with provenance."""
-    try:
-        expr = ex.parse_group_expr(text)
-        inv = catalog.lookup_invariants(expr)
-        _emit({"group": expr.label(), **inv.summary(level)})
-    except ValueError as exc:
-        _fail(str(exc))
+    expr = ex.parse_group_expr(text)
+    inv = catalog.lookup_invariants(expr)
+    _emit({"group": expr.label(), **inv.summary(level)})
 
 
 def rinf(text: str):
     """R-infinity verdict with its derivation trace."""
-    try:
-        expr = ex.parse_group_expr(text)
-        verdict = rinf_rules.decide(expr)
-        _emit({"group": expr.label(), **verdict.to_json_dict()})
-    except ValueError as exc:
-        _fail(str(exc))
+    expr = ex.parse_group_expr(text)
+    verdict = rinf_rules.decide(expr)
+    _emit({"group": expr.label(), **verdict.to_json_dict()})
 
 
 def reidemeister(matrix: str | None, torsion: str | None, torsion_map: str | None,
                  mixing: str | None, table: str | None, automorphism: str | None):
     """Twisted conjugacy class count: exact on Z^k + torsion via --matrix,
     or by orbit enumeration over a finite multiplication table via --table."""
-    try:
-        if (matrix is None) == (table is None):
-            raise ValueError("give exactly one of --matrix or --table")
-        if table is not None:
-            rows = json.loads(table)
-            if not isinstance(rows, list):
-                raise ValueError("--table must be a JSON list of rows")
-            group = abelian.FiniteGroupTable(rows)
-            perm = (json.loads(automorphism) if automorphism
-                    else list(range(group.order)))
-            count, reps = abelian.brute_force_twisted_classes(group, perm)
-            _emit({"reidemeister": count, "representatives": reps})
-            return
-        free_part = json.loads(matrix)
-        factors = json.loads(torsion) if torsion else []
-        tmap = json.loads(torsion_map) if torsion_map else None
-        mix = json.loads(mixing) if mixing else None
-        phi = abelian.FGAbelianAutomorphism.from_matrix(free_part, factors, tmap, mix)
-        value = abelian.reidemeister_number(phi)
-        _emit({"reidemeister": "infinity" if value == abelian.INFINITE else value})
-    except ValueError as exc:
-        _fail(str(exc))
+    if (matrix is None) == (table is None):
+        raise ValueError("give exactly one of --matrix or --table")
+    if table is not None:
+        rows = json.loads(table)
+        if not isinstance(rows, list):
+            raise ValueError("--table must be a JSON list of rows")
+        group = abelian.FiniteGroupTable(rows)
+        perm = (json.loads(automorphism) if automorphism
+                else list(range(group.order)))
+        count, reps = abelian.brute_force_twisted_classes(group, perm)
+        _emit({"reidemeister": count, "representatives": reps})
+        return
+    free_part = json.loads(matrix)
+    factors = json.loads(torsion) if torsion else []
+    tmap = json.loads(torsion_map) if torsion_map else None
+    mix = json.loads(mixing) if mixing else None
+    phi = abelian.FGAbelianAutomorphism.from_matrix(free_part, factors, tmap, mix)
+    value = abelian.reidemeister_number(phi)
+    _emit({"reidemeister": "infinity" if value == abelian.INFINITE else value})
 
 
 def probe(atom_text: str, direction_text: str, mode: str, radius: int,
           grid: str | None, lambda_max: str, fmt: str):
     """Connectivity probe of half-space or truncated-cone sublevel sets."""
-    try:
-        expr = ex.parse_group_expr(atom_text)
-        if expr.node != "atom":
-            raise ValueError("the probe runs on single atoms, not products")
-        gamma = spheres.Direction([int(c) for c in direction_text.split(",")])
-        # every check runs before the ball is built, in the order the probe
-        # would meet them: the caps, the scales, the configuration, the direction
-        ballprobe.check_ball(expr.atom, radius)
-        scales = (ballprobe.default_grid(radius) if grid is None
-                  else [_rational(chunk) for chunk in grid.split(",")])
-        budget = _rational(lambda_max)
-        ballprobe.check_probe(expr.atom, gamma, radius, scales, mode, budget)
-        ball = ballprobe.enumerate_ball(expr.atom, radius)
-        report = ballprobe.connectivity_probe(ball, gamma, scales, mode, budget)
-        if fmt == "csv":
-            print(report.to_csv())
-        else:
-            _emit(report.to_json_dict())
-    except ValueError as exc:
-        _fail(str(exc))
+    expr = ex.parse_group_expr(atom_text)
+    if expr.node != "atom":
+        raise ValueError("the probe runs on single atoms, not products")
+    gamma = spheres.Direction([int(c) for c in direction_text.split(",")])
+    # every check runs before the ball is built, in the order the probe
+    # would meet them: the caps, the scales, the configuration, the direction
+    ballprobe.check_ball(expr.atom, radius)
+    scales = (ballprobe.default_grid(radius) if grid is None
+              else [_rational(chunk) for chunk in grid.split(",")])
+    budget = _rational(lambda_max)
+    ballprobe.check_probe(expr.atom, gamma, radius, scales, mode, budget)
+    ball = ballprobe.enumerate_ball(expr.atom, radius)
+    report = ballprobe.connectivity_probe(ball, gamma, scales, mode, budget)
+    if fmt == "csv":
+        print(report.to_csv())
+    else:
+        _emit(report.to_json_dict())
 
 
 _EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
@@ -339,7 +327,10 @@ def main(args=None, prog_name=None):
         print("Usage: %s [OPTIONS]%s\nTry '%s --help' for help.\n\nError: %s"
               % (usage, "" if name else " COMMAND [ARGS]...", usage, exc), file=sys.stderr)
         sys.exit(2)
-    command.func(**kwargs)
+    try:
+        command.func(**kwargs)
+    except ValueError as exc:
+        _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 A direction e survives at level n exactly when its whole open quarter-sphere
 neighborhood avoids the obstruction set F, i.e. <e, f> <= 0 for every f in F.
-The surviving directions therefore form the polar cone of F, which this
-module computes exactly over the integers with the double description method
-and classifies as trivial / one ray / a full line / higher dimensional.
-`omega_from_obstructions` reads the survivors straight off F, the
-complement of the Bieri-Neumann-Strebel invariant that the catalog stores.
+The surviving directions therefore form the polar cone of F.
+`omega_from_obstructions` reads them straight off F, the complement of the
+Bieri-Neumann-Strebel invariant that the catalog stores: the double
+description method finds the cone's lines and extreme rays exactly over the
+integers, and the survivors are nothing, the one ray, the line's two ends, or
+else the infinite `ConeRegion` cut out by F.
 
 The product formula says the invariant of a direct product is the spherical
 join of the factor invariants; both that and the union formula for the
@@ -16,9 +17,9 @@ level-one obstruction set of a product are implemented on SphereSets.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from . import _Record, _Value
+from . import _Record
 from .abelian import matrix_rank
 from .spheres import (
     EMPTY,
@@ -51,50 +52,6 @@ def check_cone_dim(m: int) -> None:
         raise DimensionCapExceeded("cone dimension %d exceeds cap %d" % (m, MAX_CONE_DIM))
 
 
-class RationalCone(_Record):
-    """{x in R^m : <x, f> <= 0 for all normals f}."""
-
-    __slots__ = ("dim", "normals")
-
-    def __init__(self, dim: int, normals: Iterable[Sequence[int] | Direction]):
-        ns = []
-        for f in normals:
-            d = f if isinstance(f, Direction) else Direction(f)
-            if len(d) != dim:
-                raise ValueError("normal length does not match the cone dimension")
-            ns.append(d)
-        self._set(int(dim), tuple(sorted(set(ns))))
-
-    def __repr__(self):
-        return "RationalCone(dim=%r, normals=%r)" % (self.dim, self.normals)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return all(sum(a * b for a, b in zip(f.coords, vec)) <= 0 for f in self.normals)
-
-
-class ConeShape(_Value):
-    __slots__ = ("kind", "direction", "dimension")
-
-    def __init__(self, kind: str, direction: Direction | None = None, dimension: int = 0):
-        self._set(kind, direction, dimension)  # kind: "trivial" | "ray" | "line" | "higher"
-
-    @staticmethod
-    def trivial() -> "ConeShape":
-        return ConeShape("trivial", None, 0)
-
-    @staticmethod
-    def ray(d: Direction) -> "ConeShape":
-        return ConeShape("ray", d, 1)
-
-    @staticmethod
-    def line(d: Direction) -> "ConeShape":
-        return ConeShape("line", d, 1)
-
-    @staticmethod
-    def higher(dim: int) -> "ConeShape":
-        return ConeShape("higher", None, dim)
-
-
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*vec)
     if g <= 1:
@@ -107,8 +64,10 @@ def _combine(pos: Sequence[int], neg: Sequence[int], fp: int, fn: int) -> tuple[
     return _primitive(tuple(fp * bn - fn * bp for bp, bn in zip(pos, neg)))
 
 
-def extreme_rays(cone: RationalCone) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Double description: returns (lineality basis, extreme rays modulo lineality).
+def extreme_rays(m: int, normals: Sequence[Direction]
+                 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Double description of {x in R^m : <x, f> <= 0 for every normal f}:
+    returns (lineality basis, extreme rays modulo lineality).
 
     Constraints are inserted one at a time.  While a free line crosses the new
     hyperplane it is folded into a ray; otherwise the surviving rays plus all
@@ -116,7 +75,6 @@ def extreme_rays(cone: RationalCone) -> tuple[list[tuple[int, ...]], list[tuple[
     back to the true extreme rays by an exact rank test (a ray of the cone so
     far is extreme iff its tight normals have rank m - dim(lineality) - 1).
     """
-    m = cone.dim
     check_cone_dim(m)
     if m == 0:
         return [], []
@@ -124,7 +82,7 @@ def extreme_rays(cone: RationalCone) -> tuple[list[tuple[int, ...]], list[tuple[
     rays: list[tuple[int, ...]] = []
     processed: list[Direction] = []
 
-    for f in cone.normals:
+    for f in normals:
         fc = f.coords
 
         def val(v):
@@ -183,23 +141,6 @@ def _in_span(vec: Sequence[int], basis: list[tuple[int, ...]]) -> bool:
     return matrix_rank(basis + [vec]) == len(basis)
 
 
-def cone_rays(cone: RationalCone) -> ConeShape:
-    """Exact shape classification of the cone over the rationals."""
-    lines, rays = extreme_rays(cone)
-    if not lines and not rays:
-        return ConeShape.trivial()
-    if not lines and len(rays) == 1:
-        return ConeShape.ray(Direction(rays[0]))
-    if len(lines) == 1 and not rays:
-        vec = lines[0]
-        lead = next(c for c in vec if c)  # sign of a line is a convention; fix it
-        if lead < 0:
-            vec = tuple(-c for c in vec)
-        return ConeShape.line(Direction(vec))
-    dim = matrix_rank([list(v) for v in lines + rays])
-    return ConeShape.higher(dim)
-
-
 # ---------------------------------------------------------------------------
 # level invariants from obstruction data
 
@@ -220,13 +161,11 @@ def omega_from_obstructions(sigma_c: SphereSet) -> SphereSet:
     if len(parts) != 1 or not isinstance(parts[0], FinitePoints):
         raise UnsupportedSigma("obstruction set is neither empty, full, nor finite")
     obstructions = parts[0].points
-    shape = cone_rays(RationalCone(m, obstructions))
-    if shape.kind == "trivial":
-        return empty_set([m])
-    if shape.kind == "ray":
-        return points_set([m], [shape.direction.coords])
-    if shape.kind == "line":
-        return points_set([m], [shape.direction.coords, shape.direction.antipode().coords])
+    lines, rays = extreme_rays(m, obstructions)
+    if not lines and len(rays) <= 1:
+        return points_set([m], rays)  # nothing, or the one ray
+    if len(lines) == 1 and not rays:
+        return points_set([m], [lines[0], tuple(-c for c in lines[0])])
     return SphereSet([m], [(ConeRegion(obstructions),)])
 
 

@@ -39,7 +39,7 @@ from .ballprobe import (
     probe_direction_scan,
 )
 from .catalog import lookup_invariants
-from .cones import RationalCone, check_finite12, cone_rays, omega_from_obstructions
+from .cones import check_finite12, omega_from_obstructions
 from .expressions import parse_group_expr
 from .rinf import INDEX_TWO, RINFINITY, decide_text
 from .spheres import (
@@ -54,7 +54,6 @@ from .spheres import (
     permute_factors,
     permute_vector,
     points_set,
-    single_factor_points,
     union,
 )
 from .unionfind import UnionFind
@@ -154,7 +153,7 @@ def _random_sphere_set(rng, rank):
             vec = [rng.randint(-2, 2) for _ in range(rank)]
         dirs.append(tuple(vec))
     if kind == 2 or rank == 1:
-        return single_factor_points(rank, dirs)
+        return points_set([rank], dirs)
     return SphereSet([rank], [(ConeRegion([Direction(dirs[0])]),)])  # a closed half-space
 
 
@@ -234,7 +233,7 @@ def criterion_3():
 def _expected_catalog_rows(n: int):
     full_s_nminus1_in = join(full_sphere([n]), empty_set([1]))
     return {
-        "BS(1,%d)" % n: ("omega", single_factor_points(1, [(1,)])),
+        "BS(1,%d)" % n: ("omega", points_set([1], [(1,)])),
         "BS(1,2) x F(%d)|omega" % n: ("omega", points_set([1, n], [tuple([1] + [0] * n)])),
         "BS(1,2) x F(%d)|sigma" % n:
             ("sigma", union(points_set([1, n], [tuple([-1] + [0] * n)]),
@@ -364,8 +363,7 @@ def criterion_8():
                 while not any(vec):
                     vec = [rng.randint(-3, 3) for _ in range(m)]
                 normals.append(tuple(vec))
-        cone = RationalCone(m, normals)
-        shape = cone_rays(cone)
+        omega = omega_from_obstructions(points_set([m], normals))
         enumerated = set()
         for vec in itertools.product(range(-5, 6), repeat=m):
             if not any(vec):
@@ -373,29 +371,19 @@ def criterion_8():
             g = 0
             for c in vec:
                 g = gcd(g, abs(c))
-            if g == 1 and cone.contains(vec):
+            if g == 1 and all(sum(a * b for a, b in zip(vec, f)) <= 0 for f in normals):
                 enumerated.add(vec)
-        if shape.kind == "trivial":
-            if enumerated:
-                return False, "trivial cone %r has solutions %r" % (cone, enumerated)
-            exact_classes += 1
-        elif shape.kind == "ray":
-            d = shape.direction.coords
-            expected = {d} if max(abs(c) for c in d) <= 5 else set()
-            if enumerated != expected:
-                return False, "ray mismatch for %r" % (cone,)
-            exact_classes += 1
-        elif shape.kind == "line":
-            d = shape.direction.coords
-            anti = tuple(-c for c in d)
-            expected = {v for v in (d, anti) if max(abs(c) for c in v) <= 5}
-            if enumerated != expected:
-                return False, "line mismatch for %r" % (cone,)
-            exact_classes += 1
-        else:
+        card = omega.cardinality()
+        if card.kind == "infinite":
             for v in enumerated:
-                if not cone.contains(v):
-                    return False, "inconsistent enumeration for %r" % (cone,)
+                if not omega.member(Direction(v)):
+                    return False, "inconsistent enumeration for normals %r" % (normals,)
+        else:
+            # nothing, one ray or a line's two ends: exactly the enumerated points
+            expected = {d.coords for d in card.points if max(map(abs, d.coords)) <= 5}
+            if enumerated != expected:
+                return False, "survivor mismatch for normals %r" % (normals,)
+            exact_classes += 1
         done += 1
     return done == 100, "%d cones checked, %d in the exact classes" % (done, exact_classes)
 

@@ -64,10 +64,6 @@ class Direction(_Ordered):
     def antipode(self) -> "Direction":
         return Direction(tuple(-c for c in self.coords))
 
-    def dot(self, other: "Direction | Sequence[int]") -> int:
-        coords = other.coords if isinstance(other, Direction) else other
-        return sum(a * b for a, b in zip(self.coords, coords))
-
     def norm_sq(self) -> int:
         return sum(c * c for c in self.coords)
 
@@ -104,6 +100,9 @@ class ConeRegion(_Ordered):
         self._set(tuple(sorted(set(normals))))
         if not self.normals:
             raise ValueError("cone region requires at least one normal")
+
+    def contains(self, d: Direction) -> bool:
+        return all(sum(a * b for a, b in zip(d.coords, f.coords)) <= 0 for f in self.normals)
 
 
 Part = object  # EMPTY | FULL | FinitePoints | ConeRegion
@@ -156,7 +155,7 @@ def _normalize_part(part, rank: int):
         if part is FULL:
             return FinitePoints(_RANK_ONE_SPHERE)
         if isinstance(part, ConeRegion):
-            rest = {d for d in _RANK_ONE_SPHERE if all(d.dot(f) <= 0 for f in part.normals)}
+            rest = {d for d in _RANK_ONE_SPHERE if part.contains(d)}
             return FinitePoints(rest) if rest else EMPTY
     return part
 
@@ -173,7 +172,7 @@ def _part_subset(a, b) -> bool:
         if isinstance(b, FinitePoints):
             return set(a.points) <= set(b.points)
         if isinstance(b, ConeRegion):
-            return all(all(p.dot(f) <= 0 for f in b.normals) for p in a.points)
+            return all(b.contains(p) for p in a.points)
         return False
     if isinstance(a, ConeRegion):
         if isinstance(b, ConeRegion):
@@ -239,7 +238,7 @@ class SphereSet(_Value):
                 if comp not in part.points:
                     return False
             elif isinstance(part, ConeRegion):
-                if any(comp.dot(f) > 0 for f in part.normals):
+                if not part.contains(comp):
                     return False
         return True
 
@@ -387,10 +386,6 @@ def points_set(ambient: Iterable[int], vectors: Iterable[Sequence[int]]) -> Sphe
         atom[i] = FinitePoints([Direction(d.coords[s:e])])
         atoms.append(tuple(atom))
     return SphereSet(ambient, atoms)
-
-
-def single_factor_points(rank: int, vectors: Iterable[Sequence[int]]) -> SphereSet:
-    return points_set([rank], vectors)
 
 
 # ---------------------------------------------------------------------------

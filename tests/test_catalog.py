@@ -26,7 +26,6 @@ from groupinv.spheres import (
     empty_set,
     full_sphere,
     points_set,
-    single_factor_points,
     union,
 )
 
@@ -249,8 +248,8 @@ def test_generalized_thompson_truncated_presentation_rank():
 
 def test_catalog_bs():
     inv = lookup_invariants(parse_group_expr("BS(1,3)"))
-    assert inv.sigma1_complement == single_factor_points(1, [(-1,)])
-    assert inv.omega_at(1) == single_factor_points(1, [(1,)])
+    assert inv.sigma1_complement == points_set([1], [(-1,)])
+    assert inv.omega_at(1) == points_set([1], [(1,)])
     assert inv.o_class_at(1) == "O1"
     assert inv.rinf_known is None
 

@@ -10,18 +10,18 @@ from math import gcd
 
 import pytest
 
+from groupinv import cones
+from groupinv.catalog import lookup_invariants
 from groupinv.cones import (
-    ConeShape,
     DimensionCapExceeded,
-    RationalCone,
     UnsupportedSigma,
     check_finite12,
-    cone_rays,
     o_class_of,
     omega_from_obstructions,
     omega_of_product,
     sigma1_complement_of_product,
 )
+from groupinv.expressions import parse_group_expr
 from groupinv.spheres import (
     EMPTY,
     ConeRegion,
@@ -31,15 +31,30 @@ from groupinv.spheres import (
     full_sphere,
     join,
     points_set,
-    single_factor_points,
     union,
 )
 
 
-def primitive_solutions(cone: RationalCone, bound: int = 5):
+def survivors(m: int, normals) -> SphereSet:
+    """The polar cone of the normals, as omega_from_obstructions builds it."""
+    return omega_from_obstructions(points_set([m], normals))
+
+
+def inside(vec, normals) -> bool:
+    return all(sum(a * b for a, b in zip(vec, f)) <= 0 for f in normals)
+
+
+def shape(omega: SphereSet) -> str:
+    card = omega.cardinality()
+    if card.kind == "infinite":
+        return "higher"
+    return {0: "trivial", 1: "ray", 2: "line"}[card.count]
+
+
+def primitive_solutions(m: int, normals, bound: int = 5):
     """Every primitive vector with entries in [-bound, bound] inside the cone."""
     seen = set()
-    for vec in product(range(-bound, bound + 1), repeat=cone.dim):
+    for vec in product(range(-bound, bound + 1), repeat=m):
         if not any(vec):
             continue
         g = 0
@@ -47,53 +62,49 @@ def primitive_solutions(cone: RationalCone, bound: int = 5):
             g = gcd(g, abs(c))
         if g != 1:
             continue
-        if cone.contains(vec):
+        if inside(vec, normals):
             seen.add(vec)
     return seen
 
 
-def check_against_enumeration(cone: RationalCone, bound: int = 5) -> ConeShape:
-    shape = cone_rays(cone)
-    enumerated = primitive_solutions(cone, bound)
-    if shape.kind == "trivial":
-        assert not enumerated, (cone, enumerated)
-    elif shape.kind == "ray":
-        d = shape.direction.coords
-        expected = {d} if max(abs(c) for c in d) <= bound else set()
-        assert enumerated == expected, (cone, shape, enumerated)
-    elif shape.kind == "line":
-        d = shape.direction.coords
-        anti = tuple(-c for c in d)
-        expected = {v for v in (d, anti) if max(abs(c) for c in v) <= bound}
-        assert enumerated == expected, (cone, shape, enumerated)
+def check_against_enumeration(m: int, normals, bound: int = 5) -> str:
+    omega = survivors(m, normals)
+    kind = shape(omega)
+    enumerated = primitive_solutions(m, normals, bound)
+    if kind == "trivial":
+        assert not enumerated, (normals, enumerated)
+    elif kind in ("ray", "line"):
+        points = omega.cardinality().points
+        if kind == "line":
+            assert points[0] == points[1].antipode()
+        expected = {d.coords for d in points if max(abs(c) for c in d.coords) <= bound}
+        assert enumerated == expected, (normals, omega, enumerated)
     else:
         # higher-dimensional: enumeration must be consistent (and the region
         # genuinely fat: some strictly interior point exists at modest bounds)
         for v in enumerated:
-            assert cone.contains(v)
-    return shape
+            assert omega.member(Direction(v))
+    return kind
 
 
 def test_cone_examples():
-    assert cone_rays(RationalCone(1, [(-1,)])) == ConeShape.ray(Direction((1,)))
-    assert cone_rays(RationalCone(2, [(1, 0), (-1, 0)])) == ConeShape.line(Direction((0, 1)))
-    shape = cone_rays(RationalCone(2, [(1, 0), (0, 1)]))
-    assert shape.kind == "higher" and shape.dimension == 2
-    assert RationalCone(2, [(1, 0), (0, 1)]).contains((-1, -1))
-    # a failed selfcheck prints the cone
-    assert repr(RationalCone(2, [(1, 0), (0, 2)])) == (
-        "RationalCone(dim=2, normals=(Direction((0, 1)), Direction((1, 0))))")
-    assert RationalCone(2, [(1, 0), (0, 1)]).contains((-2, -1))
+    assert survivors(1, [(-1,)]) == points_set([1], [(1,)])
+    assert survivors(2, [(1, 0), (-1, 0)]) == points_set([2], [(0, 1), (0, -1)])
+    quadrant = ConeRegion([Direction((1, 0)), Direction((0, 1))])
+    assert survivors(2, [(1, 0), (0, 1)]) == SphereSet([2], [(quadrant,)])
+    assert quadrant.contains(Direction((-1, -1)))
+    assert quadrant.contains(Direction((-2, -1)))
+    assert not quadrant.contains(Direction((1, -1)))
     # opposite pairs in the plane leave only the origin
-    assert cone_rays(RationalCone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])) == ConeShape.trivial()
+    assert survivors(2, [(1, 0), (-1, 0), (0, 1), (0, -1)]) == empty_set([2])
     # single halfspace in R^2 is a halfplane
-    assert cone_rays(RationalCone(2, [(1, 1)])).kind == "higher"
-    assert cone_rays(RationalCone(3, [(1, 1, 1), (-1, -1, 1)])).kind == "higher"
+    assert shape(survivors(2, [(1, 1)])) == "higher"
+    assert shape(survivors(3, [(1, 1, 1), (-1, -1, 1)])) == "higher"
 
 
 def test_cone_dimension_cap():
     with pytest.raises(DimensionCapExceeded):
-        cone_rays(RationalCone(9, [tuple([1] + [0] * 8)]))
+        survivors(9, [tuple([1] + [0] * 8)])
 
 
 def test_cone_random_cross_check():
@@ -117,9 +128,7 @@ def test_cone_random_cross_check():
                 while not any(vec):
                     vec = [rng.randint(-3, 3) for _ in range(m)]
                 normals.append(tuple(vec))
-        cone = RationalCone(m, normals)
-        shape = check_against_enumeration(cone)
-        classified[shape.kind] += 1
+        classified[check_against_enumeration(m, normals)] += 1
         checks += 1
     # the sweep must actually exercise the exact classifications
     assert classified["trivial"] >= 5
@@ -129,11 +138,36 @@ def test_cone_random_cross_check():
 
 def test_structured_cones_all_shapes():
     # hand-built families whose answers are forced
-    assert cone_rays(RationalCone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])) == ConeShape.trivial()
-    assert cone_rays(RationalCone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)])) == ConeShape.ray(Direction((0, 0, -1)))
-    assert cone_rays(RationalCone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)])) == ConeShape.line(Direction((0, 0, 1)))
-    shape = cone_rays(RationalCone(3, [(1, 0, 0)]))
-    assert shape.kind == "higher" and shape.dimension == 3
+    assert survivors(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]) == empty_set([3])
+    assert survivors(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)]) == points_set([3], [(0, 0, -1)])
+    assert survivors(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]) == points_set([3], [(0, 0, 1), (0, 0, -1)])
+    assert shape(survivors(3, [(1, 0, 0)])) == "higher"
+
+
+def test_no_rank_outside_double_description(monkeypatch):
+    """A Thompson-type lookup computes ranks only inside extreme_rays."""
+    outside = []
+    running = [False]
+    rank, dd = cones.matrix_rank, cones.extreme_rays
+
+    def counted_rank(m):
+        if not running[0]:
+            outside.append(m)
+        return rank(m)
+
+    def flagged_dd(*args):
+        running[0] = True
+        try:
+            return dd(*args)
+        finally:
+            running[0] = False
+
+    monkeypatch.setattr(cones, "matrix_rank", counted_rank)
+    monkeypatch.setattr(cones, "extreme_rays", flagged_dd)
+    for text in ("Thompson", "T(3)", "T(8)"):
+        omega = lookup_invariants(parse_group_expr(text)).omega_at(1)
+        assert omega.cardinality().kind == "infinite"
+    assert outside == []
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +176,8 @@ def test_structured_cones_all_shapes():
 
 def test_omega_from_sigma_rank1():
     # obstruction {-1} leaves the +1 ray
-    sigma_c = single_factor_points(1, [(-1,)])
-    assert omega_from_obstructions(sigma_c) == single_factor_points(1, [(1,)])
+    sigma_c = points_set([1], [(-1,)])
+    assert omega_from_obstructions(sigma_c) == points_set([1], [(1,)])
     # no obstruction: everything survives
     assert omega_from_obstructions(empty_set([1])) == full_sphere([1])
     # everything obstructed: nothing survives
@@ -152,7 +186,7 @@ def test_omega_from_sigma_rank1():
 
 def test_omega_from_sigma_line():
     sigma_c = points_set([2], [(1, 0), (-1, 0)])
-    assert omega_from_obstructions(sigma_c) == single_factor_points(2, [(0, 1), (0, -1)])
+    assert omega_from_obstructions(sigma_c) == points_set([2], [(0, 1), (0, -1)])
 
 
 def test_omega_from_sigma_higher_keeps_witness():
@@ -184,14 +218,13 @@ def test_omega_from_sigma_brute_force_sweep():
             while not any(vec):
                 vec = [rng.randint(-2, 2) for _ in range(m)]
             normals.append(tuple(vec))
-        cone = RationalCone(m, normals)
-        omega = omega_from_obstructions(points_set([m], [d.coords for d in cone.normals]))
-        for vec in primitive_solutions(cone, 3):
+        omega = survivors(m, normals)
+        for vec in primitive_solutions(m, normals, 3):
             assert omega.member(Direction(vec))
         card = omega.cardinality()
         if card.kind == "finite":
             for d in card.points:
-                assert cone.contains(d.coords)
+                assert inside(d.coords, normals)
         done += 1
 
 
@@ -200,7 +233,7 @@ def test_omega_from_sigma_brute_force_sweep():
 
 
 def test_omega_of_product_examples():
-    bs = single_factor_points(1, [(1,)])
+    bs = points_set([1], [(1,)])
     free = empty_set([3])
     z = full_sphere([1])
     # one surviving point times empty: the point, embedded
@@ -216,7 +249,7 @@ def test_omega_of_product_examples():
 
 
 def test_sigma1_complement_of_product_examples():
-    bs_c = single_factor_points(1, [(-1,)])
+    bs_c = points_set([1], [(-1,)])
     free_c = full_sphere([3])
     z_c = empty_set([1])
     got = sigma1_complement_of_product([bs_c, free_c])
@@ -290,10 +323,10 @@ def test_sigma1_complement_of_product_matches_pairwise_unions():
 
 
 def test_check_finite12():
-    assert check_finite12(single_factor_points(2, [(1, 0)])).ok
-    pair = single_factor_points(2, [(1, 0), (-1, 0)])
+    assert check_finite12(points_set([2], [(1, 0)])).ok
+    pair = points_set([2], [(1, 0), (-1, 0)])
     assert check_finite12(pair).ok
-    bad = single_factor_points(2, [(1, 0), (0, 1)])
+    bad = points_set([2], [(1, 0), (0, 1)])
     report = check_finite12(bad)
     assert not report.ok and "distance" in report.reason
     assert report.reason == "two points at distance < pi: (Direction((0, 1)), Direction((1, 0)))"
@@ -303,7 +336,7 @@ def test_check_finite12():
 
 def test_o_class_of():
     assert o_class_of(empty_set([2])) == "O0"
-    assert o_class_of(single_factor_points(1, [(1,)])) == "O1"
+    assert o_class_of(points_set([1], [(1,)])) == "O1"
     assert o_class_of(full_sphere([1])) == "O2"
     assert o_class_of(full_sphere([2])) == "other"
     assert o_class_of(None) == "unknown"

@@ -67,7 +67,6 @@ RECORDS = [
     ("ProbeConfig", lambda: _probe().config, True, True),
     ("ProbeRow", lambda: _probe().rows[0], True, True),
     ("ProbeReport", _probe, True, True),
-    ("ConeShape", lambda: cones.cone_rays(cones.RationalCone(1, [(-1,)])), True, True),
     ("TraceStep", lambda: rinf.decide(ex.parse_group_expr("BS(1,2)")).trace[0], True, True),
     ("Verdict", lambda: rinf.decide(ex.parse_group_expr("BS(1,2) x F(2)")), True, True),
     ("FinitePresentation", lambda: ex.atom_presentation(ex.klein_bottle()), False, False),
@@ -76,7 +75,6 @@ RECORDS = [
     ("BallGraph", lambda: ballprobe.enumerate_ball(ex.free_abelian(1), 2), False, False),
     ("ScanRow", lambda: ballprobe.probe_direction_scan(
         ex.free_abelian(1), [spheres.Direction((1,))], 4)[0][0], False, False),
-    ("RationalCone", lambda: cones.RationalCone(2, [(1, 0)]), False, False),
     ("Finite12Report",
      lambda: cones.check_finite12(spheres.full_sphere([1])), False, False),
 ]

@@ -23,7 +23,6 @@ from groupinv.spheres import (
     permute_factors,
     permute_vector,
     points_set,
-    single_factor_points,
     union,
 )
 
@@ -128,7 +127,7 @@ def test_join_of_fulls_is_full():
 
 
 def test_join_empty_identity():
-    pts = single_factor_points(1, [(1,), (-1,)])
+    pts = points_set([1], [(1,), (-1,)])
     embedded = join(empty_set([2]), pts)
     assert embedded.ambient == (2, 1)
     card = embedded.cardinality()
@@ -142,8 +141,8 @@ def test_join_empty_identity():
 
 
 def test_join_two_singletons_is_infinite_arc():
-    a = single_factor_points(1, [(1,)])
-    b = single_factor_points(1, [(1,)])
+    a = points_set([1], [(1,)])
+    b = points_set([1], [(1,)])
     arc = join(a, b)
     assert arc.cardinality().kind == "infinite"
     # sampled rational points on the open arc all belong to the set
@@ -153,7 +152,7 @@ def test_join_two_singletons_is_infinite_arc():
 
 
 def test_union_and_intersection():
-    a = single_factor_points(1, [(-1,)])
+    a = points_set([1], [(-1,)])
     with pytest.raises(AmbientMismatch):
         union(a, full_sphere([2]))
     two_atom = union(points_set([1, 2], [(-1, 0, 0)]),
@@ -163,8 +162,8 @@ def test_union_and_intersection():
     assert two_atom.member(Direction((0, 1, 1)))
     assert not two_atom.member(Direction((1, 0, 0)))
     full = full_sphere([2])
-    picked = intersect_with_finite(full, single_factor_points(2, [(1, 1)]))
-    assert picked == single_factor_points(2, [(1, 1)])
+    picked = intersect_with_finite(full, points_set([2], [(1, 1)]))
+    assert picked == points_set([2], [(1, 1)])
     assert union(a, empty_set([1])) == a
 
 
@@ -176,12 +175,12 @@ def test_cardinality_examples():
     assert omega.cardinality().is_antipodal_pair()
     assert full_sphere([2]).cardinality().kind == "infinite"
     assert empty_set([2]).cardinality().kind == "zero"
-    assert not single_factor_points(2, [(1, 0), (0, 1)]).cardinality().is_antipodal_pair()
+    assert not points_set([2], [(1, 0), (0, 1)]).cardinality().is_antipodal_pair()
 
 
 def test_subsumption_and_merging():
     # a point inside an arc atom is dropped
-    arc = join(single_factor_points(1, [(1,)]), single_factor_points(1, [(1,)]))
+    arc = join(points_set([1], [(1,)]), points_set([1], [(1,)]))
     redundant = union(arc, points_set([1, 1], [(1, 0)]))
     assert redundant == arc
     # two embedded points on the same factor merge into one finite part
@@ -204,7 +203,7 @@ def test_json_encoding_of_each_part_kind():
         # a rank-zero factor is an empty part; a rank-one sphere is its two points
         (full_sphere([2, 0, 1]),
          {"ambient": [2, 0, 1], "atoms": [["full", "empty", {"points": [[-1], [1]]}]]}),
-        (single_factor_points(2, [(2, -4), (0, 1)]),
+        (points_set([2], [(2, -4), (0, 1)]),
          {"ambient": [2], "atoms": [[{"points": [[0, 1], [1, -2]]}]]}),
         (cone, {"ambient": [2], "atoms": [[{"cone": [[0, 1], [1, 0]]}]]}),
     ]
@@ -229,7 +228,7 @@ def random_sphere_set(rng: random.Random, rank: int) -> SphereSet:
             vec = [rng.randint(-2, 2) for _ in range(rank)]
         dirs.append(tuple(vec))
     if kind == 2 or rank == 1:
-        return single_factor_points(rank, dirs)
+        return points_set([rank], dirs)
     return SphereSet([rank], [(ConeRegion([Direction(dirs[0])]),)])  # a closed half-space
 
 

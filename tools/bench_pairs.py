@@ -3,14 +3,14 @@
 Usage (from anywhere):
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \
-        [--pairs 10] [--seed 101] [--workloads verdicts,cli]
+        [--workloads verdicts,cli]
 
 The workloads, their run length and the end-to-end metrics are read from
 CHANGE's ``BENCHMARK.json``; ``--workloads`` picks a subset of its workloads.
-For every workload, pair i runs ``benchmark/run.py --seed SEED+i --trace 0``
-for ``run_seconds`` in PARENT and in CHANGE, one after the other; even pairs
-start with PARENT, odd pairs with CHANGE, so a drift of the machine's speed
-favours neither side.  Each checkout runs its own ``benchmark/run.py`` on its
+For every workload, pair i of ``PAIRS`` (10) runs ``benchmark/run.py --seed
+SEED+i --trace 0``, with ``SEED`` = 101, for ``run_seconds`` in PARENT and in
+CHANGE, one after the other; even pairs start with PARENT, odd pairs with
+CHANGE, so a drift of the machine's speed favours neither side.  Each checkout runs its own ``benchmark/run.py`` on its
 own ``src``.
 After the pairs, each checkout runs ``benchmark/run.py --trace 1`` once per
 workload, at the first pair's seed and ``run_seconds``, for the per-layer
@@ -50,6 +50,8 @@ from pathlib import Path
 SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 TIER1_RUNS = 3
+PAIRS = 10  # the pairs per workload that a speed claim needs
+SEED = 101
 _CLI = ["-m", "groupinv.cli"]
 _Z8 = json.dumps([[(i + j) % 8 for j in range(8)] for i in range(8)])
 # what cli_startup times: the interpreter alone, then one command line per
@@ -166,12 +168,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--workloads", help="comma-separated subset of the benchmark's workloads")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -188,8 +186,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "checkouts": {side: checkout_state(roots[side]) for side in SIDES},
-        "pairs": args.pairs, "seconds": seconds,
-        "seeds": [args.seed + i for i in range(args.pairs)],
+        "pairs": PAIRS, "seconds": seconds,
+        "seeds": [SEED + i for i in range(PAIRS)],
         "tier1": tier1_times(roots),
         "benchmark_suite": {"command": " ".join(["python", *TIER1[1:], "benchmark"]),
                             **{side: pytest_once(roots[side], "benchmark") for side in SIDES}},
@@ -198,14 +196,14 @@ def main(argv=None) -> int:
     }
     for workload in workloads:
         runs = []
-        for i in range(args.pairs):
-            seed = args.seed + i
+        for i in range(PAIRS):
+            seed = SEED + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             run = {"seed": seed, "first": order[0]}
             for side in order:
                 run[side] = run_once(roots[side], workload, seed, seconds)
             runs.append(run)
-            print("bench_pairs: %s pair %d/%d done" % (workload, i + 1, args.pairs),
+            print("bench_pairs: %s pair %d/%d done" % (workload, i + 1, PAIRS),
                   file=sys.stderr)
         report["workloads"][workload] = {
             "metrics": compare(runs, spec["end_to_end"]),
@@ -215,7 +213,7 @@ def main(argv=None) -> int:
             "runs": runs,
         }
         report["workloads"][workload]["traced"] = {
-            side: run_once(roots[side], workload, args.seed, seconds, trace=1) for side in SIDES}
+            side: run_once(roots[side], workload, SEED, seconds, trace=1) for side in SIDES}
         print("bench_pairs: %s traced runs done" % workload, file=sys.stderr)
         # written after every workload, so an interrupted comparison keeps what it measured
         args.out.write_text(json.dumps(report, indent=1) + "\n")
