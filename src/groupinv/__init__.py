@@ -32,6 +32,7 @@ _EXPORTS = {
     "catalog": ("lookup_invariants",),
     "cones": (),
     "expressions": ("parse_group_expr",),
+    "linalg": (),
     "rinf": ("decide",),
     "spheres": ("Direction",),
     "unionfind": (),

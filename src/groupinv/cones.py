@@ -20,7 +20,7 @@ from math import gcd
 from typing import Sequence
 
 from . import _Record
-from .abelian import matrix_rank
+from .linalg import matrix_rank
 from .spheres import (
     EMPTY,
     FULL,
@@ -93,15 +93,15 @@ def extreme_rays(m: int, normals: Sequence[Direction]
             l0 = lines.pop(hit)
             v0 = val(l0)
             # project the remaining lines into the hyperplane of f
-            lines = [_primitive(tuple(v0 * x - val(l) * y for x, y in zip(l, l0)))
-                     for l in lines]
+            lines = [_primitive(tuple(v0 * x - vl * y for x, y in zip(l, l0)))
+                     for l, vl in zip(lines, map(val, lines))]
             if v0 > 0:
                 l0 = tuple(-x for x in l0)
                 v0 = -v0
             # slide existing rays along the old line into the hyperplane
-            rays = [r if val(r) == 0 else
-                    _primitive(tuple((-v0) * x + val(r) * y for x, y in zip(r, l0)))
-                    for r in rays]
+            rays = [r if vr == 0 else
+                    _primitive(tuple((-v0) * x + vr * y for x, y in zip(r, l0)))
+                    for r, vr in zip(rays, map(val, rays))]
             rays.append(l0)
         else:
             vals = [val(r) for r in rays]
@@ -111,7 +111,7 @@ def extreme_rays(m: int, normals: Sequence[Direction]
                 for rp, vp in zip(rays, vals) if vp > 0
                 for rn, vn in zip(rays, vals) if vn < 0
             ]
-            rays = kept + [c for c in combos if any(c)]
+            rays = kept + combos
         processed.append(f)
         rays = _minimal_rays(rays, lines, processed, m)
     return lines, rays
@@ -119,12 +119,34 @@ def extreme_rays(m: int, normals: Sequence[Direction]
 
 def _minimal_rays(rays: list[tuple[int, ...]], lines: list[tuple[int, ...]],
                   normals: list[Direction], m: int) -> list[tuple[int, ...]]:
-    # a ray is extreme iff its tight normals cut the space down to a
-    # one-dimensional face above the lineality space
+    """The extreme rays among ``rays``, without repeats: a ray is extreme iff
+    its tight normals cut the space down to a one-dimensional face above the
+    lineality space.
+
+    A vector in the span of ``lines``, zero included, has every processed
+    normal tight, of rank m - len(lines), so the rank test would refuse it.
+    But no candidate lies in that span, so none is zero: the rays kept from
+    the step before lie outside it, and so does every candidate made from
+    them.
+
+    - ``lines`` is always a basis of the whole lineality space, the x with
+      <x, f> = 0 for every processed f: a crossing line is projected out
+      together with f's hyperplane, and otherwise f vanishes on all of it.
+    - Sliding a ray r along the crossing line l0 gives -v0 r + <r, f> l0 with
+      v0 != 0 and l0 in the old lineality space, so it lies in that space
+      (which holds the new one) only if r does.  The new ray l0 has
+      <l0, f> != 0, so it is outside the new lineality space, which lies in
+      f's hyperplane.
+    - A combination of a ray rp with <rp, f> > 0 and a ray rn with
+      <rn, f> < 0 is a positive sum a rp + b rn.  It lies in the lineality
+      space only if rp and rn are opposite modulo that space.  Then -rp is in
+      the cone processed so far, so the line through rp is in it, although
+      rp lies outside the lineality space, which holds every such line.
+    """
     target = m - len(lines) - 1
     out: list[tuple[int, ...]] = []
     for r in rays:
-        if not any(r) or r in out or _in_span(r, lines):
+        if r in out:
             continue
         tight = [list(f.coords) for f in normals
                  if sum(a * b for a, b in zip(f.coords, r)) == 0]
@@ -132,13 +154,6 @@ def _minimal_rays(rays: list[tuple[int, ...]], lines: list[tuple[int, ...]],
         if rank == target:
             out.append(r)
     return out
-
-
-def _in_span(vec: Sequence[int], basis: list[tuple[int, ...]]) -> bool:
-    if not basis:
-        return False
-    # the lineality basis is linearly independent, so its rank is its length
-    return matrix_rank(basis + [vec]) == len(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from . import _Value
 from . import expressions as ex
-from .abelian import matrix_rank
 from .catalog import lookup_invariants, query_memo
 from .cones import O_CLASS_0, O_CLASS_1, O_CLASS_2
+from .linalg import matrix_rank
 
 RINFINITY = "RInfinity"
 INDEX_TWO = "IndexTwoSubgroupAllRInf"

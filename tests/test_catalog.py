@@ -10,16 +10,15 @@ import pytest
 from groupinv import expressions as ex
 from groupinv.catalog import lookup_invariants
 from groupinv.cones import check_finite12, omega_from_obstructions
-from groupinv.expressions import (
+from groupinv.expressions import ParseError, parse_group_expr
+from groupinv.rinf import UNKNOWN, decide
+from groupinv.selfcheck import (
     FinitePresentation,
-    ParseError,
     abelianization_of_presentation,
     atom_presentation,
-    parse_group_expr,
     presentation,
     word,
 )
-from groupinv.rinf import UNKNOWN, decide
 from groupinv.spheres import (
     Direction,
     SphereSet,

@@ -178,7 +178,7 @@ def test_probe_takes_directions_that_start_with_a_minus_sign():
 def test_each_command_loads_only_the_modules_it_calls():
     for args in (("reidemeister", "--matrix", "[[-1]]", "--torsion", "[2]"),
                  ("reidemeister", "--table", _Z4, "--automorphism", "[0, 3, 2, 1]")):
-        assert loaded_modules(*args) == {"cli", "abelian", "unionfind"}, args
+        assert loaded_modules(*args) == {"cli", "abelian", "linalg", "unionfind"}, args
     for mode in ("halfspace", "cone"):
         loaded = loaded_modules("probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "4",
                                 "--mode", mode)
@@ -187,7 +187,7 @@ def test_each_command_loads_only_the_modules_it_calls():
     for command in ("rinf", "invariants"):
         loaded = loaded_modules(command, "-g", "BS(1,2) x F(3)")
         assert "catalog" in loaded
-        assert not loaded & {"ballprobe", "selfcheck"}, command
+        assert not loaded & {"ballprobe", "selfcheck", "abelian", "unionfind"}, command
 
 
 def test_commands_load_nothing_beyond_the_standard_library():

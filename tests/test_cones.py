@@ -22,6 +22,7 @@ from groupinv.cones import (
     sigma1_complement_of_product,
 )
 from groupinv.expressions import parse_group_expr
+from groupinv.linalg import matrix_rank
 from groupinv.spheres import (
     EMPTY,
     ConeRegion,
@@ -134,6 +135,35 @@ def test_cone_random_cross_check():
     assert classified["trivial"] >= 5
     assert classified["ray"] >= 5
     assert classified["line"] >= 5
+
+
+def test_extreme_rays_stay_outside_the_lineality_space():
+    """The returned lines are a basis of the whole lineality space, and no
+    returned ray lies in their span: `_minimal_rays` relies on both without
+    testing them."""
+    rng = random.Random(271828)
+    combined = 0
+    for _ in range(2000):
+        m = rng.randint(1, 6)
+        normals = []
+        for _ in range(rng.randint(1, 2 * m + 2)):
+            vec = [0] * m
+            while not any(vec):
+                vec = [rng.randint(-3, 3) for _ in range(m)]
+            normals.append(Direction(vec))
+            if rng.random() < 0.3:
+                normals.append(normals[-1].antipode())
+        lines, rays = cones.extreme_rays(m, normals)
+        rank = matrix_rank([f.coords for f in normals])
+        assert len(lines) == m - rank == matrix_rank(lines), normals
+        assert all(sum(a * b for a, b in zip(f.coords, l)) == 0
+                   for f in normals for l in lines), normals
+        for r in rays:
+            assert matrix_rank(lines + [r]) > len(lines), (normals, r)
+        combined += len(normals) > rank and bool(rays)
+    # a quarter of the cones take more normals than their rank and keep rays,
+    # so the step that combines rays runs on them
+    assert combined >= 500
 
 
 def test_structured_cones_all_shapes():

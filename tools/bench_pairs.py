@@ -27,7 +27,9 @@ traced ``cli.import_ms`` does not see the modules that load lazily.
 The output file holds each side's median tier-1 wall time with every run's
 time, exit code and summary line; each side's benchmark-suite time, exit
 code and summary line; under ``cli_startup``, per command each side's median
-and quartiles in ms and the exit codes seen; per workload and end-to-end metric, each side's
+and quartiles in ms, the exit codes seen, and the groupinv modules whose code
+that command line runs with their source line counts (read in one more,
+untimed process per command and side); per workload and end-to-end metric, each side's
 median and quartiles, the pairs the change won and lost (ties count for
 neither), every run's figures, and under ``traced`` each side's per-layer
 metrics; and the machine, the Python version and
@@ -68,6 +70,23 @@ STARTUP_COMMANDS = {
     "deep_parens": [*_CLI, "rinf", "-g", "(" * 400 + "Z" + ")" * 400],
 }
 STARTUP_RUNS = 25
+# runs one `cli` command line in this interpreter, then prints on stderr, as
+# its last line, the groupinv modules whose code ran (LazyLoader leaves a
+# module it has not run an instance of a ModuleType subclass) with the line
+# count of each one's source
+_FOOTPRINT = """
+import json, sys, types
+from groupinv.cli import main
+try:
+    main(args=sys.argv[1:])
+finally:
+    ran = {}
+    for name, module in sys.modules.items():
+        if name.partition(".")[0] == "groupinv" and type(module) is types.ModuleType:
+            with open(module.__file__, "rb") as source:
+                ran[name] = source.read().count(b"\\n")
+    print(json.dumps(dict(sorted(ran.items()))), file=sys.stderr)
+"""
 
 
 def checkout_state(root: Path) -> dict:
@@ -136,8 +155,21 @@ def cli_startup(roots: dict) -> dict:
         if cpus is not None:
             os.sched_setaffinity(0, cpus)
     return {"runs": STARTUP_RUNS,
-            **{kind: {side: {**summary(ms[kind][side]), "exits": sorted(exits[kind][side])}
-                      for side in SIDES} for kind in STARTUP_COMMANDS}}
+            **{kind: {side: {**summary(ms[kind][side]), "exits": sorted(exits[kind][side]),
+                             **startup_footprint(roots[side], args)}
+                      for side in SIDES} for kind, args in STARTUP_COMMANDS.items()}}
+
+
+def startup_footprint(root: Path, args: list[str]) -> dict:
+    """The groupinv modules that one STARTUP_COMMANDS line runs, each with its
+    source line count, and the total; measured in a separate, untimed process."""
+    if args[:len(_CLI)] != _CLI:
+        return {"modules": {}, "module_lines": 0}
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *args[len(_CLI):]], cwd=root,
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+                          text=True)
+    modules = json.loads(proc.stderr.strip().splitlines()[-1])
+    return {"modules": modules, "module_lines": sum(modules.values())}
 
 
 def summary(values: list[float]) -> dict:
