@@ -97,8 +97,10 @@ def probe(atom_text: str, direction_text: str, mode: str, radius: int,
         _emit(report.to_json_dict())
 
 
-_EXPONENT_FORM = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
-                            r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # Fraction's forms with an exponent
+# Fraction's forms with an exponent; compiled by the first `_rational` call, so
+# only `probe` pays for it
+_EXPONENT_FORM = (r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                  r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _rational(text: str) -> Fraction:
@@ -109,7 +111,7 @@ def _rational(text: str) -> Fraction:
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     too_long = "scale %r has a numerator or denominator of more than %d digits" % (text, limit)
-    match = limit and _EXPONENT_FORM.match(text)
+    match = limit and re.match(_EXPONENT_FORM, text)
     if match:
         exponent, digits = int(match[3]), (match[1] + (match[2] or "")).replace("_", "")
         if not digits.strip("0"):

@@ -28,6 +28,7 @@ from .spheres import (
     Direction,
     FinitePoints,
     SphereSet,
+    _atom_sort_key,
     _blocks,
     empty_set,
     full_sphere,
@@ -181,7 +182,9 @@ def omega_from_obstructions(sigma_c: SphereSet) -> SphereSet:
         return points_set([m], rays)  # nothing, or the one ray
     if len(lines) == 1 and not rays:
         return points_set([m], [lines[0], tuple(-c for c in lines[0])])
-    return SphereSet([m], [(ConeRegion(obstructions),)])
+    # normal: one atom, and m >= 2, since a cone on a line is the origin, a
+    # half-line or the line, all caught above, so the ConeRegion is a normal part
+    return SphereSet._normal((m,), ((ConeRegion(obstructions),),))
 
 
 def omega_of_product(factors: Sequence[SphereSet | None]) -> SphereSet | None:
@@ -198,7 +201,10 @@ def sigma1_complement_of_product(factor_complements: Sequence[SphereSet | None])
 
     The embedded atoms of different factors have disjoint supports, so the
     normal form never merges or subsumes across factors, and one SphereSet of
-    all of them equals the union taken factor by factor."""
+    all of them equals the union taken factor by factor.  Each factor's atoms
+    are normal, so the embedded atoms are normal once sorted: two from
+    different factors differ on a factor of each, and each has a non-EMPTY
+    part where the other is EMPTY."""
     if any(f is None for f in factor_complements):
         return None
     full_ambient = tuple(r for f in factor_complements for r in f.ambient)
@@ -206,7 +212,7 @@ def sigma1_complement_of_product(factor_complements: Sequence[SphereSet | None])
     blocks = _blocks(len(f.ambient) for f in factor_complements)
     atoms = [(EMPTY,) * start + atom + (EMPTY,) * (k - end)
              for f, (start, end) in zip(factor_complements, blocks) for atom in f.atoms]
-    return SphereSet(full_ambient, atoms)
+    return SphereSet._normal(full_ambient, tuple(sorted(atoms, key=_atom_sort_key)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,13 @@ Only rational points, i.e. primitive integer vectors, are ever explicit.
 Rank-one factor spheres consist of exactly two points and are normalized to
 explicit point sets, which keeps the cardinality classification exact.  All
 geometry is integer arithmetic; there is no floating point anywhere.
+
+`SphereSet(ambient, atoms)` checks and normalizes atoms from anywhere; `union`
+and `permute_factors` go through it.  The library's own constructors
+(`empty_set`, `full_sphere`, `points_set`, `join`, and in `cones` the product
+obstruction set and the cone region of Ω) build their atoms in normal form
+already and hand them to `SphereSet._normal`, which skips that pass; each one
+proves its output normal in its docstring.
 """
 
 from __future__ import annotations
@@ -108,8 +115,8 @@ class ConeRegion(_Ordered):
 Part = object  # EMPTY | FULL | FinitePoints | ConeRegion
 JoinAtom = tuple  # one Part per factor
 
-# S^0 = {+1, -1}, the whole sphere of a rank-one factor
-_RANK_ONE_SPHERE = frozenset({Direction((1,)), Direction((-1,))})
+# S^0 = {+1, -1}, the whole sphere of a rank-one factor, as its normal part
+_RANK_ONE_SPHERE = FinitePoints([Direction((1,)), Direction((-1,))])
 
 
 def _blocks(sizes: Iterable[int]) -> list[tuple[int, int]]:
@@ -153,9 +160,9 @@ def _normalize_part(part, rank: int):
     if rank == 1:
         # S^0 = {+1, -1}: everything collapses to explicit points
         if part is FULL:
-            return FinitePoints(_RANK_ONE_SPHERE)
+            return _RANK_ONE_SPHERE
         if isinstance(part, ConeRegion):
-            rest = {d for d in _RANK_ONE_SPHERE if part.contains(d)}
+            rest = [d for d in _RANK_ONE_SPHERE.points if part.contains(d)]
             return FinitePoints(rest) if rest else EMPTY
     return part
 
@@ -185,17 +192,36 @@ def _part_subset(a, b) -> bool:
 # sphere sets
 
 
+def _checked_ambient(ambient: Iterable[int]) -> tuple[int, ...]:
+    ambient = tuple(int(r) for r in ambient)
+    if not ambient or any(r < 0 for r in ambient):
+        raise ValueError("ambient must list non-negative factor ranks")
+    return ambient
+
+
 class SphereSet(_Value):
     """Union of join atoms over a factor decomposition of R^m; its atoms are
-    kept in normal form."""
+    kept in normal form.
+
+    The normal form has every part normalized for its factor's rank, no atom
+    that is EMPTY on every factor, no two atoms that differ on exactly one
+    factor where both are FinitePoints (they would merge), no atom that lies
+    part by part in another, and the atoms sorted by `_atom_sort_key`.  The
+    constructor brings any atoms to it; `_normal` takes atoms that have it."""
 
     __slots__ = ("ambient", "atoms")
 
     def __init__(self, ambient: Iterable[int], atoms: Iterable[JoinAtom]):
-        ambient = tuple(int(r) for r in ambient)
-        if not ambient or any(r < 0 for r in ambient):
-            raise ValueError("ambient must list non-negative factor ranks")
+        ambient = _checked_ambient(ambient)
         self._set(ambient, _normal_form(ambient, atoms))
+
+    @classmethod
+    def _normal(cls, ambient: tuple[int, ...], atoms: tuple[JoinAtom, ...]) -> "SphereSet":
+        """The set of ``atoms`` over ``ambient``, both taken as they are: the
+        ambient checked and the atoms in normal form, as the caller proves."""
+        out = object.__new__(cls)
+        out._set(ambient, atoms)
+        return out
 
     # -- structure ---------------------------------------------------------
 
@@ -358,21 +384,32 @@ def _normal_form(ambient: tuple[int, ...], atoms: Iterable[JoinAtom]) -> tuple[J
 
 
 def empty_set(ambient: Iterable[int]) -> SphereSet:
-    return SphereSet(ambient, [])
+    """No atoms, which is trivially normal."""
+    return SphereSet._normal(_checked_ambient(ambient), ())
 
 
 def full_sphere(ambient: Iterable[int]) -> SphereSet:
-    ambient = tuple(int(r) for r in ambient)
-    atom = tuple(EMPTY if r == 0 else FULL for r in ambient)
-    return SphereSet(ambient, [atom])
+    """One atom with each part normal for its rank: nothing on a rank-zero
+    factor, the two points of S^0 on a rank-one factor, FULL on the others.
+    A single atom cannot merge with or lie in another; it is dropped when every
+    factor has rank zero."""
+    ambient = _checked_ambient(ambient)
+    atom = tuple(EMPTY if r == 0 else _RANK_ONE_SPHERE if r == 1 else FULL for r in ambient)
+    return SphereSet._normal(ambient, (atom,) if any(ambient) else ())
 
 
 def points_set(ambient: Iterable[int], vectors: Iterable[Sequence[int]]) -> SphereSet:
-    """Finite set of rational points, each supported on a single factor block."""
-    ambient = tuple(int(r) for r in ambient)
+    """Finite set of rational points, each supported on a single factor block.
+
+    The points of each factor make one atom, FinitePoints there and EMPTY
+    elsewhere, which is normal on every rank (a point needs rank >= 1).  Two
+    such atoms differ on two factors, so they do not merge, and neither lies
+    in the other, since each has points where the other is EMPTY; they only
+    need sorting."""
+    ambient = _checked_ambient(ambient)
     blocks = _blocks(ambient)
     dim = sum(ambient)
-    atoms = []
+    by_factor: dict[int, list[Direction]] = {}
     for vec in vectors:
         d = Direction(vec)
         if len(d) != dim:
@@ -382,10 +419,11 @@ def points_set(ambient: Iterable[int], vectors: Iterable[Sequence[int]]) -> Sphe
             raise ValueError("explicit points must be supported on a single factor")
         i = live[0]
         s, e = blocks[i]
-        atom = [EMPTY] * len(ambient)
-        atom[i] = FinitePoints([Direction(d.coords[s:e])])
-        atoms.append(tuple(atom))
-    return SphereSet(ambient, atoms)
+        by_factor.setdefault(i, []).append(Direction(d.coords[s:e]))
+    k = len(ambient)
+    atoms = [(EMPTY,) * i + (FinitePoints(points),) + (EMPTY,) * (k - 1 - i)
+             for i, points in by_factor.items()]
+    return SphereSet._normal(ambient, tuple(sorted(atoms, key=_atom_sort_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +433,27 @@ def points_set(ambient: Iterable[int], vectors: Iterable[Sequence[int]]) -> Sphe
 def join(a: SphereSet, b: SphereSet) -> SphereSet:
     """Spherical join over the concatenated orthogonal decomposition.
 
-    Join with the empty set embeds the other side into the bigger sphere.
+    Join with the empty set embeds the other side into the bigger sphere: an
+    empty side counts as its one atom that is EMPTY on every factor.  The
+    products x + y of these atoms are normal and already sorted:
+
+    - unless both sides are empty, each product has a non-EMPTY part, and
+      every part is normal for its rank, as it was in a or in b;
+    - two distinct products x + y and x' + y' have x != x' or y != y'.  When
+      both differ, they differ on a factor of a and on one of b, so they do
+      not merge; when one pair is equal, the other pair does not merge, since
+      a and b are normal;
+    - x + y lies part by part in x' + y' only if x lies in x' and y in y',
+      and one of these pairs is two distinct atoms of a normal set;
+    - the sort key of x + y is the key of x followed by the key of y, so the
+      products sort by x first and then by y, the order of the loops below.
     """
     ambient = a.ambient + b.ambient
-    empties_a = tuple([EMPTY] * len(a.ambient))
-    empties_b = tuple([EMPTY] * len(b.ambient))
-    atoms: list[JoinAtom] = []
     if a.is_empty() and b.is_empty():
-        return empty_set(ambient)
-    if a.is_empty():
-        atoms = [empties_a + atom for atom in b.atoms]
-    elif b.is_empty():
-        atoms = [atom + empties_b for atom in a.atoms]
-    else:
-        atoms = [atom_a + atom_b for atom_a in a.atoms for atom_b in b.atoms]
-    return SphereSet(ambient, atoms)
+        return SphereSet._normal(ambient, ())
+    atoms_a = a.atoms or ((EMPTY,) * len(a.ambient),)
+    atoms_b = b.atoms or ((EMPTY,) * len(b.ambient),)
+    return SphereSet._normal(ambient, tuple(x + y for x in atoms_a for y in atoms_b))
 
 
 def join_all(sets: Sequence[SphereSet]) -> SphereSet:

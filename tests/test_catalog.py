@@ -397,15 +397,20 @@ def test_internal_consistency_sweep():
 @pytest.mark.parametrize("text", ["Thompson", "T(3)", "T(8)"])
 def test_thompson_type_lookup_builds_two_sphere_sets(monkeypatch, text):
     """A Thompson-type atom builds its obstruction set and the survivor set
-    read off it, and no other SphereSet."""
+    read off it, and no other SphereSet, through either constructor."""
     expr = parse_group_expr(text)
     built = []
-    init = SphereSet.__init__
+    init, normal = SphereSet.__init__, SphereSet._normal
 
     def counting_init(self, ambient, atoms):
-        built.append(ambient)
+        built.append(("init", ambient))
         init(self, ambient, atoms)
 
+    def counting_normal(cls, ambient, atoms):
+        built.append(("normal", ambient))
+        return normal(ambient, atoms)
+
     monkeypatch.setattr(SphereSet, "__init__", counting_init)
+    monkeypatch.setattr(SphereSet, "_normal", classmethod(counting_normal))
     lookup_invariants(expr)
     assert len(built) == 2, built

@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from groupinv.cones import omega_from_obstructions, sigma1_complement_of_product
 from groupinv.spheres import (
     EMPTY,
     FULL,
@@ -20,6 +21,7 @@ from groupinv.spheres import (
     empty_set,
     full_sphere,
     join,
+    join_all,
     permute_factors,
     permute_vector,
     points_set,
@@ -297,11 +299,49 @@ def _any_point(s: SphereSet):
     raise AssertionError("no rational point found")
 
 
+def random_points(rng: random.Random, ambient: list[int]) -> list[list[int]]:
+    """One to five small vectors, each supported on one factor of positive
+    rank; repeats, multiples and antipodes on one factor come up often."""
+    starts = [sum(ambient[:i]) for i in range(len(ambient))]
+    vectors = []
+    for _ in range(rng.randint(1, 5)):
+        i = rng.choice([i for i, r in enumerate(ambient) if r])
+        block = [0] * ambient[i]
+        while not any(block):
+            block = [rng.randint(-2, 2) for _ in block]
+        vec = [0] * sum(ambient)
+        vec[starts[i]:starts[i] + ambient[i]] = block
+        vectors.append(vec)
+    return vectors
+
+
+def assert_normal(s: SphereSet) -> None:
+    again = SphereSet(s.ambient, s.atoms)
+    assert again == s and again.atoms == s.atoms, s
+
+
 def test_normal_form_idempotent():
+    """The constructors that build their atoms in normal form, skipping the
+    normalizing pass, give atoms that pass leaves as they are, in order."""
     rng = random.Random(7)
-    for _ in range(200):
-        a = random_sphere_set(rng, rng.randint(1, 3))
-        b = random_sphere_set(rng, rng.randint(1, 3))
-        s = join(a, b)
-        again = SphereSet(s.ambient, s.atoms)
-        assert again == s
+    for _ in range(300):
+        ambient = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        assert_normal(empty_set(ambient))
+        assert_normal(full_sphere(ambient))
+        if not any(ambient):
+            ambient[rng.randrange(len(ambient))] = rng.randint(1, 3)
+        points = points_set(ambient, random_points(rng, ambient))
+        assert_normal(points)
+        singles = [random_sphere_set(rng, rng.randint(1, 3)) for _ in range(3)]
+        embedded = sigma1_complement_of_product([points, singles[0], join(singles[1], singles[2])])
+        m = rng.randint(1, 4)
+        for s in [
+            join(singles[0], singles[1]),
+            join(points, singles[2]),
+            join(embedded, points),
+            join_all([singles[2], points, singles[0]]),
+            embedded,
+            omega_from_obstructions(points_set([m], random_points(rng, [m]))),
+            omega_from_obstructions(rng.choice([empty_set, full_sphere])([m])),
+        ]:
+            assert_normal(s)

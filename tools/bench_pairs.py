@@ -27,9 +27,10 @@ traced ``cli.import_ms`` does not see the modules that load lazily.
 The output file holds each side's median tier-1 wall time with every run's
 time, exit code and summary line; each side's benchmark-suite time, exit
 code and summary line; under ``cli_startup``, per command each side's median
-and quartiles in ms, the exit codes seen, and the groupinv modules whose code
-that command line runs with their source line counts (read in one more,
-untimed process per command and side); per workload and end-to-end metric, each side's
+and quartiles in ms, every run's time, the exit codes seen, and the groupinv
+modules whose code that command line runs with their source line counts (read
+in one more, untimed process per command and side), and the median over the
+rounds of the change's time minus the parent's; per workload and end-to-end metric, each side's
 median and quartiles, the pairs the change won and lost (ties count for
 neither), every run's figures, and under ``traced`` each side's per-layer
 metrics; and the machine, the Python version and
@@ -154,10 +155,16 @@ def cli_startup(roots: dict) -> dict:
     finally:
         if cpus is not None:
             os.sched_setaffinity(0, cpus)
+    # the two runs of a round go back to back, so a slow spell of the host
+    # shifts both; the median of their differences is steadier than the
+    # difference of the two medians
     return {"runs": STARTUP_RUNS,
-            **{kind: {side: {**summary(ms[kind][side]), "exits": sorted(exits[kind][side]),
-                             **startup_footprint(roots[side], args)}
-                      for side in SIDES} for kind, args in STARTUP_COMMANDS.items()}}
+            **{kind: {**{side: {**summary(ms[kind][side]), "runs_ms": ms[kind][side],
+                                "exits": sorted(exits[kind][side]),
+                                **startup_footprint(roots[side], args)} for side in SIDES},
+                      "median_pair_diff_ms": statistics.median(
+                          c - p for p, c in zip(ms[kind]["parent"], ms[kind]["change"]))}
+               for kind, args in STARTUP_COMMANDS.items()}}
 
 
 def startup_footprint(root: Path, args: list[str]) -> dict:
