@@ -5,25 +5,30 @@ is built in one breadth-first pass, each vertex carrying its image under the
 abelianization height map.  Each vertex gets its index when it is discovered
 and emits its edges when it is expanded, so no second pass steps over the
 ball.  One builder per family: the ``F(n)`` ball is a tree of reduced words
-built without a dict; ``BS(1,n)``, ``Z^k`` and the Klein bottle group key
-their dict by one integer per normal form, so a generator move is an integer
-step and a key tuple is built only for a newly found vertex.  The ball is kept
-as integer columns: the edges as one flat list of (i, j, generator index)
-triples, and the ``F(n)`` words as one last letter per vertex, the tree's
-parent formula giving the rest; ``BallGraph.keys`` and ``BallGraph.edges`` are
-read-only views that build a word or an edge tuple only when it is read, and
-the sweep reads the triples themselves.  A direction survives at level one
-when the half-space sublevel sets stay connected after a bounded retreat; the
-truncated-cone variant tests the closed-neighborhood analog.  All geometry is
-exact: scales are rational and every comparison is an integer inequality,
-never floating point.
+built without a dict; ``Z^k`` and the Klein bottle group key their dict by one
+integer per normal form, so a generator move is an integer step and a key
+tuple is built only for a newly found vertex.  ``BS(1,n)`` is built in the
+coordinates of Z[1/n] x| Z: the normal form t^-p a^q t^s is the pair
+(x, k) = (q / n^p, s - p), an a-move adds +-n^k to x and a t-move +-1 to k,
+so with x scaled by n^r each vertex is one integer code, each move one integer
+addition, and no key tuple is built at all.  The ball is kept as integer
+columns: the edges as one flat list of (i, j, generator index) triples, the
+``F(n)`` words as one last letter per vertex, the tree's parent formula giving
+the rest, and the ``BS(1,n)`` normal forms as their codes; ``BallGraph.keys``
+and ``BallGraph.edges`` are read-only views that decode a word, a (p, q, s) or
+an edge tuple only when it is read, and the sweep reads the triples
+themselves.  A direction survives at level one when the half-space sublevel
+sets stay connected after a bounded retreat; the truncated-cone variant tests
+the closed-neighborhood analog.  All geometry is exact: scales are rational
+and every comparison is an integer inequality, never floating point.
 
 The sublevel sets shrink as the scale grows, in both modes, so the probe is a
 single sweep over the sublevel filtration (0-dimensional persistence): each
 vertex gets the highest grid scale or retreat floor whose sublevel set holds
 it, and one union-find pass adds vertices and edges from the highest level
 down.  The levels come from one merge of the sorted scales and floors,
-compared by integer cross multiplication, so no Fraction is hashed.  The
+compared by integer cross multiplication, so no Fraction is built or hashed
+on the way; a row builds its retreat only when it is not 0.  The
 level of a vertex depends only on a = <h, gamma> (and |h|^2 in cone mode):
 the half-space level is one bisection of a over the least integer each level
 admits, the cone level a binary search below it, memoized by (a, |h|^2) and,
@@ -165,6 +170,33 @@ class _FreeWords(_ColumnView):
         return tuple(word)
 
 
+class _BSNormalForms(_ColumnView):
+    """The normal forms (p, q, s) of a ``BS(1,n)`` ball, decoded from the
+    codes X W + (k + r + 1) of ``_ball_bs``: x = X / n^r and k come back by
+    one division, and the form t^-p a^q t^s with q / n^p = x and s - p = k
+    that is normal has p = max(v, -k), v being the least exponent with
+    x n^v an integer; then q = x n^p and s = k + p."""
+
+    __slots__ = ("_codes", "_n", "_radius")
+
+    def __init__(self, codes: Sequence[int], n: int, radius: int):
+        self._codes, self._n, self._radius = codes, n, radius
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def _item(self, i: int) -> tuple[int, int, int]:
+        n, r = self._n, self._radius
+        scaled, c = divmod(self._codes[i], 2 * r + 3)
+        k = c - r - 1
+        # x n^v is an integer exactly when n^(r - v) divides X, and x = 0 has v = 0
+        e = 0
+        while scaled and e < r and not scaled % n ** (e + 1):
+            e += 1
+        p = max(r - e if scaled else 0, -k)
+        return p, scaled // n ** (r - p), k + p
+
+
 class _EdgeView(_ColumnView):
     """(i, j, generator name) for each i, j, generator-index triple."""
 
@@ -191,10 +223,12 @@ class BallGraph(_Record):
     order, or per edge.
 
     ``heights`` and ``wordlen`` give each vertex's height and word length.
-    ``key_column`` gives its normal form: the key tuple for ``BS(1,n)``,
-    ``Z^k`` and Klein, and for ``F(n)`` only the word's last letter
-    (+-(g + 1) for x_(g+1), 0 at the root), since the tree's parent formula
-    gives the rest of the word.  ``triples`` is one flat sequence i, j, g per
+    ``key_column`` gives its normal form: the key tuple for ``Z^k`` and
+    Klein; for ``F(n)`` only the word's last letter (+-(g + 1) for x_(g+1),
+    0 at the root), since the tree's parent formula gives the rest of the
+    word; and for ``BS(1,n)`` the integer code X (2r + 3) + (k + r + 1) of
+    t^-p a^q t^s, where x = q / n^p = X / n^r and k = s - p are its
+    coordinates in Z[1/n] x| Z.  ``triples`` is one flat sequence i, j, g per
     edge: vertex i times generator g (the g-th name of ``gen_heights``) is
     vertex j.  ``keys`` and ``edges`` are read-only views over these columns
     that build a key or an (i, j, name) edge only when it is read; ``order``
@@ -217,9 +251,12 @@ class BallGraph(_Record):
     @property
     def keys(self) -> Sequence:
         """The normal forms: reduced words for ``F(n)``, (p, q, s) for
-        ``BS(1,n)``, vectors for ``Z^k`` and (p, q) for Klein."""
+        ``BS(1,n)`` (both decoded from ``key_column`` when read), vectors for
+        ``Z^k`` and (p, q) for Klein."""
         if self.atom.kind == ex.FREE:
             return _FreeWords(self.key_column, self.atom.params[0])
+        if self.atom.kind == ex.BAUMSLAG_SOLITAR:
+            return _BSNormalForms(self.key_column, self.atom.params[0], self.radius)
         return self.key_column
 
     @property
@@ -325,66 +362,67 @@ def _ball_free(n, radius):
 
 
 def _ball_bs(n, radius):
-    """``BS(1,n)`` on normal forms t^-p a^q t^s with p, s >= 0 and q not
-    divisible by n when both p and s are positive, one breadth-first pass over
-    a dict keyed by the code (q W + p) W + s.  The height is p - s, the negated
-    stable-letter exponent, which puts the surviving character direction on
-    the +1 side.  Right multiplication stays normal with four moves:
-      a^+-1:  (p, q +- n^s, s), the code +- n^s W^2;
-      t:      (p - 1, q / n, 0) when p > 0, s = 0 and n | q, else (p, q, s + 1);
-      t^-1:   (p, q, s - 1) when s > 0, else (p + 1, q n, 0).
-    p <= r and s <= r on the ball, but a shell vertex's t-move reaches
-    s = r + 1, so W = r + 2 keeps p W + s in [0, W^2) and the code one-to-one.
-    A move's key tuple is built only when it finds a new vertex.  The
-    generators are a (index 0) and t (index 1)."""
-    width = radius + 2
-    square = width * width
-    power = [n ** s for s in range(radius + 1)]  # s never exceeds the word length
-    shift = [w * square for w in power]
-    height = {v: (v,) for v in range(-radius, radius + 1)}
-    index = {0: 0}
-    keys, heights, wordlen, triples = [(0, 0, 0)], [(0,)], [0], []
+    """``BS(1,n)`` in the coordinates of Z[1/n] x| Z: the normal form
+    t^-p a^q t^s is the pair (x, k) = (q / n^p, s - p), and right
+    multiplication by a^+-1 adds +-n^k to x, by t^+-1 adds +-1 to k.  On the
+    ball p <= r and |k| <= r, and every neighbour the shell pass looks up
+    has k >= -r, so X = x n^r is an integer and |k| <= r + 1 throughout;
+    the dict is keyed by the one integer code = X W + (k + r + 1), with
+    W = 2r + 3, which is one-to-one.  An a-move adds +-n^(k + r) W, read from
+    a table indexed by code % W = k + r + 1, and a t-move adds +-1, so every
+    move is one integer addition and no key tuple is built.  The height is
+    -k = p - s, the negated stable-letter exponent, which puts the surviving
+    character direction on the +1 side; it is one shared 1-tuple per value.
+    ``_BSNormalForms`` decodes (p, q, s) from the codes.  The generators are
+    a (index 0) and t (index 1)."""
+    width = 2 * radius + 3
+    # by k + r + 1: the a-move's code step n^(k + r) W (none below k = -r),
+    # and the height -k
+    shift = [0] + [n ** e * width for e in range(width - 1)]
+    height = [(radius + 1 - c,) for c in range(width)]
+    origin = radius + 1
+    index = {origin: 0}
+    codes, heights, wordlen, triples = [origin], [height[origin]], [0], []
     begin, end = 0, 1
     for d in range(1, radius + 1):
         for i in range(begin, end):
-            p, q, s = keys[i]
-            code = (q * width + p) * width + s
-            nxt = code + shift[s]
+            code = codes[i]
+            c = code % width
+            step = shift[c]
+            nxt = code + step
             ja = index.get(nxt)
             if ja is None:
-                ja = index[nxt] = len(keys)
-                keys.append((p, q + power[s], s))
-                heights.append(heights[i])
-            nxt = code - shift[s]
+                ja = index[nxt] = len(codes)
+                codes.append(nxt)
+                heights.append(height[c])
+            nxt = code - step
             if nxt not in index:
-                index[nxt] = len(keys)
-                keys.append((p, q - power[s], s))
-                heights.append(heights[i])
-            cancel = p and not s and not q % n
-            nxt = (q // n * width + p - 1) * width if cancel else code + 1
+                index[nxt] = len(codes)
+                codes.append(nxt)
+                heights.append(height[c])
+            nxt = code + 1
             jt = index.get(nxt)
             if jt is None:
-                jt = index[nxt] = len(keys)
-                keys.append((p - 1, q // n, 0) if cancel else (p, q, s + 1))
-                heights.append(height[p - s - 1])
+                jt = index[nxt] = len(codes)
+                codes.append(nxt)
+                heights.append(height[c + 1])
             triples += (i, ja, 0, i, jt, 1)
-            nxt = code - 1 if s else (q * n * width + p + 1) * width
+            nxt = code - 1
             if nxt not in index:
-                index[nxt] = len(keys)
-                keys.append((p, q, s - 1) if s else (p + 1, q * n, 0))
-                heights.append(height[p - s + 1])
-        begin, end = end, len(keys)
+                index[nxt] = len(codes)
+                codes.append(nxt)
+                heights.append(height[c - 1])
+        begin, end = end, len(codes)
         wordlen += [d] * (end - begin)
     for i in range(begin, end):
-        p, q, s = keys[i]
-        code = (q * width + p) * width + s
-        j = index.get(code + shift[s])
+        code = codes[i]
+        j = index.get(code + shift[code % width])
         if j is not None:
             triples += (i, j, 0)
-        j = index.get((q // n * width + p - 1) * width if p and not s and not q % n else code + 1)
+        j = index.get(code + 1)
         if j is not None:
             triples += (i, j, 1)
-    return keys, heights, wordlen, triples
+    return codes, heights, wordlen, triples
 
 
 def check_ball(atom: ex.GroupAtom, radius: int) -> None:
@@ -408,9 +446,11 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
     exact heights and the full induced edge set, built in one pass by a
     builder for the atom's family: a dict-free tree for ``F(n)``, and for
     ``BS(1,n)``, ``Z^k`` and the Klein bottle group a dict keyed by one
-    integer per normal form, whose moves are integer steps.  The ball is
+    integer per normal form, whose moves are integer steps; for ``BS(1,n)``
+    that integer codes the element's coordinates in Z[1/n] x| Z.  The ball is
     stored as columns (see ``BallGraph``): ``F(n)`` keeps one last letter per
-    vertex, the other families their key tuples, which their builders need
+    vertex, ``BS(1,n)`` one code per vertex, which ``keys`` decodes to
+    (p, q, s), ``Z^k`` and Klein their key tuples, which their builders need
     for the moves, and every family one flat i, j, generator-index triple
     per edge, each vertex's ``+gen`` edges in vertex order, then generator
     order."""
@@ -537,14 +577,23 @@ class ProbeConfig(_Value):
         return self.radius // 2 + 1
 
 
+def _fraction(s) -> Fraction:
+    """``s`` as a Fraction; one that is a Fraction already is kept, not copied."""
+    return s if isinstance(s, Fraction) else Fraction(s)
+
+
+# the retreat of every row whose core joins at its own level
+_NO_RETREAT = Fraction(0)
+
+
 def check_probe(atom: ex.GroupAtom, gamma: Direction, radius: int, grid, mode: str = HALF_SPACE,
                 lambda_max=Fraction(1)) -> None:
     """What ``connectivity_probe`` checks, checked before the ball of an atom
     that ``check_ball`` accepted is built: the configuration, then the
     direction's length against the atom's height dimension (k for ``Z^k``,
     n for ``F(n)``, 1 for ``BS(1,n)`` and Klein)."""
-    ProbeConfig(radius=radius, direction=gamma, grid=tuple(Fraction(s) for s in grid),
-                mode=mode, lambda_max=Fraction(lambda_max))
+    ProbeConfig(radius=radius, direction=gamma, grid=tuple(map(_fraction, grid)), mode=mode,
+                lambda_max=_fraction(lambda_max))
     _check_direction(gamma, atom.params[0] if atom.kind in (ex.FREE_ABELIAN, ex.FREE) else 1)
 
 
@@ -596,12 +645,11 @@ class ProbeReport(_Value):
         return "\n".join(lines)
 
 
-def _least_holding(s: Fraction, norm_sq: int) -> int:
+def _least_holding(sp: int, sq: int, norm_sq: int) -> int:
     """The least integer a with a >= s * sqrt(norm_sq), exactly: for
-    s = sp/sq and X = sp^2 norm_sq, a sq >= sqrt(X) when sp > 0, and
-    a sq >= -sqrt(X) otherwise; isqrt(X) decides both, with a strict bound
-    when X is not a square."""
-    sp, sq = s.numerator, s.denominator
+    s = sp/sq with sq > 0 and X = sp^2 norm_sq, a sq >= sqrt(X) when sp > 0,
+    and a sq >= -sqrt(X) otherwise; isqrt(X) decides both, with a strict
+    bound when X is not a square."""
     root = isqrt(sp * sp * norm_sq)
     if sp <= 0:
         return -(root // sq)
@@ -612,15 +660,17 @@ def _least_holding(s: Fraction, norm_sq: int) -> int:
 
 def _merge_levels(grid: Sequence[Fraction], lambda_max: Fraction, clamp: bool):
     """The levels of a probe: the distinct grid scales and retreat floors
-    s - lambda_max (at least 0 when ``clamp``), in increasing order, with
-    each scale's and each floor's index among them.  Both lists are
-    non-decreasing, so one merge finds them, comparing a/b with c/d as
-    a d with c b; a floor equal to a scale shares its level, and no Fraction
-    is hashed or subtracted."""
+    s - lambda_max (at least 0 when ``clamp``), in increasing order, as one
+    list of numerators and one of positive denominators (a floor's pair is
+    not reduced), with each scale's and each floor's index among them.  Both
+    lists are non-decreasing, so one merge finds them, comparing a/b with
+    c/d as a d with c b; a floor equal to a scale shares its level, and no
+    Fraction is built, hashed or subtracted."""
     nums = [s.numerator for s in grid]
     dens = [s.denominator for s in grid]
     lp, lq = lambda_max.numerator, lambda_max.denominator
-    levels: list[Fraction] = []
+    level_nums: list[int] = []
+    level_dens: list[int] = []
     scale_at: list[int] = []
     floor_at: list[int] = []
     top_num = top_den = 0  # the highest level so far, once there is one
@@ -631,25 +681,28 @@ def _merge_levels(grid: Sequence[Fraction], lambda_max: Fraction, clamp: bool):
             fn, fd = 0, 1
         # the scales at or below this floor come first
         while a < n and nums[a] * fd <= fn * dens[a]:
-            if not levels or nums[a] * top_den != top_num * dens[a]:
-                levels.append(grid[a])
+            if not level_nums or nums[a] * top_den != top_num * dens[a]:
                 top_num, top_den = nums[a], dens[a]
-            scale_at.append(len(levels) - 1)
+                level_nums.append(top_num)
+                level_dens.append(top_den)
+            scale_at.append(len(level_nums) - 1)
             a += 1
-        if not levels or fn * top_den != top_num * fd:
-            levels.append(Fraction(fn, fd))
+        if not level_nums or fn * top_den != top_num * fd:
             top_num, top_den = fn, fd
-        floor_at.append(len(levels) - 1)
-    for sn, sd, s in zip(nums[a:], dens[a:], grid[a:]):
+            level_nums.append(fn)
+            level_dens.append(fd)
+        floor_at.append(len(level_nums) - 1)
+    for sn, sd in zip(nums[a:], dens[a:]):
         if sn * top_den != top_num * sd:
-            levels.append(s)
             top_num, top_den = sn, sd
-        scale_at.append(len(levels) - 1)
-    return levels, scale_at, floor_at
+            level_nums.append(sn)
+            level_dens.append(sd)
+        scale_at.append(len(level_nums) - 1)
+    return level_nums, level_dens, scale_at, floor_at
 
 
-def _entry_levels(ball: BallGraph, gamma: Direction, levels: Sequence[Fraction],
-                  mode: str) -> list[int]:
+def _entry_levels(ball: BallGraph, gamma: Direction, nums: Sequence[int],
+                  dens: Sequence[int], mode: str) -> list[int]:
     """For each vertex, the index of the highest level whose sublevel set
     holds it, or -1.  Membership only shrinks as the level grows.  The tests
     read only a = <h, gamma>, and |h|^2 in cone mode, and a is an integer, so
@@ -658,13 +711,12 @@ def _entry_levels(ball: BallGraph, gamma: Direction, levels: Sequence[Fraction],
     In cone mode a binary search below it applies the angle bound, which
     shrinks with t too, and its answers are memoized by (a, |h|^2).  In front
     of that, answers are memoized by the height itself, which is cheaper to
-    look up than the scalars are to compute."""
+    look up than the scalars are to compute.  The levels are given as
+    numerators ``nums`` over positive denominators ``dens``."""
     coords = gamma.coords
     norm_g = gamma.norm_sq()
-    least = [_least_holding(t, norm_g) for t in levels]
+    least = [_least_holding(sp, sq, norm_g) for sp, sq in zip(nums, dens)]
     cone = mode == TRUNCATED_CONE
-    nums = [t.numerator for t in levels]
-    dens = [t.denominator for t in levels]
 
     def highest_cone(a, norm_h):
         # the highest level with the angle bound t^2 (|h|^2 |gamma|^2 - a^2) <= a^2,
@@ -714,20 +766,20 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
     whose core has n vertices then retreats to the highest grid level at or
     below both its own level and ``joined_at[n]``, or to its floor when no
     grid level lies between."""
-    config = ProbeConfig(radius=ball.radius, direction=gamma,
-                         grid=tuple(Fraction(s) for s in grid), mode=mode,
-                         lambda_max=Fraction(lambda_max), core_margin=core_margin)
+    config = ProbeConfig(radius=ball.radius, direction=gamma, grid=tuple(map(_fraction, grid)),
+                         mode=mode, lambda_max=_fraction(lambda_max), core_margin=core_margin)
     _check_direction(gamma, ball.height_dim)
     grid = config.grid
-    levels, scale_at, floor_at = _merge_levels(grid, config.lambda_max, mode == TRUNCATED_CONE)
-    entry = _entry_levels(ball, gamma, levels, mode)
+    level_nums, level_dens, scale_at, floor_at = _merge_levels(grid, config.lambda_max,
+                                                               mode == TRUNCATED_CONE)
+    entry = _entry_levels(ball, gamma, level_nums, level_dens, mode)
 
     # vertices, core vertices and edges bucketed by the level they enter at
-    top = len(levels)
+    top = len(level_nums)
     core_radius = config.core_radius
     radius = ball.radius
     entering = [0] * top
-    core_entering: list[list[int]] = [[] for _ in levels]
+    core_entering: list[list[int]] = [[] for _ in range(top)]
     shell_top = -1
     for v, (k, d) in enumerate(zip(entry, ball.wordlen)):
         if k < 0:
@@ -737,7 +789,7 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
             core_entering[k].append(v)
         if d == radius and k > shell_top:
             shell_top = k
-    edges_at: list[list[int]] = [[] for _ in levels]
+    edges_at: list[list[int]] = [[] for _ in range(top)]
     flat = iter(ball.triples)
     for i, j, _ in zip(flat, flat, flat):
         ki, kj = entry[i], entry[j]
@@ -802,7 +854,13 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
             g = bisect_right(grid_levels, min(joined_at[n], sk)) - 1
             joined = max(fk, grid_levels[g]) if g >= 0 else fk
             descents.append(joined)
-            rows.append(ProbeRow(s, sub_at[sk], n, 1, s - levels[joined], shell_touched))
+            if joined == sk:
+                retreat = _NO_RETREAT
+            else:  # s - level, the level's pair as _merge_levels left it
+                sn, sd = s.numerator, s.denominator
+                ln, ld = level_nums[joined], level_dens[joined]
+                retreat = Fraction(sn * ld - ln * sd, sd * ld)
+            rows.append(ProbeRow(s, sub_at[sk], n, 1, retreat, shell_touched))
     if split_seen:
         evidence = SUPPORTS_NON_MEMBERSHIP
     elif len(descents) >= 2:

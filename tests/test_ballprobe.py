@@ -121,18 +121,27 @@ def test_height_additive_on_every_edge():
             assert tuple(b - a for a, b in zip(ball.heights[i], ball.heights[j])) == delta
 
 
+def _assert_bs_normal(key, n):
+    p, q, s = key
+    assert p >= 0 and s >= 0
+    if q == 0:
+        assert p == 0 or s == 0
+    if p > 0 and s > 0:
+        assert q % n != 0
+
+
 def test_bs_normal_forms_are_canonical():
-    ball = enumerate_ball(ex.baumslag_solitar(1, 2), 7)
-    for (p, q, s) in ball.keys:
-        assert p >= 0 and s >= 0
-        if q == 0:
-            assert p == 0 or s == 0
-        if p > 0 and s > 0:
-            assert q % 2 != 0
-    # height is the negated stable-letter exponent
-    idx = {k: i for i, k in enumerate(ball.keys)}
-    assert ball.heights[idx[(0, 0, 3)]] == (-3,)
-    assert ball.heights[idx[(2, 1, 0)]] == (2,)
+    for n in (2, 3):
+        ball = enumerate_ball(ex.baumslag_solitar(1, n), 7)
+        keys = tuple(ball.keys)
+        for key in keys:
+            _assert_bs_normal(key, n)
+        assert len(set(keys)) == ball.order
+        # height is the negated stable-letter exponent
+        idx = {k: i for i, k in enumerate(keys)}
+        assert ball.heights[idx[(0, 0, 3)]] == (-3,)
+        assert ball.heights[idx[(2, 1, 0)]] == (2,)
+        assert ball.heights[idx[(1, n + 1, 2)]] == (-1,)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +263,7 @@ BUILDER_CASES = (
     + [(ex.GroupAtom(ex.FREE, (1,)), r) for r in range(2, 13)]
     + [(ex.free_group(n), r) for n, top in ((2, 8), (3, 6)) for r in range(2, top + 1)]
     + [(ex.baumslag_solitar(1, n), r) for n in (2, 3, 5, 7) for r in range(2, 13)]
+    + [(ex.baumslag_solitar(1, n), r) for n in (4, 6) for r in range(2, 10)]
 )
 
 
@@ -303,6 +313,29 @@ def test_decoded_free_words_are_normal_forms(data):
         for x in word:
             height[abs(x) - 1] += 1 if x > 0 else -1
         assert tuple(height) == ball.heights[i]
+
+
+@functools.lru_cache(maxsize=4)
+def _bs_ball(n, radius):
+    return enumerate_ball(ex.baumslag_solitar(1, n), radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decoded_bs_keys_are_normal_forms(data):
+    # every radius the order cap admits; the stored code is X (2r + 3) + (k + r + 1)
+    # for x = q / n^p = X / n^r and k = s - p
+    n = data.draw(st.integers(2, 7), label="n")
+    radius = data.draw(st.integers(2, 12), label="radius")
+    ball = _bs_ball(n, radius)
+    for i in data.draw(st.lists(st.integers(0, ball.order - 1), min_size=1, max_size=20),
+                       label="vertices"):
+        p, q, s = key = ball.keys[i]
+        _assert_bs_normal(key, n)
+        assert ball.heights[i] == (p - s,)
+        scaled = Fraction(q, n ** p) * n ** radius
+        assert scaled.denominator == 1
+        assert ball.key_column[i] == scaled.numerator * (2 * radius + 3) + s - p + radius + 1
 
 
 # ---------------------------------------------------------------------------
