@@ -25,9 +25,9 @@ from contextvars import ContextVar
 
 from . import _Value
 from . import expressions as ex
-from .cones import (check_cone_dim, o_class_of, omega_from_obstructions, omega_of_product,
-                    sigma1_complement_of_product)
+from .cones import check_cone_dim, o_class_of, omega_of_product, sigma1_complement_of_product
 from .spheres import (
+    ConeRegion,
     SphereSet,
     empty_set,
     full_sphere,
@@ -144,10 +144,18 @@ def _atom_invariants(atom: ex.GroupAtom) -> KnownInvariants:
         chi1 = tuple(1 if i == 0 else 0 for i in range(m))
         chi2 = tuple(1 if i == 1 else 0 for i in range(m))
         sigma_c = points_set([m], [chi1, chi2])
+        # Ω is the polar cone {v : <v, chi1> <= 0, <v, chi2> <= 0} in closed
+        # form.  chi1 = e1 and chi2 = e2 are independent, so the cone is a
+        # simplicial 2-cone times R^(m-2), infinite since m >= 2.  So one
+        # ConeRegion atom on one factor is normal: on rank m >= 2 the part
+        # needs no collapse to points, and a single atom cannot merge with or
+        # lie in another.  `cones.omega_from_obstructions` derives the same
+        # set by double description, the oracle that the tests run.
+        obstructions = sigma_c.atoms[0][0].points
         return KnownInvariants(
             hom_rank=m,
             sigma1_complement=sigma_c,
-            omega=omega_from_obstructions(sigma_c),
+            omega=SphereSet._normal((m,), ((ConeRegion(obstructions),),)),
             omega_all_levels=True,
             rinf_known=CITE_THOMPSON if kind == ex.THOMPSON_F else CITE_GEN_THOMPSON,
             provenance=(("sigma1_complement", "two independent obstructed characters "

@@ -2,12 +2,16 @@
 
 A direction e survives at level n exactly when its whole open quarter-sphere
 neighborhood avoids the obstruction set F, i.e. <e, f> <= 0 for every f in F.
-The surviving directions therefore form the polar cone of F.
-`omega_from_obstructions` reads them straight off F, the complement of the
-Bieri-Neumann-Strebel invariant that the catalog stores: the double
-description method finds the cone's lines and extreme rays exactly over the
-integers, and the survivors are nothing, the one ray, the line's two ends, or
-else the infinite `ConeRegion` cut out by F.
+The surviving directions therefore form the polar cone of F.  Queries never
+compute that cone here: the only finite F in the catalog are the two
+independent characters of the Thompson-type atoms, whose polar cone the
+catalog writes down in closed form.  `omega_from_obstructions` is the general
+routine and the oracle that `selfcheck` and the tests check the closed form
+against: it reads the survivors off any F, the complement of the
+Bieri-Neumann-Strebel invariant that the catalog stores, and for a finite F
+the double description method (`extreme_rays`) finds the cone's lines and
+extreme rays exactly over the integers, so the survivors are nothing, the one
+ray, the line's two ends, or else the infinite `ConeRegion` cut out by F.
 
 The product formula says the invariant of a direct product is the spherical
 join of the factor invariants; both that and the union formula for the

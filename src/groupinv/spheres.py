@@ -47,6 +47,18 @@ class _Ordered(_Value):
         return NotImplemented
 
 
+_INT = {int}
+
+
+def _ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """values as a tuple of plain ints; any other entry, bool and float
+    included, is refused rather than truncated."""
+    values = tuple(values)
+    if not {*map(type, values)} <= _INT:
+        raise ValueError("%s must be integers, got %r" % (what, values))
+    return values
+
+
 # ---------------------------------------------------------------------------
 # directions
 
@@ -57,8 +69,8 @@ class Direction(_Ordered):
     __slots__ = ("coords",)
 
     def __init__(self, coords: Iterable[int]):
-        vec = tuple(int(c) for c in coords)
-        if not vec or all(c == 0 for c in vec):
+        vec = _ints(coords, "direction coordinates")
+        if not any(vec):
             raise ValueError("direction must be a non-zero vector")
         g = gcd(*vec)
         if g > 1:
@@ -193,8 +205,8 @@ def _part_subset(a, b) -> bool:
 
 
 def _checked_ambient(ambient: Iterable[int]) -> tuple[int, ...]:
-    ambient = tuple(int(r) for r in ambient)
-    if not ambient or any(r < 0 for r in ambient):
+    ambient = _ints(ambient, "factor ranks")
+    if not ambient or min(ambient) < 0:
         raise ValueError("ambient must list non-negative factor ranks")
     return ambient
 

@@ -4,12 +4,14 @@ the invariant catalog with its internal consistency sweep."""
 from __future__ import annotations
 
 import random
+from itertools import product
+from math import gcd
 
 import pytest
 
 from groupinv import expressions as ex
 from groupinv.catalog import lookup_invariants
-from groupinv.cones import check_finite12, omega_from_obstructions
+from groupinv.cones import MAX_CONE_DIM, check_finite12, omega_from_obstructions
 from groupinv.expressions import ParseError, parse_group_expr
 from groupinv.rinf import UNKNOWN, decide
 from groupinv.selfcheck import (
@@ -392,6 +394,29 @@ def test_internal_consistency_sweep():
         assert derived == inv.omega_at(1), text
         report = check_finite12(inv.omega_at(1))
         assert report.ok, text
+
+
+def test_thompson_type_omega_matches_double_description():
+    """Ω of every Thompson-type atom under the cone-dimension cap, built in
+    closed form, equals the polar cone that double description derives from
+    its two obstructed characters e1 and e2, at every level.  For m <= 4 the
+    cone also holds exactly the primitive vectors of [-3, 3]^m with
+    v1 <= 0 and v2 <= 0."""
+    for text in ["Thompson"] + ["T(%d)" % m for m in range(2, MAX_CONE_DIM + 1)]:
+        inv = lookup_invariants(parse_group_expr(text))
+        m = inv.hom_rank
+        e1, e2 = (tuple(int(i == j) for j in range(m)) for i in (0, 1))
+        assert inv.sigma1_complement == points_set([m], [e1, e2]), text
+        omega = inv.omega_at(1)
+        assert inv.omega_all_levels and omega == omega_from_obstructions(inv.sigma1_complement)
+        if m > 4:
+            continue
+        ((cone,),) = omega.atoms
+        for vec in product(range(-3, 4), repeat=m):
+            if gcd(*vec) != 1:
+                continue
+            d = Direction(vec)
+            assert cone.contains(d) == (vec[0] <= 0 and vec[1] <= 0) == omega.member(d), vec
 
 
 @pytest.mark.parametrize("text", ["Thompson", "T(3)", "T(8)"])

@@ -174,30 +174,30 @@ def test_structured_cones_all_shapes():
     assert shape(survivors(3, [(1, 0, 0)])) == "higher"
 
 
-def test_no_rank_outside_double_description(monkeypatch):
-    """A Thompson-type lookup computes ranks only inside extreme_rays."""
-    outside = []
-    running = [False]
-    rank, dd = cones.matrix_rank, cones.extreme_rays
+def test_thompson_type_queries_run_no_double_description(monkeypatch):
+    """Thompson-type atoms take Ω in closed form: their lookups compute no
+    rank and no double description, and deciding them runs neither of
+    `cones`' two."""
+    from groupinv import linalg, rinf
+    from groupinv.rinf import RINFINITY, decide
 
-    def counted_rank(m):
-        if not running[0]:
-            outside.append(m)
-        return rank(m)
+    def refuse(*args):
+        raise AssertionError("called on the query path")
 
-    def flagged_dd(*args):
-        running[0] = True
-        try:
-            return dd(*args)
-        finally:
-            running[0] = False
-
-    monkeypatch.setattr(cones, "matrix_rank", counted_rank)
-    monkeypatch.setattr(cones, "extreme_rays", flagged_dd)
-    for text in ("Thompson", "T(3)", "T(8)"):
+    texts = ("Thompson", "T(3)", "T(8)", "BS(1,2) x T(5)")
+    for module in (cones, linalg, rinf):
+        monkeypatch.setattr(module, "matrix_rank", refuse)
+    monkeypatch.setattr(cones, "extreme_rays", refuse)
+    for text in texts:
         omega = lookup_invariants(parse_group_expr(text)).omega_at(1)
-        assert omega.cardinality().kind == "infinite"
-    assert outside == []
+        assert omega.cardinality().kind == "infinite", text
+    # the finite-obstruction rule tests its characters for independence with
+    # the rule engine's own rank, which is not part of the lookup
+    monkeypatch.undo()
+    monkeypatch.setattr(cones, "matrix_rank", refuse)
+    monkeypatch.setattr(cones, "extreme_rays", refuse)
+    for text in texts:
+        assert decide(parse_group_expr(text)).conclusion == RINFINITY, text
 
 
 # ---------------------------------------------------------------------------

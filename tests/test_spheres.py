@@ -72,6 +72,27 @@ def test_direction_normalization():
         Direction((0, 0))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Direction((1.5, 0)),
+    lambda: Direction((2.0, 0)),
+    lambda: Direction((True, 0)),
+    lambda: Direction(("1", 0)),
+    lambda: points_set([2], [(0.7, 1)]),
+    lambda: points_set([2], [(False, 1)]),
+    lambda: full_sphere([2.7]),
+    lambda: full_sphere([True]),
+    lambda: empty_set([2.0]),
+    lambda: SphereSet([1.5], []),
+], ids=["direction-float", "direction-integral-float", "direction-bool", "direction-str",
+        "points-float", "points-bool", "full-float", "full-bool", "empty-float",
+        "sphereset-float"])
+def test_non_integer_entries_are_refused(build):
+    """Coordinates and factor ranks are exact integers: anything else,
+    bool included, is refused instead of truncated by int()."""
+    with pytest.raises(ValueError):
+        build()
+
+
 def _directions(*vectors):
     return [Direction(v) for v in vectors]
 

@@ -12,9 +12,11 @@ SEED+i --trace 0``, with ``SEED`` = 101, for ``run_seconds`` in PARENT and in
 CHANGE, one after the other; even pairs start with PARENT, odd pairs with
 CHANGE, so a drift of the machine's speed favours neither side.  Each checkout runs its own ``benchmark/run.py`` on its
 own ``src``.
-After the pairs, each checkout runs ``benchmark/run.py --trace 1`` once per
-workload, at the first pair's seed and ``run_seconds``, for the per-layer
-metrics.
+After the pairs come ``TRACED_PAIRS`` (3) alternating pairs of
+``benchmark/run.py --trace 1`` runs per workload, all at the first pair's
+seed and ``run_seconds``, for the per-layer metrics; each side reports the
+median of every metric over its traced runs, so one disturbed run does not
+decide it.
 Before the workloads, each checkout's tier-1 suite (``python -m pytest -q -p
 no:cacheprovider`` with ``PYTHONPATH=src``) runs three times, alternating
 sides the same way, and its benchmark suite (the same command on
@@ -32,9 +34,9 @@ modules whose code that command line runs with their source line counts (read
 in one more, untimed process per command and side), and the median over the
 rounds of the change's time minus the parent's; per workload and end-to-end metric, each side's
 median and quartiles, the pairs the change won and lost (ties count for
-neither), every run's figures, and under ``traced`` each side's per-layer
-metrics; and the machine, the Python version and
-``PYTHONDONTWRITEBYTECODE``, which decides whether the ``cli`` figures
+neither), every run's figures, and under ``traced`` each side's median of
+every per-layer metric with every traced run's figures; and the machine,
+the Python version and ``PYTHONDONTWRITEBYTECODE``, which decides whether the ``cli`` figures
 include compiling the package.
 """
 
@@ -54,6 +56,7 @@ SIDES = ("parent", "change")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 TIER1_RUNS = 3
 PAIRS = 10  # the pairs per workload that a speed claim needs
+TRACED_PAIRS = 3
 SEED = 101
 _CLI = ["-m", "groupinv.cli"]
 _Z8 = json.dumps([[(i + j) % 8 for j in range(8)] for i in range(8)])
@@ -202,6 +205,18 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def traced(roots: dict, workload: str, seconds: float) -> dict:
+    """Each side's per-layer metrics from TRACED_PAIRS alternating traced runs
+    at SEED: the median of every metric, and every run's figures."""
+    runs = {side: [] for side in SIDES}
+    for i in range(TRACED_PAIRS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_once(roots[side], workload, SEED, seconds, trace=1))
+    return {side: {"median": {name: statistics.median(r["metrics"][name] for r in runs[side])
+                              for name in runs[side][0]["metrics"]},
+                   "runs": runs[side]} for side in SIDES}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -251,8 +266,7 @@ def main(argv=None) -> int:
             "correct": all(r[side]["correct"] for r in runs for side in SIDES),
             "runs": runs,
         }
-        report["workloads"][workload]["traced"] = {
-            side: run_once(roots[side], workload, SEED, seconds, trace=1) for side in SIDES}
+        report["workloads"][workload]["traced"] = traced(roots, workload, seconds)
         print("bench_pairs: %s traced runs done" % workload, file=sys.stderr)
         # written after every workload, so an interrupted comparison keeps what it measured
         args.out.write_text(json.dumps(report, indent=1) + "\n")
