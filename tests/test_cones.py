@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from groupinv import cones
+from groupinv import cones, linalg, rinf
 from groupinv.catalog import lookup_invariants
 from groupinv.cones import (
     DimensionCapExceeded,
@@ -23,6 +23,7 @@ from groupinv.cones import (
 )
 from groupinv.expressions import parse_group_expr
 from groupinv.linalg import matrix_rank
+from groupinv.rinf import RINFINITY, decide
 from groupinv.spheres import (
     EMPTY,
     ConeRegion,
@@ -178,9 +179,6 @@ def test_thompson_type_queries_run_no_double_description(monkeypatch):
     """Thompson-type atoms take Ω in closed form: their lookups compute no
     rank and no double description, and deciding them runs neither of
     `cones`' two."""
-    from groupinv import linalg, rinf
-    from groupinv.rinf import RINFINITY, decide
-
     def refuse(*args):
         raise AssertionError("called on the query path")
 
