@@ -78,6 +78,7 @@ RECORDS = [
     ("ProbeReport", _probe, True, True),
     ("TraceStep", lambda: rinf.decide(ex.parse_group_expr("BS(1,2)")).trace[0], True, True),
     ("Verdict", lambda: rinf.decide(ex.parse_group_expr("BS(1,2) x F(2)")), True, True),
+    ("Decline", lambda: rinf.decide_main(ex.parse_group_expr("Z^2")), True, True),
     ("FinitePresentation", lambda: atom_presentation(ex.klein_bottle()), False, False),
     ("FGAbelianAutomorphism",
      lambda: abelian.FGAbelianAutomorphism.from_matrix([[-1]], [2]), False, False),

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from groupinv import catalog, rinf
+from groupinv import catalog, rinf, selfcheck
 from groupinv import expressions as ex
 from groupinv.catalog import lookup_invariants, query_memo
 from groupinv.cones import O_CLASS_0, O_CLASS_1, O_CLASS_2, DimensionCapExceeded, o_class_of
@@ -17,8 +17,12 @@ from groupinv.rinf import (
     FINITE_INDEX,
     INDEX_TWO,
     RINFINITY,
+    RULES,
     UNKNOWN,
+    Decline,
     Verdict,
+    _decide_catalog,
+    _decide_torsion_split,
     _TraceBuilder,
     decide,
     decide_free_product,
@@ -61,9 +65,11 @@ def test_main_rule_free_times_z():
 
 
 def test_main_rule_unknown_for_empty_or_infinite():
-    assert decide_main(parse_group_expr("F(3)")).conclusion == UNKNOWN
-    assert decide_main(parse_group_expr("Z^2")).conclusion == UNKNOWN
-    assert decide_main(parse_group_expr("L(2) x Z"), level=2).conclusion == UNKNOWN
+    no_match = "surviving-direction cardinality %s matches no finite-survivor rule"
+    assert decide_main(parse_group_expr("F(3)")) == Decline("decide_main", no_match % "0")
+    assert decide_main(parse_group_expr("Z^2")) == Decline("decide_main", no_match % "infinite")
+    assert decide_main(parse_group_expr("L(2) x Z"), level=2) == Decline(
+        "decide_main", "surviving-direction set unknown at level 2")
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +91,18 @@ def test_gk_rule_bs():
 
 
 def test_gk_rule_klein_unknown():
-    assert decide_gk(parse_group_expr("Klein")).conclusion == UNKNOWN
-    assert decide_gk(parse_group_expr("F(2)")).conclusion == UNKNOWN  # full obstruction set
+    not_finite = "obstruction set is %s; the finite-obstruction rule needs a non-empty finite set"
+    assert decide_gk(parse_group_expr("Klein")) == Decline("decide_gk", not_finite % "0")
+    # full obstruction set
+    assert decide_gk(parse_group_expr("F(2)")) == Decline("decide_gk", not_finite % "infinite")
+
+
+def test_gk_rule_declines_unknown_obstruction_set(monkeypatch):
+    # every catalog entry records its obstruction set, so an unknown one is stubbed
+    unknown = catalog.KnownInvariants(hom_rank=1, sigma1_complement=None, omega=None)
+    monkeypatch.setattr(rinf, "lookup_invariants", lambda expr: unknown)
+    assert decide_gk(parse_group_expr("Z")) == Decline("decide_gk",
+                                                       "level-one obstruction set unknown")
 
 
 def test_gk_rule_dependent_characters_stay_finite_index():
@@ -115,14 +131,18 @@ def test_product_rule_nested_index_two():
 
 
 def test_product_rule_z_times_z_unknown():
-    assert decide_product(parse_group_expr("Z x Z")).conclusion == UNKNOWN
+    assert decide_product(parse_group_expr("Z x Z")) == Decline(
+        "decide_product", "no lone factor of class O1 or O2 among O0 factors at level 1",
+        noted=False)
+    assert decide_product(parse_group_expr("BS(1,2)")) == Decline(
+        "decide_product", "not a direct product", noted=False)
 
 
 def reference_decide_product(expr, level=1):
     """The product rule as a loop over heads, each against the synthetic
     product of the other factors, evaluated from scratch."""
     if expr.node != "direct":
-        return Verdict(UNKNOWN)
+        return Decline("decide_product", "not a direct product", noted=False)
     for j, head in enumerate(expr.factors):
         rest = [f for i, f in enumerate(expr.factors) if i != j]
         rest_expr = rest[0] if len(rest) == 1 else ex.direct_product(rest)
@@ -144,7 +164,8 @@ def reference_decide_product(expr, level=1):
             trace.add("ThmSec5Prod2", "%s = %s x %s" % (expr.label(), head.label(), rest_expr.label()),
                       (h, k))
             return trace.done(INDEX_TWO)
-    return Verdict(UNKNOWN)
+    return Decline("decide_product", "no lone factor of class O1 or O2 among O0 factors at "
+                   "level %d" % level, noted=False)
 
 
 # factors by level-one class; at levels >= 2 BS, Klein, B(n) and L(n) are unknown
@@ -180,7 +201,8 @@ def test_product_rule_matches_synthetic_subproducts():
             # which is why decide does not run the product rule
             assert decide_main(expr, level).conclusion == expected.conclusion, (expr, level)
             classes = {lookup_invariants(f).o_class_at(level) for f in expr.factors}
-            seen[level, expected.final_rule(), "unknown" in classes] += 1
+            rule = expected.final_rule() if isinstance(expected, Verdict) else None
+            seen[level, rule, "unknown" in classes] += 1
         assert not (decide(expr).final_rule() or "").startswith("ThmSec5Prod"), expr
     # both theorems fire at level one; at level two only all-level factors are
     # known, and products with an unknown factor occur there
@@ -275,17 +297,23 @@ def test_free_product_direct_product_condition():
 
 
 def test_free_product_hypothesis_violation():
-    v = decide_free_product(parse_group_expr("F(2) * Zmod(2)"))
-    assert v.conclusion == UNKNOWN
-    assert any("freely indecomposable" in n for n in v.notes)
+    assert decide_free_product(parse_group_expr("F(2) * Zmod(2)")) == Decline(
+        "decide_free_product", "hypothesis violation: factors F(2) are not freely indecomposable")
 
 
 def test_free_product_unverified_premise():
-    # Z * Zmod(2): bar = Z x Zmod(2) gets no verdict, so condition (3) reports
-    # the unverified premise instead of guessing
-    v = decide_free_product(parse_group_expr("Z * Zmod(2)"))
-    assert v.conclusion == UNKNOWN
-    assert any("unverified" in n for n in v.notes)
+    # Z * Zmod(2): bar = Z x Zmod(2) gets only the index-two conclusion, so
+    # condition (3) reports the unverified premise instead of guessing
+    assert decide_free_product(parse_group_expr("Z * Zmod(2)")) == Decline(
+        "decide_free_product",
+        "direct-product premise unverified: decide(Z x Zmod(2)) = IndexTwoSubgroupAllRInf")
+
+
+def test_free_product_declines_outside_its_conditions():
+    assert decide_free_product(parse_group_expr("F(2) x Z")) == Decline(
+        "decide_free_product", "not a free product", noted=False)
+    assert decide_free_product(parse_group_expr("Klein * Klein")) == Decline(
+        "decide_free_product", "no free-product condition applies")
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +362,72 @@ def test_decide_torsion_split():
     assert v.conclusion == RINFINITY
     assert v.final_rule() == "LemRFacts1"
     assert_trace_replays(v)
+
+
+def test_catalog_rule_declines_without_a_recorded_fact():
+    assert _decide_catalog(parse_group_expr("Z x Z")) == Decline(
+        "_decide_catalog", "no recorded R-infinity fact", noted=False)
+
+
+def test_torsion_split_declines():
+    cases = {
+        "BS(1,2)": "not a direct product",
+        "Z x Z": "no finite abelian factor",
+        "Zmod(2) x Zmod(3)": "no torsion-free factor",
+        "Z x Zmod(2) x (Zmod(2) * Zmod(3))": "a factor is neither torsion-free nor finite abelian",
+        # the quotient Z has only the index-two conclusion
+        "Z x Zmod(2)": "the torsion-free quotient premise is unverified: decide(Z) = "
+                       "IndexTwoSubgroupAllRInf",
+    }
+    for text, premise in cases.items():
+        assert _decide_torsion_split(parse_group_expr(text)) == Decline(
+            "_decide_torsion_split", premise, noted=False), text
+
+
+def test_every_cited_rule_is_stated_and_every_statement_cited():
+    statements = {}
+    for name, _, stated in RULES:
+        assert callable(getattr(rinf, name)), name
+        assert not statements.keys() & stated.keys(), name  # each statement stated once
+        statements.update(stated)
+    rng = random.Random(2323)
+    verdicts = [decide(selfcheck._random_expr(rng, 2)) for _ in range(400)]
+    verdicts += [decide_text(text) for texts in PRODUCT_POOL.values() for text in texts]
+    for _ in range(150):
+        expr = random_direct_product(rng)
+        verdicts += [decide(expr), decide_product(expr)]
+    # to_json_dict looks every quote up strictly
+    cited = {step["rule"] for v in verdicts if isinstance(v, Verdict)
+             for step in v.to_json_dict()["trace"]}
+    assert all(statements.get(rule) for rule in cited), cited - set(statements)
+    assert cited == set(statements), set(statements) - cited
+
+
+def test_decide_stops_at_the_first_rinfinity(monkeypatch):
+    catalog_decided = {text: decide_text(text) for text in ("F(2)", "Thompson", "Klein x Z^2")}
+    calls = Counter()
+
+    def counting(name):
+        rule = getattr(rinf, name)
+
+        def run(expr):
+            calls[name] += 1
+            return rule(expr)
+        return run
+
+    for name, _, _ in RULES:
+        monkeypatch.setattr(rinf, name, counting(name))
+    decide_text("Z x Z")
+    assert calls == {name: 1 for name, run, _ in RULES if run}
+
+    def refuse(expr):
+        raise AssertionError("a rule ran after an RInfinity")
+
+    for name in ("decide_gk", "decide_free_product", "_decide_torsion_split"):
+        monkeypatch.setattr(rinf, name, refuse)
+    for text, verdict in catalog_decided.items():
+        assert verdict.final_rule() == "CatalogFact", text
+        assert decide_text(text) == verdict, text
 
 
 def test_decide_deterministic():
