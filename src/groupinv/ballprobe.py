@@ -54,17 +54,23 @@ vertices at distance exactly r are flagged as shell, and connectivity is only
 demanded between core vertices well inside the ball (paths may run through
 the whole ball).  Both the retreat budget and the core margin are part of the
 reported configuration.
+
+The ``probe`` command's scale reader (``_rational``) and JSON writer
+(``_emit_probe``) live here too, so that no other command compiles them.
 """
 
 from __future__ import annotations
 
+import json
+import re
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from . import _Record, _Value, catalog
+from . import _Record, _Value, __version__, catalog
 from . import expressions as ex
 from .spheres import Direction
 from .unionfind import UnionFind
@@ -601,6 +607,33 @@ def default_grid(radius: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(j) for j in range(radius // 2 + 1))
 
 
+# Fraction's forms with an exponent; compiled by the first `_rational` call
+_EXPONENT_FORM = (r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                  r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _rational(text: str) -> Fraction:
+    """An exact rational, refused when a part has more digits than Python prints; with d
+    mantissa digits and |exponent| > limit + d a part always has, and 10^e is not built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    too_long = "scale %r has a numerator or denominator of more than %d digits" % (text, limit)
+    match = limit and re.match(_EXPONENT_FORM, text)
+    if match:
+        exponent, digits = int(match[3]), (match[1] + (match[2] or "")).replace("_", "")
+        if not digits.strip("0"):
+            return Fraction(0)
+        if abs(exponent) > limit + len(digits):
+            raise ValueError(too_long)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+    big = max(abs(value.numerator), value.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:  # 2^(3L) < 10^L
+        raise ValueError(too_long)
+    return value
+
+
 class ProbeRow(_Value):
     __slots__ = ("s", "vertices", "core_vertices", "components", "retreat", "shell_touched",
                  "note")
@@ -643,6 +676,25 @@ class ProbeReport(_Value):
                             "" if r.retreat is None else r.retreat,
                             int(r.shell_touched), r.note))
         return "\n".join(lines)
+
+
+# a flat probe row at indent=2, depth 2: json's C encoder (which runs only without
+# ``indent``) writes it with the line breaks and indents in the item separator
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _emit_probe(document: dict) -> None:
+    """``cli._emit`` for a probe report, byte for byte, with each row rendered by
+    one call of the C encoder: the pure-Python encoder that ``indent`` runs
+    spent most of a large probe's time on the rows.  No encoded string holds
+    a raw line break, so the one in front of ``"rows": []`` in the indented
+    template belongs to the template."""
+    text = json.dumps({"version": __version__, **document, "rows": []}, indent=2)
+    rows = ",\n".join("    {\n      %s\n    }" % _ROW_ENCODER.encode(row)[1:-1]
+                      for row in document["rows"])
+    if rows:
+        text = text.replace('\n  "rows": []', '\n  "rows": [\n%s\n  ]' % rows, 1)
+    print(text)
 
 
 def _least_holding(sp: int, sq: int, norm_sq: int) -> int:
@@ -879,27 +931,25 @@ class ScanRow(_Record):
     __slots__ = ("direction", "mode", "evidence", "catalog_member", "warn")
 
     def __init__(self, direction: Direction, mode: str, evidence: str,
-                 catalog_member: bool | None, warn: bool):
+                 catalog_member: bool, warn: bool):
         self._set(direction, mode, evidence, catalog_member, warn)
 
 
-def catalog_membership(atom: ex.GroupAtom, gamma: Direction, mode: str) -> bool | None:
+def catalog_membership(atom: ex.GroupAtom, gamma: Direction, mode: str) -> bool:
     """Expected membership from the catalog: level-one surviving set for cone
     mode, complement of the obstruction set for half-space mode."""
     inv = catalog.lookup_invariants(ex.atom_expr(atom))
     if mode == TRUNCATED_CONE:
-        omega = inv.omega_at(1)
-        return None if omega is None else omega.member(gamma)
-    sigma_c = inv.sigma1_complement
-    return None if sigma_c is None else not sigma_c.member(gamma)
+        return inv.omega.member(gamma)
+    return not inv.sigma1_complement.member(gamma)
 
 
 def probe_direction_scan(atom: ex.GroupAtom, directions: Sequence[Direction], radius: int,
                          mode: str = HALF_SPACE, grid=None, lambda_max=Fraction(1),
                          core_margin: int | None = None,
                          ball: BallGraph | None = None) -> tuple[list[ScanRow], list[ProbeReport]]:
-    """Probe each direction and compare with the catalog where it has data;
-    contradictions are flagged WARN (the probe is heuristic, the catalog wins)."""
+    """Probe each direction and compare with the catalog; contradictions are
+    flagged WARN (the probe is heuristic, the catalog wins)."""
     if ball is None:
         ball = enumerate_ball(atom, radius)
     if grid is None:
@@ -909,11 +959,7 @@ def probe_direction_scan(atom: ex.GroupAtom, directions: Sequence[Direction], ra
     for gamma in directions:
         report = connectivity_probe(ball, gamma, grid, mode, lambda_max, core_margin)
         expected = catalog_membership(atom, gamma, mode)
-        warn = False
-        if expected is True and report.evidence == SUPPORTS_NON_MEMBERSHIP:
-            warn = True
-        if expected is False and report.evidence == SUPPORTS_MEMBERSHIP:
-            warn = True
+        warn = report.evidence == (SUPPORTS_NON_MEMBERSHIP if expected else SUPPORTS_MEMBERSHIP)
         rows.append(ScanRow(gamma, mode, report.evidence, expected, warn))
         reports.append(report)
     return rows, reports

@@ -1,9 +1,12 @@
 """Curated invariant facts for catalog atoms plus derived facts for products.
 
 Atom entries carry literature citations; product entries are derived on the
-fly through the join product formula and the level-one union formula for
-obstruction sets, and are tagged with their derivation.  Anything not stored
-and not derivable stays unknown, never guessed.
+fly through the join product formula (`spheres.join_all`) and the level-one
+union formula for obstruction sets (`spheres.sigma1_complement_of_product`),
+and are tagged with their derivation.  Every node's level-one obstruction set
+and surviving directions are known.  Above level one the surviving directions
+are known where they hold at every level; anything else stays unknown, never
+guessed, and has the O-class "unknown".
 
 Within one `rinf.decide` query every distinct expression node is evaluated
 once: the query opens a memo (`query_memo`) that `lookup_invariants` reads
@@ -25,13 +28,15 @@ from contextvars import ContextVar
 
 from . import _Value
 from . import expressions as ex
-from .cones import check_cone_dim, o_class_of, omega_of_product, sigma1_complement_of_product
 from .spheres import (
-    ConeRegion,
     SphereSet,
+    check_cone_dim,
+    cone_set,
     empty_set,
     full_sphere,
+    join_all,
     points_set,
+    sigma1_complement_of_product,
 )
 
 # literature tags used in verdict traces and invariant provenance
@@ -44,19 +49,43 @@ CITE_KLEIN = "Goncalves-Wong: wallpaper groups (Klein bottle group)"
 CITE_KLEIN_TIMES_ZK = "Goncalves-Wong: nilpotent groups, Klein bottle group times Z^k"
 
 
+O_CLASS_0 = "O0"
+O_CLASS_1 = "O1"
+O_CLASS_2 = "O2"
+O_CLASS_OTHER = "other"
+O_CLASS_UNKNOWN = "unknown"
+
+
+def o_class_of(omega: SphereSet | None) -> str:
+    """Class by invariant cardinality with all points rational (explicit point
+    sets are integer vectors, hence rational automatically)."""
+    if omega is None:
+        return O_CLASS_UNKNOWN
+    card = omega.cardinality()
+    if card.kind == "zero":
+        return O_CLASS_0
+    if card.kind == "finite" and card.count == 1:
+        return O_CLASS_1
+    if card.kind == "finite" and card.count == 2:
+        return O_CLASS_2
+    return O_CLASS_OTHER
+
+
 class KnownInvariants(_Value):
     """Invariant record of one expression node.
 
-    `omega` is the level-one surviving-direction set (None when unknown); with
-    `omega_all_levels` it holds at every level.  `provenance` is a tuple of
-    (field, source) pairs.
+    `sigma1_complement` and `omega` are the level-one obstruction set and
+    surviving-direction set, known for every node.  `omega` holds at every
+    level when `omega_all_levels` is set; otherwise Ω above level one is
+    unknown and `omega_at` gives None.  `provenance` is a tuple of (field,
+    source) pairs.
     """
 
     __slots__ = ("hom_rank", "sigma1_complement", "omega", "omega_all_levels", "rinf_known",
                  "provenance")
 
-    def __init__(self, hom_rank: int, sigma1_complement: SphereSet | None,
-                 omega: SphereSet | None = None, omega_all_levels: bool = False,
+    def __init__(self, hom_rank: int, sigma1_complement: SphereSet,
+                 omega: SphereSet, omega_all_levels: bool = False,
                  rinf_known: str | None = None, provenance: tuple[tuple[str, str], ...] = ()):
         self._set(hom_rank, sigma1_complement, omega, omega_all_levels, rinf_known, provenance)
 
@@ -74,8 +103,7 @@ class KnownInvariants(_Value):
         omega = self.omega_at(level)
         return {
             "hom_rank": self.hom_rank,
-            "sigma1_complement": None if self.sigma1_complement is None
-            else self.sigma1_complement.to_json_dict(),
+            "sigma1_complement": self.sigma1_complement.to_json_dict(),
             "omega": None if omega is None else omega.to_json_dict(),
             "omega_level": level,
             "omega_cardinality": None if omega is None else omega.cardinality().describe(),
@@ -143,19 +171,15 @@ def _atom_invariants(atom: ex.GroupAtom) -> KnownInvariants:
         check_cone_dim(m)  # before the m-length characters are built
         chi1 = tuple(1 if i == 0 else 0 for i in range(m))
         chi2 = tuple(1 if i == 1 else 0 for i in range(m))
-        sigma_c = points_set([m], [chi1, chi2])
         # Ω is the polar cone {v : <v, chi1> <= 0, <v, chi2> <= 0} in closed
         # form.  chi1 = e1 and chi2 = e2 are independent, so the cone is a
-        # simplicial 2-cone times R^(m-2), infinite since m >= 2.  So one
-        # ConeRegion atom on one factor is normal: on rank m >= 2 the part
-        # needs no collapse to points, and a single atom cannot merge with or
-        # lie in another.  `cones.omega_from_obstructions` derives the same
-        # set by double description, the oracle that the tests run.
-        obstructions = sigma_c.atoms[0][0].points
+        # simplicial 2-cone times R^(m-2), of dimension m >= 2, as `cone_set`
+        # requires.  `cones.omega_from_obstructions` derives the same set by
+        # double description, the oracle that the tests run.
         return KnownInvariants(
             hom_rank=m,
-            sigma1_complement=sigma_c,
-            omega=SphereSet._normal((m,), ((ConeRegion(obstructions),),)),
+            sigma1_complement=points_set([m], [chi1, chi2]),
+            omega=cone_set(m, [chi1, chi2]),
             omega_all_levels=True,
             rinf_known=CITE_THOMPSON if kind == ex.THOMPSON_F else CITE_GEN_THOMPSON,
             provenance=(("sigma1_complement", "two independent obstructed characters "
@@ -248,7 +272,7 @@ def _evaluate(expr: ex.GroupExpr) -> KnownInvariants:
         return KnownInvariants(
             hom_rank=m,
             sigma1_complement=sigma1_complement_of_product([p.sigma1_complement for p in parts]),
-            omega=omega_of_product([p.omega_at(1) for p in parts]),
+            omega=join_all([p.omega for p in parts]),
             omega_all_levels=all(p.omega_all_levels for p in parts),
             rinf_known=_product_rinf_fact(expr),
             provenance=(("sigma1_complement", "derived: embedded union of factor obstruction sets"),

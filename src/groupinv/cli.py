@@ -17,7 +17,6 @@ from __future__ import annotations
 import getopt
 import json
 import os
-import re
 import sys
 
 from . import __version__
@@ -29,25 +28,6 @@ from . import rinf as rinf_rules  # the `rinf` command below takes the plain nam
 def _emit(payload: dict) -> None:
     payload = {"version": __version__, **payload}
     print(json.dumps(payload, indent=2, sort_keys=False))
-
-
-# a flat probe row at indent=2, depth 2: json's C encoder (which runs only without
-# ``indent``) writes it with the line breaks and indents in the item separator
-_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
-
-
-def _emit_probe(document: dict) -> None:
-    """``_emit`` for a probe report, byte for byte, with each row rendered by
-    one call of the C encoder: the pure-Python encoder that ``indent`` runs
-    spent most of a large probe's time on the rows.  No encoded string holds
-    a raw line break, so the one in front of ``"rows": []`` in the indented
-    template belongs to the template."""
-    text = json.dumps({"version": __version__, **document, "rows": []}, indent=2)
-    rows = ",\n".join("    {\n      %s\n    }" % _ROW_ENCODER.encode(row)[1:-1]
-                      for row in document["rows"])
-    if rows:
-        text = text.replace('\n  "rows": []', '\n  "rows": [\n%s\n  ]' % rows, 1)
-    print(text)
 
 
 def _fail(message: str) -> None:
@@ -105,46 +85,15 @@ def probe(atom_text: str, direction_text: str, mode: str, radius: int,
     # would meet them: the caps, the scales, the configuration, the direction
     ballprobe.check_ball(expr.atom, radius)
     scales = (ballprobe.default_grid(radius) if grid is None
-              else [_rational(chunk) for chunk in grid.split(",")])
-    budget = _rational(lambda_max)
+              else [ballprobe._rational(chunk) for chunk in grid.split(",")])
+    budget = ballprobe._rational(lambda_max)
     ballprobe.check_probe(expr.atom, gamma, radius, scales, mode, budget)
     ball = ballprobe.enumerate_ball(expr.atom, radius)
     report = ballprobe.connectivity_probe(ball, gamma, scales, mode, budget)
     if fmt == "csv":
         print(report.to_csv())
     else:
-        _emit_probe(report.to_json_dict())
-
-
-# Fraction's forms with an exponent; compiled by the first `_rational` call, so
-# only `probe` pays for it
-_EXPONENT_FORM = (r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
-                  r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
-def _rational(text: str) -> Fraction:
-    """An exact rational, refused when a part has more digits than Python prints; with d
-    mantissa digits and |exponent| > limit + d a part always has, and 10^e is not built.
-    Only ``probe`` reads scales, so only it loads ``fractions`` (and with it ``decimal``)."""
-    from fractions import Fraction
-
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    too_long = "scale %r has a numerator or denominator of more than %d digits" % (text, limit)
-    match = limit and re.match(_EXPONENT_FORM, text)
-    if match:
-        exponent, digits = int(match[3]), (match[1] + (match[2] or "")).replace("_", "")
-        if not digits.strip("0"):
-            return Fraction(0)
-        if abs(exponent) > limit + len(digits):
-            raise ValueError(too_long)
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("zero denominator in %r" % text) from None
-    big = max(abs(value.numerator), value.denominator)
-    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:  # 2^(3L) < 10^L
-        raise ValueError(too_long)
-    return value
+        ballprobe._emit_probe(report.to_json_dict())
 
 
 def selfcheck():

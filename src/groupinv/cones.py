@@ -1,4 +1,5 @@
-"""Truncated-cone side of the invariants, as exact polyhedral geometry.
+"""Truncated-cone side of the invariants, as exact polyhedral geometry: the
+oracle module, which `selfcheck` and the tests run and no query does.
 
 A direction e survives at level n exactly when its whole open quarter-sphere
 neighborhood avoids the obstruction set F, i.e. <e, f> <= 0 for every f in F.
@@ -13,9 +14,10 @@ the double description method (`extreme_rays`) finds the cone's lines and
 extreme rays exactly over the integers, so the survivors are nothing, the one
 ray, the line's two ends, or else the infinite `ConeRegion` cut out by F.
 
-The product formula says the invariant of a direct product is the spherical
-join of the factor invariants; both that and the union formula for the
-level-one obstruction set of a product are implemented on SphereSets.
+The product formulas and the cone-dimension cap live with the sets, in
+`spheres`, and the O-classes with the invariants they classify, in `catalog`;
+what is left here is double description, `omega_from_obstructions` and the
+structural gate `check_finite12`.
 """
 
 from __future__ import annotations
@@ -26,35 +28,20 @@ from typing import Sequence
 from . import _Record
 from .linalg import matrix_rank
 from .spheres import (
-    EMPTY,
     FULL,
-    ConeRegion,
     Direction,
     FinitePoints,
     SphereSet,
-    _atom_sort_key,
-    _blocks,
+    check_cone_dim,
+    cone_set,
     empty_set,
     full_sphere,
-    join_all,
     points_set,
 )
 
 
 class UnsupportedSigma(ValueError):
     pass
-
-
-class DimensionCapExceeded(ValueError):
-    pass
-
-
-MAX_CONE_DIM = 8
-
-
-def check_cone_dim(m: int) -> None:
-    if m > MAX_CONE_DIM:
-        raise DimensionCapExceeded("cone dimension %d exceeds cap %d" % (m, MAX_CONE_DIM))
 
 
 def _primitive(vec: Sequence[int]) -> tuple[int, ...]:
@@ -186,37 +173,9 @@ def omega_from_obstructions(sigma_c: SphereSet) -> SphereSet:
         return points_set([m], rays)  # nothing, or the one ray
     if len(lines) == 1 and not rays:
         return points_set([m], [lines[0], tuple(-c for c in lines[0])])
-    # normal: one atom, and m >= 2, since a cone on a line is the origin, a
-    # half-line or the line, all caught above, so the ConeRegion is a normal part
-    return SphereSet._normal((m,), ((ConeRegion(obstructions),),))
-
-
-def omega_of_product(factors: Sequence[SphereSet | None]) -> SphereSet | None:
-    """Spherical join of the factor invariants; unknown factors poison the result."""
-    if any(f is None for f in factors):
-        return None
-    return join_all(list(factors))
-
-
-def sigma1_complement_of_product(factor_complements: Sequence[SphereSet | None]) -> SphereSet | None:
-    """Obstruction set of a direct product at level one: the union of the
-    factor obstruction sets embedded along their coordinate blocks (the level
-    zero obstruction sets of finitely generated groups are empty).
-
-    The embedded atoms of different factors have disjoint supports, so the
-    normal form never merges or subsumes across factors, and one SphereSet of
-    all of them equals the union taken factor by factor.  Each factor's atoms
-    are normal, so the embedded atoms are normal once sorted: two from
-    different factors differ on a factor of each, and each has a non-EMPTY
-    part where the other is EMPTY."""
-    if any(f is None for f in factor_complements):
-        return None
-    full_ambient = tuple(r for f in factor_complements for r in f.ambient)
-    k = len(full_ambient)
-    blocks = _blocks(len(f.ambient) for f in factor_complements)
-    atoms = [(EMPTY,) * start + atom + (EMPTY,) * (k - end)
-             for f, (start, end) in zip(factor_complements, blocks) for atom in f.atoms]
-    return SphereSet._normal(full_ambient, tuple(sorted(atoms, key=_atom_sort_key)))
+    # what is left has two lines, a line and a ray, or two rays, so it has
+    # dimension >= 2 (and m >= 2), as `cone_set` requires
+    return cone_set(m, [d.coords for d in obstructions])
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +203,3 @@ def check_finite12(omega: SphereSet) -> Finite12Report:
                               reason="two points at distance < pi: %r" % (card.points,))
     return Finite12Report(ok=False, cardinality=str(card.count),
                           reason="finite cardinality outside {1, 2}")
-
-
-O_CLASS_0 = "O0"
-O_CLASS_1 = "O1"
-O_CLASS_2 = "O2"
-O_CLASS_OTHER = "other"
-O_CLASS_UNKNOWN = "unknown"
-
-
-def o_class_of(omega: SphereSet | None) -> str:
-    """Class by invariant cardinality with all points rational (explicit point
-    sets are integer vectors, hence rational automatically)."""
-    if omega is None:
-        return O_CLASS_UNKNOWN
-    card = omega.cardinality()
-    if card.kind == "zero":
-        return O_CLASS_0
-    if card.kind == "finite" and card.count == 1:
-        return O_CLASS_1
-    if card.kind == "finite" and card.count == 2:
-        return O_CLASS_2
-    return O_CLASS_OTHER
-

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from . import _Value
 from . import expressions as ex
-from .catalog import lookup_invariants, query_memo
-from .cones import O_CLASS_0, O_CLASS_1, O_CLASS_2
+from .catalog import O_CLASS_0, O_CLASS_1, O_CLASS_2, lookup_invariants, query_memo
 from .linalg import matrix_rank
 
 RINFINITY = "RInfinity"
@@ -180,10 +179,7 @@ def decide_main(expr: ex.GroupExpr, level: int = 1) -> Verdict | Decline:
 def decide_gk(expr: ex.GroupExpr) -> Verdict | Decline:
     """Finite-obstruction rule, with the basis upgrade when the obstructed
     characters are linearly independent."""
-    sigma_c = lookup_invariants(expr).sigma1_complement
-    if sigma_c is None:
-        return Decline("decide_gk", "level-one obstruction set unknown")
-    card = sigma_c.cardinality()
+    card = lookup_invariants(expr).sigma1_complement.cardinality()
     if card.kind != "finite":
         return Decline("decide_gk", "obstruction set is %s; the finite-obstruction rule needs "
                        "a non-empty finite set" % card.describe())

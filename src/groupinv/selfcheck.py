@@ -427,10 +427,9 @@ def criterion_6():
     for text in ("Thompson", "T(3)", "T(4)", "Klein x Z", "Klein x Z^2"):
         rows.append((text, "infinite", RINFINITY, "CatalogFact"))
     for text, count, conclusion, source in rows:
-        omega = lookup_invariants(parse_group_expr(text)).omega_at(1)
-        if omega is None or omega.cardinality().describe() != count:
-            return False, "%s: survivor count %s, expected %s" % (
-                text, None if omega is None else omega.cardinality().describe(), count)
+        found = lookup_invariants(parse_group_expr(text)).omega.cardinality().describe()
+        if found != count:
+            return False, "%s: survivor count %s, expected %s" % (text, found, count)
         v = decide_text(text)
         if v.conclusion != conclusion or v.final_rule() != source:
             return False, "%s: verdict (%s, %s), expected (%s, %s)" % (
@@ -458,17 +457,13 @@ def criterion_7():
     finite_seen = 0
     while produced < 10000:
         expr = _random_expr(rng, 2)
-        inv = lookup_invariants(expr)
-        omega = inv.omega_at(1)
-        if omega is not None:
-            produced += 1
-            report = check_finite12(omega)
-            if not report.ok:
-                return False, "violation on %s: %s" % (expr.label(), report.reason)
-            if omega.cardinality().kind == "finite":
-                finite_seen += 1
-        if inv.sigma1_complement is not None:
-            produced += 1  # complements count as produced sets too
+        omega = lookup_invariants(expr).omega
+        produced += 2  # the survivor set and the obstruction set
+        report = check_finite12(omega)
+        if not report.ok:
+            return False, "violation on %s: %s" % (expr.label(), report.reason)
+        if omega.cardinality().kind == "finite":
+            finite_seen += 1
     return True, "%d sphere sets checked (%d finite survivor sets)" % (produced, finite_seen)
 
 

@@ -16,10 +16,10 @@ geometry is integer arithmetic; there is no floating point anywhere.
 
 `SphereSet(ambient, atoms)` checks and normalizes atoms from anywhere; `union`
 and `permute_factors` go through it.  The library's own constructors
-(`empty_set`, `full_sphere`, `points_set`, `join`, and in `cones` the product
-obstruction set and the cone region of Ω) build their atoms in normal form
-already and hand them to `SphereSet._normal`, which skips that pass; each one
-proves its output normal in its docstring.
+(`empty_set`, `full_sphere`, `points_set`, `cone_set`, `join` and
+`sigma1_complement_of_product`) build their atoms in normal form already and
+hand them to `SphereSet._normal`, which skips that pass; each one proves its
+output normal in its docstring.  No other module calls `_normal`.
 """
 
 from __future__ import annotations
@@ -33,6 +33,18 @@ from . import _Value
 
 class AmbientMismatch(ValueError):
     pass
+
+
+class DimensionCapExceeded(ValueError):
+    pass
+
+
+MAX_CONE_DIM = 8
+
+
+def check_cone_dim(m: int) -> None:
+    if m > MAX_CONE_DIM:
+        raise DimensionCapExceeded("cone dimension %d exceeds cap %d" % (m, MAX_CONE_DIM))
 
 
 @total_ordering
@@ -438,6 +450,16 @@ def points_set(ambient: Iterable[int], vectors: Iterable[Sequence[int]]) -> Sphe
     return SphereSet._normal(ambient, tuple(sorted(atoms, key=_atom_sort_key)))
 
 
+def cone_set(m: int, normals: Iterable[Sequence[int]]) -> SphereSet:
+    """The directions d of R^m with <d, f> <= 0 for every normal f, each of
+    length m, as one `ConeRegion` on one factor.  The caller proves that the
+    cone has dimension >= 2, as `ConeRegion` requires, so m >= 2 too.  Then
+    the one atom is normal: on rank m >= 2 the part needs no collapse to
+    points, and a single atom cannot merge with or lie in another."""
+    region = ConeRegion(Direction(f) for f in normals)
+    return SphereSet._normal(_checked_ambient([m]), ((region,),))
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -475,6 +497,26 @@ def join_all(sets: Sequence[SphereSet]) -> SphereSet:
     for s in sets[1:]:
         out = join(out, s)
     return out
+
+
+def sigma1_complement_of_product(factor_complements: Sequence[SphereSet]) -> SphereSet:
+    """The union of the sets placed along consecutive coordinate blocks.  It
+    is the level-one obstruction set of a direct product, read off the
+    factors' sets (the level zero obstruction sets of finitely generated
+    groups are empty).
+
+    The placed atoms of different factors have disjoint supports, so the
+    normal form never merges or subsumes across factors, and one SphereSet of
+    all of them equals the union taken factor by factor.  Each factor's atoms
+    are normal, so the placed atoms are normal once sorted: two from
+    different factors differ on a factor of each, and each has a non-EMPTY
+    part where the other is EMPTY."""
+    full_ambient = tuple(r for f in factor_complements for r in f.ambient)
+    k = len(full_ambient)
+    blocks = _blocks(len(f.ambient) for f in factor_complements)
+    atoms = [(EMPTY,) * start + atom + (EMPTY,) * (k - end)
+             for f, (start, end) in zip(factor_complements, blocks) for atom in f.atoms]
+    return SphereSet._normal(full_ambient, tuple(sorted(atoms, key=_atom_sort_key)))
 
 
 def union(a: SphereSet, b: SphereSet) -> SphereSet:

@@ -10,8 +10,8 @@ from math import gcd
 import pytest
 
 from groupinv import expressions as ex
-from groupinv.catalog import lookup_invariants
-from groupinv.cones import MAX_CONE_DIM, check_finite12, omega_from_obstructions
+from groupinv.catalog import lookup_invariants, o_class_of
+from groupinv.cones import check_finite12, omega_from_obstructions
 from groupinv.expressions import ParseError, parse_group_expr
 from groupinv.rinf import UNKNOWN, decide
 from groupinv.selfcheck import (
@@ -22,6 +22,7 @@ from groupinv.selfcheck import (
     word,
 )
 from groupinv.spheres import (
+    MAX_CONE_DIM,
     Direction,
     SphereSet,
     empty_set,
@@ -359,11 +360,15 @@ def test_stored_sets_live_on_the_right_sphere():
     exprs += [random_expr(rng, 2) for _ in range(60)]
     for expr in exprs:
         inv = lookup_invariants(expr)
-        if inv.sigma1_complement is not None:
-            assert inv.sigma1_complement.dim == inv.hom_rank
-        omega = inv.omega_at(1)
-        if omega is not None:
-            assert omega.dim == inv.hom_rank
+        assert inv.sigma1_complement.dim == inv.hom_rank == inv.omega_at(1).dim
+
+
+def test_o_class_of():
+    assert o_class_of(empty_set([2])) == "O0"
+    assert o_class_of(points_set([1], [(1,)])) == "O1"
+    assert o_class_of(full_sphere([1])) == "O2"
+    assert o_class_of(full_sphere([2])) == "other"
+    assert o_class_of(None) == "unknown"
 
 
 def test_level_monotonicity_gate():

@@ -72,12 +72,13 @@ def bare_modules() -> frozenset[str]:
     return frozenset(python("-c", "import sys; print(' '.join(sys.modules))").stdout.split())
 
 
-def footprint(*args) -> tuple[set[str], set[str], set[str]]:
-    """What one command line loads in a fresh interpreter: the groupinv modules
-    whose code ran, the modules outside the standard library and groupinv, and
-    the standard-library modules that a bare interpreter does not load."""
+def footprint(*args, status=0) -> tuple[set[str], set[str], set[str]]:
+    """What one command line, exiting with STATUS, loads in a fresh interpreter:
+    the groupinv modules whose code ran, the modules outside the standard
+    library and groupinv, and the standard-library modules that a bare
+    interpreter does not load."""
     proc = python("-c", _FOOTPRINT, *args)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     ran, foreign, stdlib = proc.stderr.splitlines()[-3:]
     return ({name.removeprefix("groupinv.") for name in ran.split()}, set(foreign.split()),
             set(stdlib.split()) - bare_modules())
@@ -92,8 +93,8 @@ COMMAND_LINES = (("--version",), ("rinf", "-g", "BS(1,2) x F(3)"),
                  ("probe", "--atom", "BS(1,2)", "--dir", "1", "--radius", "4"))
 
 
-def loaded_modules(*args) -> set[str]:
-    return footprint(*args)[0]
+def loaded_modules(*args, status=0) -> set[str]:
+    return footprint(*args, status=status)[0]
 
 
 def test_rinf_golden():
@@ -184,10 +185,17 @@ def test_each_command_loads_only_the_modules_it_calls():
                                 "--mode", mode)
         assert "ballprobe" in loaded
         assert not loaded & {"rinf", "catalog", "cones", "selfcheck"}, mode
-    for command in ("rinf", "invariants"):
-        loaded = loaded_modules(command, "-g", "BS(1,2) x F(3)")
+    # the closed-form cone and the block union of the obstruction sets, the
+    # level-two "unknown" class, and the cone-dimension cap's error: none of
+    # them runs cones
+    queries = [((command, "-g", text), 0) for command in ("rinf", "invariants")
+               for text in ("BS(1,2) x F(3)", "T(5) x Z")]
+    queries += [(("invariants", "-n", "2", "-g", "BS(1,2) x Z"), 0),
+                (("rinf", "-g", "T(10000000)"), 1)]
+    for args, status in queries:
+        loaded = loaded_modules(*args, status=status)
         assert "catalog" in loaded
-        assert not loaded & {"ballprobe", "selfcheck", "abelian", "unionfind"}, command
+        assert not loaded & {"ballprobe", "selfcheck", "abelian", "unionfind", "cones"}, args
 
 
 def test_commands_load_nothing_beyond_the_standard_library():

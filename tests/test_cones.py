@@ -1,6 +1,6 @@
 """Polar-cone computation (double description) cross-checked against
-brute-force enumeration of primitive integer vectors, plus the derived-set
-operations on sphere data."""
+brute-force enumeration of primitive integer vectors, and the structural gate
+on finite survivor sets."""
 
 from __future__ import annotations
 
@@ -12,28 +12,18 @@ import pytest
 
 from groupinv import cones, linalg, rinf
 from groupinv.catalog import lookup_invariants
-from groupinv.cones import (
-    DimensionCapExceeded,
-    UnsupportedSigma,
-    check_finite12,
-    o_class_of,
-    omega_from_obstructions,
-    omega_of_product,
-    sigma1_complement_of_product,
-)
+from groupinv.cones import UnsupportedSigma, check_finite12, omega_from_obstructions
 from groupinv.expressions import parse_group_expr
 from groupinv.linalg import matrix_rank
 from groupinv.rinf import RINFINITY, decide
 from groupinv.spheres import (
-    EMPTY,
     ConeRegion,
+    DimensionCapExceeded,
     Direction,
     SphereSet,
     empty_set,
     full_sphere,
-    join,
     points_set,
-    union,
 )
 
 
@@ -256,100 +246,6 @@ def test_omega_from_sigma_brute_force_sweep():
         done += 1
 
 
-# ---------------------------------------------------------------------------
-# product formulas
-
-
-def test_omega_of_product_examples():
-    bs = points_set([1], [(1,)])
-    free = empty_set([3])
-    z = full_sphere([1])
-    # one surviving point times empty: the point, embedded
-    prod = omega_of_product([bs, free])
-    assert prod == points_set([1, 3], [(1, 0, 0, 0)])
-    # empty times S^0: two antipodal points
-    prod2 = omega_of_product([free, z])
-    assert prod2.cardinality().count == 2
-    assert prod2.cardinality().is_antipodal_pair()
-    # S^0 times S^0: a full circle
-    assert omega_of_product([z, z]) == full_sphere([1, 1])
-    assert omega_of_product([z, None]) is None
-
-
-def test_sigma1_complement_of_product_examples():
-    bs_c = points_set([1], [(-1,)])
-    free_c = full_sphere([3])
-    z_c = empty_set([1])
-    got = sigma1_complement_of_product([bs_c, free_c])
-    expected = union(points_set([1, 3], [(-1, 0, 0, 0)]),
-                     join(empty_set([1]), full_sphere([3])))
-    assert got == expected
-    assert got.cardinality().kind == "infinite"
-    got2 = sigma1_complement_of_product([free_c, z_c])
-    assert got2 == join(full_sphere([3]), empty_set([1]))
-    got3 = sigma1_complement_of_product([z_c, z_c])
-    assert got3.is_empty()
-    assert sigma1_complement_of_product([None, z_c]) is None
-
-
-def pairwise_sigma1_complement_of_product(factor_complements):
-    """The level-one complement as k successive unions, each re-normalized."""
-    if any(f is None for f in factor_complements):
-        return None
-    full_ambient = tuple(r for f in factor_complements for r in f.ambient)
-    result = empty_set(full_ambient)
-    offset = 0
-    for f in factor_complements:
-        before = (EMPTY,) * offset
-        after = (EMPTY,) * (len(full_ambient) - offset - len(f.ambient))
-        result = union(result, SphereSet(full_ambient, [before + atom + after for atom in f.atoms]))
-        offset += len(f.ambient)
-    return result
-
-
-def random_factor_set(rng):
-    """An obstruction set of one factor: unknown, rank 0, rank 1, cone, full,
-    empty, explicit points, or a set over several blocks."""
-    kind = rng.choice(["none", "rank0", "rank1", "cone", "full", "empty", "points", "blocks"])
-    rank = rng.randint(2, 4)
-
-    def vec():
-        while True:
-            v = tuple(rng.randint(-2, 2) for _ in range(rank))
-            if any(v):
-                return v
-
-    if kind == "none":
-        return None
-    if kind == "rank0":
-        return empty_set([0])
-    if kind == "rank1":
-        return points_set([1], rng.sample([(1,), (-1,)], rng.randint(0, 2)))
-    if kind == "cone":
-        return SphereSet([rank], [(ConeRegion(Direction(vec()) for _ in range(rng.randint(1, 3))),)])
-    if kind == "full":
-        return full_sphere([rank])
-    if kind == "empty":
-        return empty_set([rank])
-    if kind == "points":
-        return points_set([rank], [vec() for _ in range(rng.randint(1, 3))])
-    left, right = random_factor_set(rng), random_factor_set(rng)
-    left = full_sphere([1]) if left is None else left
-    right = points_set([2], [(1, -1)]) if right is None else right
-    return union(join(left, empty_set(right.ambient)), join(empty_set(left.ambient), right))
-
-
-def test_sigma1_complement_of_product_matches_pairwise_unions():
-    rng = random.Random(4242)
-    for _ in range(600):
-        factors = [random_factor_set(rng) for _ in range(rng.randint(1, 6))]
-        expected = pairwise_sigma1_complement_of_product(factors)
-        got = sigma1_complement_of_product(factors)
-        assert got == expected, factors
-        if got is not None:
-            assert got.to_json_dict() == expected.to_json_dict()
-
-
 def test_check_finite12():
     assert check_finite12(points_set([2], [(1, 0)])).ok
     pair = points_set([2], [(1, 0), (-1, 0)])
@@ -360,11 +256,3 @@ def test_check_finite12():
     assert report.reason == "two points at distance < pi: (Direction((0, 1)), Direction((1, 0)))"
     assert check_finite12(full_sphere([2])).ok
     assert check_finite12(empty_set([2])).ok
-
-
-def test_o_class_of():
-    assert o_class_of(empty_set([2])) == "O0"
-    assert o_class_of(points_set([1], [(1,)])) == "O1"
-    assert o_class_of(full_sphere([1])) == "O2"
-    assert o_class_of(full_sphere([2])) == "other"
-    assert o_class_of(None) == "unknown"

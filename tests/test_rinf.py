@@ -10,8 +10,14 @@ import pytest
 
 from groupinv import catalog, rinf, selfcheck
 from groupinv import expressions as ex
-from groupinv.catalog import lookup_invariants, query_memo
-from groupinv.cones import O_CLASS_0, O_CLASS_1, O_CLASS_2, DimensionCapExceeded, o_class_of
+from groupinv.catalog import (
+    O_CLASS_0,
+    O_CLASS_1,
+    O_CLASS_2,
+    lookup_invariants,
+    o_class_of,
+    query_memo,
+)
 from groupinv.expressions import parse_group_expr
 from groupinv.rinf import (
     FINITE_INDEX,
@@ -31,6 +37,7 @@ from groupinv.rinf import (
     decide_product,
     decide_text,
 )
+from groupinv.spheres import DimensionCapExceeded
 
 
 def assert_trace_replays(verdict: Verdict):
@@ -95,14 +102,6 @@ def test_gk_rule_klein_unknown():
     assert decide_gk(parse_group_expr("Klein")) == Decline("decide_gk", not_finite % "0")
     # full obstruction set
     assert decide_gk(parse_group_expr("F(2)")) == Decline("decide_gk", not_finite % "infinite")
-
-
-def test_gk_rule_declines_unknown_obstruction_set(monkeypatch):
-    # every catalog entry records its obstruction set, so an unknown one is stubbed
-    unknown = catalog.KnownInvariants(hom_rank=1, sigma1_complement=None, omega=None)
-    monkeypatch.setattr(rinf, "lookup_invariants", lambda expr: unknown)
-    assert decide_gk(parse_group_expr("Z")) == Decline("decide_gk",
-                                                       "level-one obstruction set unknown")
 
 
 def test_gk_rule_dependent_characters_stay_finite_index():

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from groupinv.cones import omega_from_obstructions, sigma1_complement_of_product
+from groupinv.cones import omega_from_obstructions
 from groupinv.spheres import (
     EMPTY,
     FULL,
@@ -18,6 +18,7 @@ from groupinv.spheres import (
     Direction,
     FinitePoints,
     SphereSet,
+    cone_set,
     empty_set,
     full_sphere,
     join,
@@ -25,6 +26,7 @@ from groupinv.spheres import (
     permute_factors,
     permute_vector,
     points_set,
+    sigma1_complement_of_product,
     union,
 )
 
@@ -364,5 +366,91 @@ def test_normal_form_idempotent():
             embedded,
             omega_from_obstructions(points_set([m], random_points(rng, [m]))),
             omega_from_obstructions(rng.choice([empty_set, full_sphere])([m])),
+            cone_set(m + 1, random_points(rng, [m + 1])),
         ]:
             assert_normal(s)
+
+
+# ---------------------------------------------------------------------------
+# product formulas
+
+
+def test_join_all_is_the_omega_product_formula():
+    bs = points_set([1], [(1,)])
+    free = empty_set([3])
+    z = full_sphere([1])
+    # one surviving point times empty: the point, embedded
+    prod = join_all([bs, free])
+    assert prod == points_set([1, 3], [(1, 0, 0, 0)])
+    # empty times S^0: two antipodal points
+    prod2 = join_all([free, z])
+    assert prod2.cardinality().count == 2
+    assert prod2.cardinality().is_antipodal_pair()
+    # S^0 times S^0: a full circle
+    assert join_all([z, z]) == full_sphere([1, 1])
+
+
+def test_sigma1_complement_of_product_examples():
+    bs_c = points_set([1], [(-1,)])
+    free_c = full_sphere([3])
+    z_c = empty_set([1])
+    got = sigma1_complement_of_product([bs_c, free_c])
+    expected = union(points_set([1, 3], [(-1, 0, 0, 0)]),
+                     join(empty_set([1]), full_sphere([3])))
+    assert got == expected
+    assert got.cardinality().kind == "infinite"
+    got2 = sigma1_complement_of_product([free_c, z_c])
+    assert got2 == join(full_sphere([3]), empty_set([1]))
+    got3 = sigma1_complement_of_product([z_c, z_c])
+    assert got3.is_empty()
+
+
+def pairwise_sigma1_complement_of_product(factor_complements):
+    """The level-one complement as k successive unions, each re-normalized."""
+    full_ambient = tuple(r for f in factor_complements for r in f.ambient)
+    result = empty_set(full_ambient)
+    offset = 0
+    for f in factor_complements:
+        before = (EMPTY,) * offset
+        after = (EMPTY,) * (len(full_ambient) - offset - len(f.ambient))
+        result = union(result, SphereSet(full_ambient, [before + atom + after for atom in f.atoms]))
+        offset += len(f.ambient)
+    return result
+
+
+def random_factor_set(rng):
+    """An obstruction set of one factor: rank 0, rank 1, cone, full, empty,
+    explicit points, or a set over several blocks."""
+    kind = rng.choice(["rank0", "rank1", "cone", "full", "empty", "points", "blocks"])
+    rank = rng.randint(2, 4)
+
+    def vec():
+        while True:
+            v = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if any(v):
+                return v
+
+    if kind == "rank0":
+        return empty_set([0])
+    if kind == "rank1":
+        return points_set([1], rng.sample([(1,), (-1,)], rng.randint(0, 2)))
+    if kind == "cone":
+        return SphereSet([rank], [(ConeRegion(Direction(vec()) for _ in range(rng.randint(1, 3))),)])
+    if kind == "full":
+        return full_sphere([rank])
+    if kind == "empty":
+        return empty_set([rank])
+    if kind == "points":
+        return points_set([rank], [vec() for _ in range(rng.randint(1, 3))])
+    left, right = random_factor_set(rng), random_factor_set(rng)
+    return union(join(left, empty_set(right.ambient)), join(empty_set(left.ambient), right))
+
+
+def test_sigma1_complement_of_product_matches_pairwise_unions():
+    rng = random.Random(4242)
+    for _ in range(600):
+        factors = [random_factor_set(rng) for _ in range(rng.randint(1, 6))]
+        expected = pairwise_sigma1_complement_of_product(factors)
+        got = sigma1_complement_of_product(factors)
+        assert got == expected, factors
+        assert got.to_json_dict() == expected.to_json_dict()
