@@ -1,15 +1,20 @@
 """Exact Reidemeister-number computation for finitely generated abelian groups.
 
-Everything here runs on arbitrary-precision Python integers.  The Smith normal
-form keeps track of the unimodular row/column transforms so callers can map
-cokernel elements back to coordinates; pivoting always picks the smallest
-nonzero entry in absolute value to contain coefficient growth.
+Everything here runs on arbitrary-precision Python integers.  For an
+automorphism ``phi`` of Z^k + T, T the torsion subgroup, the number of twisted
+conjugacy classes is ``#Coker(1 - phi)``.  phi maps T into itself, so the
+snake lemma on 0 -> T -> G -> Z^k -> 0 reads it as |det(1 - A)| *
+#Coker(1 - phi|T), A the free part, or infinite when det(1 - A) = 0; the
+finite factor equals #Fix(phi|T).  The determinant is the Bareiss one of
+``linalg``, and the torsion factor comes from a diagonalization reduced
+modulo the exponent of T, so no entry grows.  The same reduction checks that
+the torsion part is invertible.
 
-For an automorphism ``phi`` of a finitely generated abelian group the number
-of twisted conjugacy classes equals ``#Coker(1 - phi)``; the group is
-presented as a lattice quotient and the cokernel read off the Smith form of
-the stacked relation matrix.  A brute-force orbit counter over multiplication
-tables of small finite groups serves as the independent cross-check.
+The Smith normal form with its unimodular transforms stays as the oracle
+that the tests and ``selfcheck`` compare against; pivoting always picks the
+smallest nonzero entry in absolute value.  A brute-force orbit counter over
+multiplication tables of small finite groups is the independent cross-check
+on finite groups.
 
 A table is validated through one greedy generating set S: the least element
 not yet reached becomes the next generator, and the reached set is closed
@@ -181,6 +186,79 @@ def abelian_group_from_matrix(m: Sequence[Sequence[int]]) -> tuple[int, list[int
 
 
 # ---------------------------------------------------------------------------
+# cokernel orders on a finite abelian group
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, u) with s*a + u*b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return a, s0, u0
+
+
+def _clear_below(a: IntMatrix, k: int, e: int) -> None:
+    """Zero column k below the pivot a[k][k] by unimodular row operations mod
+    e.  A row whose entry the pivot divides loses a multiple of row k; any
+    other is combined with row k by an extended gcd, which replaces the pivot
+    by a proper divisor and may refill row k."""
+    top = a[k]
+    for i in range(k + 1, len(a)):
+        row, p, b = a[i], top[k], a[i][k]
+        if not b:
+            continue
+        if b % p == 0:
+            q = b // p
+            a[i] = [(y - q * x) % e for x, y in zip(top, row)]
+        else:
+            g, s, u = _xgcd(p, b)
+            p, b = p // g, b // g
+            top, a[i] = ([(s * x + u * y) % e for x, y in zip(top, row)],
+                         [(b * x - p * y) % e for x, y in zip(top, row)])
+    a[k] = top
+
+
+def _torsion_coker_order(m: Sequence[Sequence[int]], factors: Sequence[int]) -> int:
+    """#(Z^t / L) for L spanned by the columns of the t x t matrix ``m`` and
+    the relation lattice d_1 Z + ... + d_t Z of the chain ``factors``.
+
+    L contains e Z^t for the exponent e = d_t, so ``[m | diag(d)]`` is
+    diagonalized over Z/e (Domich-Kannan-Trotter): every entry stays in
+    range(e), and each unimodular step, on columns (new generators of L) or
+    on rows (a new basis of Z^t), keeps the order.  A pivot p leaves
+    Z/gcd(p, e) and a missing one Z/e.  Only the order is read, so the
+    pivots need not divide each other."""
+    t = len(factors)
+    if not t:
+        return 1
+    e = factors[-1]
+    a = [[x % e for x in row] + [d % e if i == j else 0 for j, d in enumerate(factors)]
+         for i, row in enumerate(m)]
+    order = 1
+    for k in range(t):
+        pivot = next(((i, j) for i in range(k, len(a)) for j in range(k, len(a[0]))
+                      if a[i][j]), None)
+        if pivot is None:
+            return order * e ** (t - k)
+        i, j = pivot
+        a[k], a[i] = a[i], a[k]
+        for row in a:
+            row[k], row[j] = row[j], row[k]
+        # clear column k, then row k as the column of the transpose, until
+        # both are clear; each pass that refills the other line shrinks the pivot
+        while True:
+            _clear_below(a, k, e)
+            a = [list(col) for col in zip(*a)]
+            if not any(row[k] for row in a[k + 1:]):
+                break
+        order *= math.gcd(a[k][k], e)
+    return order
+
+
+# ---------------------------------------------------------------------------
 # automorphisms of finitely generated abelian groups
 
 
@@ -255,12 +333,8 @@ class FGAbelianAutomorphism(_Record):
                     raise InvalidAutomorphism("torsion block does not respect the relation lattice")
         # invertibility on the torsion subgroup: columns of T plus the relation
         # lattice must generate Z^t (surjective endo of a finite group is bijective)
-        if t:
-            stacked = [[self.torsion_part[i][j] for j in range(t)]
-                       + [self.torsion_factors[j] if i == j else 0 for j in range(t)]
-                       for i in range(t)]
-            if any(d != 1 for d in smith_normal_form(stacked).diagonal):
-                raise InvalidAutomorphism("torsion part is not invertible mod the factors")
+        if _torsion_coker_order(self.torsion_part, self.torsion_factors) != 1:
+            raise InvalidAutomorphism("torsion part is not invertible mod the factors")
 
     def full_matrix(self) -> IntMatrix:
         k, t = self.free_rank, len(self.torsion_factors)
@@ -278,24 +352,18 @@ class FGAbelianAutomorphism(_Record):
 
 
 def reidemeister_number(phi: FGAbelianAutomorphism) -> int | float:
-    """#Coker(1 - phi) on Z^k + torsion, or INFINITE when the cokernel is infinite."""
+    """#Coker(1 - phi) on Z^k + torsion, or INFINITE when the cokernel is infinite.
+
+    phi maps the torsion subgroup T into itself, so the snake lemma on
+    0 -> T -> G -> Z^k -> 0 gives INFINITE when det(1 - A) = 0 and
+    |det(1 - A)| * #Coker(1 - phi|T) otherwise; the mixing block does not
+    enter."""
     k, t = phi.free_rank, len(phi.torsion_factors)
-    n = k + t
-    if n == 0:
-        return 1
-    one_minus = mat_sub(identity_matrix(n), phi.full_matrix())
-    # columns: relation lattice of the torsion factors, then (1 - phi)
-    cols = t + n
-    stacked = [[0] * cols for _ in range(n)]
-    for i in range(t):
-        stacked[k + i][i] = phi.torsion_factors[i]
-    for i in range(n):
-        for j in range(n):
-            stacked[i][t + j] = one_minus[i][j]
-    diag = [d for d in smith_normal_form(stacked).diagonal if d != 0]
-    if len(diag) < n:
+    free = det(mat_sub(identity_matrix(k), phi.free_part))
+    if free == 0:
         return INFINITE
-    return math.prod(diag)
+    return abs(free) * _torsion_coker_order(mat_sub(identity_matrix(t), phi.torsion_part),
+                                            phi.torsion_factors)
 
 
 def fixed_subgroup_trivial(phi: FGAbelianAutomorphism) -> bool:

@@ -4,12 +4,14 @@ brute-force twisted-class counter, cross-checked against independent oracles
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 
 import pytest
 
+from groupinv import abelian
 from groupinv.abelian import (
     FGAbelianAutomorphism,
     FiniteGroupTable,
@@ -267,6 +269,134 @@ def test_lemma_equivalence_random_unimodular():
                 assert mod_n_orbit_count(m, d) == r
                 checked_orbits += 1
     assert checked_orbits >= 20
+
+
+# the Smith form of the stacked relation matrix let its entries grow without
+# bound on these: R(phi) for P + Z/2 did not finish in 30 s, R(phi^5) for A
+# not in 20 s, nor R(phi^7) for Q + Z/3 + Z/6
+_P = [[19293, 4795, -7279, 1113], [10445, 2597, -3940, 601],
+      [-14816, -3682, 5590, -855], [2053, 512, -774, 117]]
+_A = [[3, -1, 1, 1, 0], [0, 0, 0, 0, 1], [4, -1, 1, 2, 0], [10, -3, 3, 3, 0],
+      [0, -1, 0, 1, 0]]
+_Q = [[1, 0, -1, 0, 0, 0], [2, 1, -2, 0, 0, 0], [-2, -1, 3, 0, 0, 0],
+      [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0]]
+
+
+def mat_pow(m, n):
+    out = m
+    for _ in range(n - 1):
+        out = mat_mul(out, m)
+    return out
+
+
+def timed_reidemeister(phi):
+    """R(phi) and the least wall time of three calls."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        r = reidemeister_number(phi)
+        times.append(time.perf_counter() - start)
+    return r, min(times)
+
+
+def test_growth_cases_answer_within_10_ms():
+    r, seconds = timed_reidemeister(FGAbelianAutomorphism.from_matrix(_P, [2]))
+    assert r == 124002 and seconds <= 0.01
+    r, seconds = timed_reidemeister(FGAbelianAutomorphism.from_matrix(mat_pow(_A, 5)))
+    assert r == 18100 and seconds <= 0.01
+    for n in range(1, 9):
+        phi = FGAbelianAutomorphism.from_matrix(mat_pow(_Q, n), [3, 6], identity_matrix(2))
+        r, seconds = timed_reidemeister(phi)
+        assert r == INFINITE and seconds <= 0.01, n
+
+
+def smith_reidemeister(phi):
+    """#Coker(1 - phi) read off the Smith form of [relations | 1 - phi] on Z^(k+t)."""
+    k, t = phi.free_rank, len(phi.torsion_factors)
+    n = k + t
+    one_minus = mat_sub(identity_matrix(n), phi.full_matrix())
+    stacked = [[phi.torsion_factors[j] if i == k + j else 0 for j in range(t)] + one_minus[i]
+               for i in range(n)]
+    diag = [d for d in smith_normal_form(stacked).diagonal if d]
+    return math.prod(diag) if len(diag) == n else INFINITE
+
+
+CHAINS = ([2], [3], [4], [5], [6], [2, 2], [2, 4], [2, 6], [4, 4], [3, 9], [6, 12],
+          [2, 2, 2], [2, 4, 8])
+
+
+def random_automorphisms(rng, count, max_rank=3):
+    """Seeded valid automorphisms: a unimodular free part, a torsion chain,
+    a torsion part drawn entrywise and kept when the constructor accepts it,
+    and a random mixing block."""
+    out = []
+    while len(out) < count:
+        k = rng.randint(0, max_rank)
+        factors = rng.choice(CHAINS)
+        t = len(factors)
+        torsion = [[rng.randrange(factors[i]) for _ in range(t)] for i in range(t)]
+        mixing = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(t)]
+        try:
+            out.append(FGAbelianAutomorphism.from_matrix(
+                random_unimodular(rng, k) if k else [], factors, torsion, mixing))
+        except InvalidAutomorphism:
+            pass
+    return out
+
+
+def test_reidemeister_matches_the_smith_form():
+    rng = random.Random(2025)
+    kinds = {"finite": 0, "infinite": 0, "torsion moved": 0, "mixed": 0}
+    for phi in random_automorphisms(rng, 600):
+        r = reidemeister_number(phi)
+        assert r == smith_reidemeister(phi), phi
+        kinds["finite" if r != INFINITE else "infinite"] += 1
+        kinds["torsion moved"] += phi.torsion_part != tuple(map(tuple, identity_matrix(
+            len(phi.torsion_factors))))
+        kinds["mixed"] += any(map(any, phi.mixing))
+    assert min(kinds.values()) >= 100, kinds
+
+
+def chain_table(factors):
+    """Z/d_1 x ... x Z/d_t; an element's index has d_1 as its leading digit."""
+    table = cyclic_table(factors[-1])
+    for d in reversed(factors[:-1]):
+        table = direct_product_table(cyclic_table(d), table)
+    return table
+
+
+def test_torsion_reidemeister_matches_brute_force():
+    """For k = 0, R(phi) is the brute-force twisted-class count of the table of
+    Z/d_1 x ... x Z/d_t under the permutation that phi's torsion part induces."""
+    rng = random.Random(77)
+    tables = {}
+    checked = 0
+    for phi in random_automorphisms(rng, 400, max_rank=0):
+        factors = phi.torsion_factors
+        if factors not in tables:
+            tables[factors] = chain_table(list(factors))
+        vectors = list(itertools.product(*map(range, factors)))
+        index = {v: i for i, v in enumerate(vectors)}
+        perm = [index[tuple(sum(a * x for a, x in zip(row, v)) % d
+                            for row, d in zip(phi.torsion_part, factors))]
+                for v in vectors]
+        count, _ = brute_force_twisted_classes(tables[factors], perm)
+        assert reidemeister_number(phi) == count, phi
+        checked += phi.torsion_part != tuple(map(tuple, identity_matrix(len(factors))))
+    assert checked >= 200
+
+
+def test_reidemeister_and_validation_run_no_smith_form(monkeypatch):
+    phi_args = ([[2, 1], [1, 1]], [2, 4], [[1, 1], [2, 3]], [[1, 0], [2, 3]])
+    want = smith_reidemeister(FGAbelianAutomorphism.from_matrix(*phi_args))
+
+    def refuse(*args):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+    assert reidemeister_number(FGAbelianAutomorphism.from_matrix(*phi_args)) == want
+    with pytest.raises(InvalidAutomorphism, match="not invertible"):
+        FGAbelianAutomorphism.from_matrix([], [4], [[2]])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 import groupinv
-from groupinv import ballprobe
+from groupinv import abelian, ballprobe
 from groupinv.cli import COMMANDS, main
 
 SRC = Path(groupinv.__file__).resolve().parents[1]
@@ -113,6 +113,20 @@ def test_reidemeister_golden():
     assert json.loads(result.output)["reidemeister"] == "infinity"
     result = run("reidemeister", "--matrix", "[[-1]]", "--torsion", "[2]")
     assert json.loads(result.output)["reidemeister"] == 4
+
+
+def test_reidemeister_with_torsion_runs_no_smith_form(monkeypatch):
+    # the Smith form's entries grew past 30 s on this matrix with torsion [2]
+    def refuse(*args):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(abelian, "smith_normal_form", refuse)
+    p = [[19293, 4795, -7279, 1113], [10445, 2597, -3940, 601],
+         [-14816, -3682, 5590, -855], [2053, 512, -774, 117]]
+    result = run("reidemeister", "--matrix", json.dumps(p), "--torsion", "[2]",
+                 "--torsion-map", "[[1]]")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["reidemeister"] == 124002
 
 
 def test_reidemeister_table_path():

@@ -4,18 +4,22 @@ on finite survivor sets."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import groupinv
 from groupinv import cones, linalg, rinf
 from groupinv.catalog import lookup_invariants
 from groupinv.cones import UnsupportedSigma, check_finite12, omega_from_obstructions
 from groupinv.expressions import parse_group_expr
 from groupinv.linalg import matrix_rank
-from groupinv.rinf import RINFINITY, decide
 from groupinv.spheres import (
     ConeRegion,
     DimensionCapExceeded,
@@ -25,6 +29,8 @@ from groupinv.spheres import (
     full_sphere,
     points_set,
 )
+
+SRC = Path(groupinv.__file__).resolve().parents[1]
 
 
 def survivors(m: int, normals) -> SphereSet:
@@ -167,8 +173,7 @@ def test_structured_cones_all_shapes():
 
 def test_thompson_type_queries_run_no_double_description(monkeypatch):
     """Thompson-type atoms take Ω in closed form: their lookups compute no
-    rank and no double description, and deciding them runs neither of
-    `cones`' two."""
+    rank and no double description, and deciding them runs no `cones` code."""
     def refuse(*args):
         raise AssertionError("called on the query path")
 
@@ -179,13 +184,25 @@ def test_thompson_type_queries_run_no_double_description(monkeypatch):
     for text in texts:
         omega = lookup_invariants(parse_group_expr(text)).omega_at(1)
         assert omega.cardinality().kind == "infinite", text
-    # the finite-obstruction rule tests its characters for independence with
-    # the rule engine's own rank, which is not part of the lookup
-    monkeypatch.undo()
-    monkeypatch.setattr(cones, "matrix_rank", refuse)
-    monkeypatch.setattr(cones, "extreme_rays", refuse)
-    for text in texts:
-        assert decide(parse_group_expr(text)).conclusion == RINFINITY, text
+    # deciding them, in a fresh interpreter, never runs `cones`: the package
+    # registers it lazily, so its entry in sys.modules stays a lazy module
+    # unless an attribute of it is read
+    proc = subprocess.run([sys.executable, "-c", _DECIDE_WITHOUT_CONES, *texts],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ran", "no", "cones"]
+
+
+_DECIDE_WITHOUT_CONES = """
+import sys, types
+from groupinv.expressions import parse_group_expr
+from groupinv.rinf import RINFINITY, decide
+for text in sys.argv[1:]:
+    assert decide(parse_group_expr(text)).conclusion == RINFINITY, text
+cones = sys.modules.get("groupinv.cones")
+print("ran", "some" if type(cones) is types.ModuleType else "no", "cones")
+"""
 
 
 # ---------------------------------------------------------------------------
