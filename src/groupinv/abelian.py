@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Sequence
 
 from . import _Record
@@ -403,7 +403,7 @@ class FiniteGroupTable:
             raise InvalidGroupTable("order must be between 1 and %d" % self.MAX_ORDER)
         if any(len(row) != n for row in table):
             raise InvalidGroupTable("table is not square")
-        if set(map(type, chain.from_iterable(table))) != {int}:
+        if countOf(map(type, chain.from_iterable(table)), int) != n * n:
             raise InvalidGroupTable("table entries must be integers")
         if not all(map(frozenset(range(n)).issuperset, table)):
             raise InvalidGroupTable("table entries out of range")
@@ -415,7 +415,10 @@ class FiniteGroupTable:
             raise InvalidGroupTable("no identity element")
         inv = []
         for x, row in enumerate(table):
-            y = row.index(ident) if ident in row else None
+            try:
+                y = row.index(ident)
+            except ValueError:
+                y = None
             if y is None or table[y][x] != ident:
                 # not a group: look for the least two-sided inverse anyway
                 y = next((y for y in range(n)

@@ -7,12 +7,14 @@ Grammar (UTF-8 text):  atoms ``Z``, ``Z^k``, ``F(n)``, ``BS(1,n)``, ``Klein``,
 
 Small-index atoms that coincide with earlier ones are aliased at construction
 (F(1) and B(2) are infinite cyclic, B(1) is trivial, T(2) is the original
-Thompson group) so each group has one canonical atom.
+Thompson group) so each group has one canonical atom.  Parses share one node
+per atom: atom nodes are immutable, and each is built once per process.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import _Record, _Value, abelian
@@ -302,33 +304,15 @@ def free_product(factors: Iterable[GroupExpr]) -> GroupExpr:
 # ---------------------------------------------------------------------------
 # parser
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([()^,*]))")
+# one match per token: an integer, a word, a symbol, or any other non-space
+# character, which the tokenizer refuses
+_TOKEN = re.compile(r"\d+|[A-Za-z]+|[()^,*]|\S")
+_SYMBOLS = frozenset("()^,*")
 
-
-def _tokenize(text: str):
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError("unexpected character %r" % stripped[0],
-                             len(text) - len(stripped))
-        number, word, symbol = m.groups()
-        token_pos = m.start(1) if number else m.start(2) if word else m.start(3)
-        if number:
-            yield ("int", int(number), token_pos)
-        elif word:
-            yield ("word", word, token_pos)
-        else:
-            yield ("sym", symbol, token_pos)
-        pos = m.end()
-    yield ("end", None, len(text))
-
-
-# each parenthesis costs three stack frames (expr at both levels, factor);
-# the bound keeps the descent far below the interpreter's recursion limit
+# the parser keeps one stack entry per open parenthesis and no Python frames,
+# but the cap stays: MAX_DEPTH below follows from it, and it bounds every
+# recursive walk over an expression, such as label, decide and
+# lookup_invariants
 MAX_NESTING = 100
 # the deepest product tree a parsed string can give: the top level and each
 # parenthesis level add a free product and a direct product under it.  Trees
@@ -336,116 +320,139 @@ MAX_NESTING = 100
 # expression stays as shallow as it is for parsed text
 MAX_DEPTH = 2 * (MAX_NESTING + 1)
 
+# atom name -> (constructor, count of parenthesized integer arguments); `Z`
+# takes an optional `^k` instead
+_ATOMS = {"Z": (free_abelian, 0), "Klein": (klein_bottle, 0), "Thompson": (thompson_f, 0),
+          "F": (free_group, 1), "BS": (baumslag_solitar, 2), "B": (braid, 1),
+          "T": (generalized_thompson, 1), "L": (lamplighter, 1), "Zmod": (finite_cyclic, 1)}
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = list(_tokenize(text))
-        self.index = 0
-        self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.index]
+@lru_cache(maxsize=1024)
+def _atom_node(name: str, *args: int) -> GroupExpr:
+    """The node of an atom, one per process: nodes are immutable, so parses
+    share it."""
+    return atom_expr(_ATOMS[name][0](*args))
 
-    def advance(self):
-        tok = self.tokens[self.index]
-        if tok[0] != "end":
-            self.index += 1
-        return tok
 
-    def expect_symbol(self, symbol: str):
-        kind, value, pos = self.peek()
-        if kind != "sym" or value != symbol:
-            raise ParseError("expected %r" % symbol, pos)
-        return self.advance()
+class _Refused(Exception):
+    """A parse failure: its message and the index of the token it is at, or
+    None for position 0.  The position is read only when it is raised."""
 
-    def expect_int(self) -> int:
-        kind, value, pos = self.peek()
-        if kind != "int":
-            raise ParseError("expected an integer", pos)
-        self.advance()
-        return value
 
-    # grammar: expr := term ('*' term)* ; term := factor ('x' factor)* ;
-    # factor := atom | '(' expr ')'.  expr(0) reads an expr, expr(1) a term
-    _LEVELS = ((("sym", "*"), free_product), (("word", "x"), direct_product))
+def _build(build, factors: list[GroupExpr]) -> GroupExpr:
+    if len(factors) == 1:
+        return factors[0]
+    try:
+        return build(factors)
+    except ValueError as exc:
+        raise _Refused(str(exc), None)
 
-    def parse(self) -> GroupExpr:
-        expr = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ParseError("unexpected trailing input", pos)
-        return expr
 
-    def expr(self, level: int = 0) -> GroupExpr:
-        operator, build = self._LEVELS[level]
-        factors = []
-        while True:
-            factors.append(self.factor() if level else self.expr(1))
-            if self.peek()[:2] != operator:
+def _atom(tokens: list[str], i: int) -> tuple[GroupExpr, int]:
+    """The node of the atom whose name is token i, and the index after it."""
+    name = tokens[i]
+    spec = _ATOMS.get(name)
+    if spec is None:
+        if name.isascii() and name.isalpha():
+            raise _Refused("unknown atom %r" % name, i)
+        raise _Refused("expected a group atom or '('", i)
+    args = []
+    j = i + 1
+    if name == "Z":
+        if tokens[j] == "^":
+            j += 1
+            if not tokens[j].isdecimal():
+                raise _Refused("expected an integer", j)
+            args.append(int(tokens[j]))
+            j += 1
+        else:
+            args.append(1)
+    elif spec[1]:
+        for separator in "(,"[:spec[1]]:
+            if tokens[j] != separator:
+                raise _Refused("expected %r" % separator, j)
+            if not tokens[j + 1].isdecimal():
+                raise _Refused("expected an integer", j + 1)
+            args.append(int(tokens[j + 1]))
+            j += 2
+        if tokens[j] != ")":
+            raise _Refused("expected ')'", j)
+        j += 1
+    try:
+        return _atom_node(name, *args), j
+    except ParameterError as exc:
+        raise _Refused(str(exc), i)
+
+
+def _parse(tokens: list[str]) -> GroupExpr:
+    """The expression of ``tokens``, which end with "".
+
+    Grammar: expr := term ('*' term)* ; term := factor ('x' factor)* ;
+    factor := atom | '(' expr ')'.  ``free`` and ``direct`` collect the terms
+    of the innermost open expr and the factors of its open term; each open
+    parenthesis keeps the enclosing pair on ``stack``.  A product is built
+    when its level closes."""
+    stack = []
+    free, direct = [], []
+    i = 0
+    while True:
+        if tokens[i] == "(":
+            if len(stack) == MAX_NESTING:
+                raise _Refused("parentheses nested deeper than %d" % MAX_NESTING, i)
+            stack.append((free, direct))
+            free, direct = [], []
+            i += 1
+            continue
+        node, i = _atom(tokens, i)
+        direct.append(node)
+        # close levels until an operator opens the next factor
+        while tokens[i] != "x":
+            free.append(_build(direct_product, direct))
+            direct = []
+            if tokens[i] == "*":
                 break
-            self.advance()
-        if len(factors) == 1:
-            return factors[0]
-        try:
-            return build(factors)
-        except ValueError as exc:
-            raise ParseError(str(exc), 0)
+            expr = _build(free_product, free)
+            if not stack:
+                if tokens[i]:
+                    raise _Refused("unexpected trailing input", i)
+                return expr
+            if tokens[i] != ")":
+                raise _Refused("expected ')'", i)
+            free, direct = stack.pop()
+            direct.append(expr)
+            i += 1
+        i += 1
 
-    def factor(self) -> GroupExpr:
-        kind, value, pos = self.peek()
-        if kind == "sym" and value == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, pos)
-            self.advance()
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            self.expect_symbol(")")
-            return inner
-        if kind != "word":
-            raise ParseError("expected a group atom or '('", pos)
-        self.advance()
-        try:
-            return atom_expr(self._atom(value, pos))
-        except ParameterError as exc:
-            raise ParseError(str(exc), pos)
 
-    def _atom(self, name: str, pos: int) -> GroupAtom:
-        if name == "Z":
-            kind, value, _ = self.peek()
-            if kind == "sym" and value == "^":
-                self.advance()
-                return free_abelian(self.expect_int())
-            return free_abelian(1)
-        if name == "Klein":
-            return klein_bottle()
-        if name == "Thompson":
-            return thompson_f()
-        if name == "F":
-            return free_group(self._args(pos, 1)[0])
-        if name == "BS":
-            m, n = self._args(pos, 2)
-            return baumslag_solitar(m, n)
-        if name == "B":
-            return braid(self._args(pos, 1)[0])
-        if name == "T":
-            return generalized_thompson(self._args(pos, 1)[0])
-        if name == "L":
-            return lamplighter(self._args(pos, 1)[0])
-        if name == "Zmod":
-            return finite_cyclic(self._args(pos, 1)[0])
-        raise ParseError("unknown atom %r" % name, pos)
+def _raise_token_error(text: str) -> None:
+    """Raise the tokenizer's error, if ``text`` has one: ParseError at the
+    first character that starts no token, or int's ValueError at the first
+    integer longer than it reads, whichever comes first."""
+    for m in _TOKEN.finditer(text):
+        token = m.group()
+        if token.isdecimal():
+            int(token)
+        elif token not in _SYMBOLS and not (token.isascii() and token.isalpha()):
+            raise ParseError("unexpected character %r" % token, m.start())
 
-    def _args(self, pos: int, count: int) -> list[int]:
-        self.expect_symbol("(")
-        values = [self.expect_int()]
-        while len(values) < count:
-            self.expect_symbol(",")
-            values.append(self.expect_int())
-        self.expect_symbol(")")
-        return values
+
+def _position(text: str, index: int | None) -> int:
+    if index is None:
+        return 0
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == index:
+            return m.start()
+    return len(text)  # the end of input
 
 
 def parse_group_expr(text: str) -> GroupExpr:
-    return _Parser(text).parse()
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of input
+    try:
+        return _parse(tokens)
+    except (_Refused, ValueError) as exc:
+        _raise_token_error(text)  # a tokenizer error fires first
+        if isinstance(exc, _Refused):
+            message, index = exc.args
+            raise ParseError(message, _position(text, index)) from None
+        raise

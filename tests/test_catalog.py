@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 
 from groupinv import expressions as ex
-from groupinv.catalog import lookup_invariants, o_class_of
+from groupinv.catalog import CITE_GEN_THOMPSON, CITE_THOMPSON, lookup_invariants, o_class_of
 from groupinv.cones import check_finite12, omega_from_obstructions
 from groupinv.expressions import ParseError, parse_group_expr
 from groupinv.rinf import UNKNOWN, decide
@@ -285,6 +285,13 @@ def test_catalog_thompson():
     inv4 = lookup_invariants(parse_group_expr("T(4)"))
     assert inv4.hom_rank == 4
     assert inv4.omega_at(2).cardinality().kind == "infinite"
+
+
+def test_thompson_type_atoms_cite_their_own_sources():
+    assert lookup_invariants(parse_group_expr("Thompson")).rinf_known == CITE_THOMPSON
+    assert lookup_invariants(parse_group_expr("T(2)")).rinf_known == CITE_THOMPSON
+    assert lookup_invariants(parse_group_expr("T(3)")).rinf_known == CITE_GEN_THOMPSON
+    assert lookup_invariants(parse_group_expr("T(8)")).rinf_known == CITE_GEN_THOMPSON
 
 
 def test_catalog_lamplighter():

@@ -287,6 +287,14 @@ def test_free_product_o1_condition():
     assert_trace_replays(v)
 
 
+def test_free_product_o1_condition_names_the_remaining_factors():
+    v = decide_free_product(parse_group_expr("Zmod(6) * BS(1,3)"))
+    assert [(step.rule, step.detail) for step in v.trace] == [
+        ("CatalogFact", "BS(1,3) has class O^1_1"),
+        ("CatalogFact", "remaining factors Zmod(6) have class O^1_0"),
+        ("ThmFreeProd2", "Zmod(6) * BS(1,3)")]
+
+
 def test_free_product_direct_product_condition():
     v = decide_free_product(parse_group_expr("Klein * Z * Zmod(2)"))
     assert v.conclusion == RINFINITY

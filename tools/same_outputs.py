@@ -46,7 +46,10 @@ _TIMING = re.compile(r" \(\d+\.\d+s\)$", re.M)  # selfcheck's per-criterion wall
 PROBE_ATOMS = {"Z": 1, "Z^2": 2, "Z^3": 3, "Klein": 1, "BS(1,2)": 1, "BS(1,3)": 1, "F(2)": 2}
 FIXED_GROUPS = ["T(%d)" % n for n in range(2, 12)] + [
     "T(9) x Z", "Thompson x T(3)", "T(8) x BS(1,2)", "T(3) x T(4) x Klein", "T(5) * Z",
-    "", "F(", "(Z", "Z x", "Q(2)", "Zmod(0)", "(" * 120 + "Z" + ")" * 120]
+    "", "F(", "(Z", "Z x", "Q(2)", "Zmod(0)", "(" * 120 + "Z" + ")" * 120,
+    # one refusal per site of the parser
+    "Z x Klein !", "Z^ x Z", "BS(1)", "Z x (F(2) * Klein", "Z x Z)", "Z * Zmod(1)",
+    "(" * 101 + "Z" + ")" * 101]
 
 
 def _group_lines(texts):
