@@ -26,12 +26,24 @@ per (x, g): the g passing it are closed under products, so this proves the
 whole table associative.  Homomorphisms are checked on pairs (x, g) and the
 twisted orbits are joined along g in S, so every scan costs O(|S| n), with
 |S| <= log2 n, instead of O(n^2) or O(n^3).
+
+No scan checks that the entries lie in range(n); the identity and Light's
+test prove it.  The identity's row is exactly 0, ..., n - 1, so Light's test
+at that row matches row g only if every entry of row g is in range: a
+negative index would wrap to another value, and a larger one raises
+IndexError.  At a row x in range the test gives row(x g) = row x o row g, so
+being in range passes from x to x g, and along the span to every row.  With
+the identity and associativity proven, only the generators' rows are
+searched for inverses; every other inverse follows along the span as
+(x g)^-1 = g^-1 x^-1.  A table that fails any check is refused in a fixed
+order: entries out of range, no identity, the least element with no
+two-sided inverse, non-associativity.  So only refused tables pay for the
+range scan.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from operator import countOf, itemgetter
 from typing import Sequence
 
@@ -265,7 +277,7 @@ def _torsion_coker_order(m: Sequence[Sequence[int]], factors: Sequence[int]) -> 
 def _ints(values, what: str) -> tuple[int, ...]:
     """values as a tuple of plain ints; bool, float and str entries, and
     anything but a list or tuple, are refused."""
-    if not isinstance(values, (list, tuple)) or any(type(x) is not int for x in values):
+    if not isinstance(values, (list, tuple)) or countOf(map(type, values), int) != len(values):
         raise InvalidAutomorphism("%s must be a list of integers" % what)
     return tuple(values)
 
@@ -403,34 +415,24 @@ class FiniteGroupTable:
             raise InvalidGroupTable("order must be between 1 and %d" % self.MAX_ORDER)
         if any(len(row) != n for row in table):
             raise InvalidGroupTable("table is not square")
-        if countOf(map(type, chain.from_iterable(table)), int) != n * n:
+        if not all(countOf(map(type, row), int) == n for row in table):
             raise InvalidGroupTable("table entries must be integers")
-        if not all(map(frozenset(range(n)).issuperset, table)):
-            raise InvalidGroupTable("table entries out of range")
-        # the identity's row and column both read 0, 1, ..., n - 1
+        # the identity's row and column both read 0, 1, ..., n - 1.  No range
+        # scan runs: the identity's row and Light's test prove every entry in
+        # range, and an index out of range raises IndexError on the way
         elements = tuple(range(n))
         ident = next((e for e, row in enumerate(table)
                       if row == elements and _column(table, e) == elements), None)
-        if ident is None:
-            raise InvalidGroupTable("no identity element")
-        inv = []
-        for x, row in enumerate(table):
-            try:
-                y = row.index(ident)
-            except ValueError:
-                y = None
-            if y is None or table[y][x] != ident:
-                # not a group: look for the least two-sided inverse anyway
-                y = next((y for y in range(n)
-                          if row[y] == ident and table[y][x] == ident), None)
-                if y is None:
-                    raise InvalidGroupTable("element %d has no inverse" % x)
-            inv.append(y)
-        gens = _greedy_generators(table, ident)
-        if gens is None or not _light_associative(table, gens):
-            raise InvalidGroupTable("table is not associative")
+        try:
+            gens = None if ident is None else _greedy_generators(table, ident)
+            proven = gens is not None and _light_associative(table, gens)
+        except IndexError:
+            proven = False
+        inv = _span_inverses(table, ident, gens) if proven else None
+        if inv is None:
+            raise _refusal(table, ident)
         self.identity = ident
-        self.inverse = tuple(inv)
+        self.inverse = inv
         self.generators = gens
 
     @property
@@ -509,6 +511,49 @@ def _light_associative(table: tuple[tuple[int, ...], ...], gens: Sequence[int]) 
         if any(table[row[g]] != gather(row) for row in table):
             return False
     return True
+
+
+def _span_inverses(table: tuple[tuple[int, ...], ...], ident: int,
+                   gens: Sequence[int]) -> tuple[int, ...] | None:
+    """Every inverse of an associative table with identity ``ident`` that
+    ``gens`` span, or None when a generator has no two-sided inverse.  Only
+    the generators' rows are searched; along the span (x g)^-1 = g^-1 x^-1."""
+    pairs = []
+    for g in gens:
+        try:
+            h = table[g].index(ident)
+        except ValueError:
+            return None
+        if table[h][g] != ident:
+            return None
+        pairs.append((g, table[h]))
+    # a missing inverse marks an element the walk has not reached yet
+    inv: list = [None] * len(table)
+    inv[ident] = ident
+    span = [ident]
+    for x in span:
+        row, x_inv = table[x], inv[x]
+        for g, g_inv_row in pairs:
+            y = row[g]
+            if inv[y] is None:
+                inv[y] = g_inv_row[x_inv]
+                span.append(y)
+    return tuple(inv)
+
+
+def _refusal(table: tuple[tuple[int, ...], ...], ident: int | None) -> InvalidGroupTable:
+    """Why a square int table that failed a check is not a group: entries
+    out of range, then no identity, then the least element with no two-sided
+    inverse, else non-associativity."""
+    n = len(table)
+    if not all(map(frozenset(range(n)).issuperset, table)):
+        return InvalidGroupTable("table entries out of range")
+    if ident is None:
+        return InvalidGroupTable("no identity element")
+    for x, row in enumerate(table):
+        if not any(table[y][x] == ident for y, z in enumerate(row) if z == ident):
+            return InvalidGroupTable("element %d has no inverse" % x)
+    return InvalidGroupTable("table is not associative")
 
 
 def _hom_defect(src: FiniteGroupTable, dst: FiniteGroupTable,

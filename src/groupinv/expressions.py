@@ -67,7 +67,7 @@ class GroupAtom(_Value):
         if self.kind in (FREE_ABELIAN, FINITE_CYCLIC):
             return True
         if self.kind == FINITE_TABLE:
-            return abelian.FiniteGroupTable(self.table).is_abelian()
+            return _table_is_abelian(self.table)
         return False
 
     @property
@@ -117,6 +117,14 @@ class GroupAtom(_Value):
 
     def __repr__(self):
         return "GroupAtom(%s)" % self.label()
+
+
+# validating an order-512 table takes about 15 ms, and the rules of ``rinf``
+# read ``abelian`` more than once; only answers are cached, so a table that is
+# not a group raises on every read
+@lru_cache(maxsize=8)
+def _table_is_abelian(table: tuple[tuple[int, ...], ...]) -> bool:
+    return abelian.FiniteGroupTable(table).is_abelian()
 
 
 def free_abelian(k: int) -> GroupAtom:

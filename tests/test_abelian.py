@@ -490,6 +490,8 @@ def reference_group(table):
     n = len(table)
     if any(len(row) != n for row in table):
         raise InvalidGroupTable("table is not square")
+    if any(type(x) is not int for row in table for x in row):
+        raise InvalidGroupTable("table entries must be integers")
     if any(x < 0 or x >= n for row in table for x in row):
         raise InvalidGroupTable("table entries out of range")
     ident = next((e for e in range(n)
@@ -696,6 +698,75 @@ def test_magmas_rejected_like_reference():
         assert str(caught.value) == str(expected.value) == "table is not associative"
     # the span grows by one element per generator, so the search stops early
     assert _greedy_generators(tuple(map(tuple, self_inverse_magma(8))), 0) is None
+
+
+def with_entry(rows, i, j, value):
+    rows = [row[:] for row in rows]
+    rows[i][j] = value
+    return rows
+
+
+def wrapped_top(rows):
+    """The element n - 1 written as -1 outside the identity's row and column:
+    every lookup still lands on the same row, but the entries are out of range."""
+    n = len(rows)
+    e = next(x for x in range(n) if rows[x] == list(range(n)))
+    return [[-1 if y == n - 1 and e not in (x, j) else y for j, y in enumerate(row)]
+            for x, row in enumerate(rows)]
+
+
+Z5 = [[(x + y) % 5 for y in range(5)] for x in range(5)]
+
+
+@pytest.mark.parametrize("rows, message", [
+    *[(with_entry(Z5, 2, 3, v), "table entries out of range") for v in (5, 6, -1, -5)],
+    (with_entry(Z5, 1, 1, 5), "table entries out of range"),  # in the generator's row
+    (with_entry(Z5, 0, 4, -1), "table entries out of range"),  # no identity either
+    (with_entry(Z5, 1, 4, False), "table entries must be integers"),  # False == 0
+    (with_entry(Z5, 3, 2, True), "table entries must be integers"),
+    # 1 has no inverse and 9 is out of range
+    (with_entry([[(x + y) % 4 for y in range(4)] for x in range(4)], 1, 3, 9),
+     "table entries out of range"),
+    (wrapped_top(relabel(dihedral_rows(4), random.Random(3))), "table entries out of range"),
+    (wrapped_top(relabel(Z5, random.Random(5))), "table entries out of range"),
+    (intercalate_loop(8), "table is not associative"),
+    # associative with identity 1, so it passes Light's test
+    ([[0, 0], [0, 1]], "element 0 has no inverse"),
+    # Z/4 under max: identity 0, only 0 is invertible
+    ([[max(x, y) for y in range(4)] for x in range(4)], "element 1 has no inverse"),
+    ([[0, 0], [0, 0]], "no identity element"),
+])
+def test_refusals_keep_their_order(rows, message):
+    """A table that fails several checks is refused by the first in the order
+    range, identity, inverses, associativity, as the reference scans do."""
+    with pytest.raises(InvalidGroupTable) as caught:
+        FiniteGroupTable(rows)
+    with pytest.raises(InvalidGroupTable) as expected:
+        reference_group(rows)
+    assert str(caught.value) == str(expected.value) == message
+
+
+def test_table_atom_answers_abelian_from_cache():
+    from groupinv.expressions import GroupAtom, FINITE_TABLE, _table_is_abelian
+
+    _table_is_abelian.cache_clear()
+    rows = relabel([list(row) for row in cyclic_table(512).table], random.Random(6))
+    atom = finite_table(rows)
+    start = time.perf_counter()
+    assert atom.abelian
+    first = time.perf_counter() - start
+    again = []
+    for _ in range(5):
+        start = time.perf_counter()
+        assert atom.abelian
+        again.append(time.perf_counter() - start)
+    assert min(again) * 5 <= first
+    assert not finite_table(dihedral_rows(3)).abelian
+    # only answers are kept: a table that is not a group raises on every read
+    bad = GroupAtom(FINITE_TABLE, (), tuple(map(tuple, intercalate_loop(8))))
+    for _ in range(2):
+        with pytest.raises(InvalidGroupTable, match="not associative"):
+            bad.abelian
 
 
 def test_non_homomorphic_bijection_rejected_above_64():

@@ -14,7 +14,7 @@ One list of command lines is generated once, from PARENT's ``src`` and
   and other Thompson-type products, and inputs the parser refuses;
 - seeded ``probe`` lines in JSON and CSV (grids, budgets, cone mode, wrong
   directions), ``reidemeister --matrix`` and ``--table`` lines and their
-  usage errors;
+  usage errors, and one ``--table`` line per refusal of a table or its map;
 - ``selfcheck``, whose per-criterion timings are stripped.
 
 Each checkout then runs that same list in one child process on its own
@@ -78,6 +78,42 @@ def _probe_lines(rng, count):
     return lines
 
 
+def _refused_table_lines():
+    """One ``reidemeister --table`` line per refusal of a table or of its map,
+    with tables that fail several checks at once."""
+    z4 = [[(x + y) % 4 for y in range(4)] for x in range(4)]
+
+    def with_entry(rows, i, j, value):
+        rows = [row[:] for row in rows]
+        rows[i][j] = value
+        return rows
+
+    # Z/5 relabelled by p, with 4 written -1 outside the identity's row and
+    # column: every lookup wraps to the right row
+    p = [2, 4, 0, 1, 3]
+    wrapped = [[0] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(5):
+            wrapped[p[i]][p[j]] = p[(i + j) % 5]
+    wrapped = [[-1 if y == 4 and 2 not in (x, j) else y for j, y in enumerate(row)]
+               for x, row in enumerate(wrapped)]
+    # Z/8 with the intercalate {1, 5} x {1, 5} swapped: a loop, not a group
+    loop = [[(x + y) % 8 for y in range(8)] for x in range(8)]
+    for i, j in ((1, 1), (1, 5), (5, 1), (5, 5)):
+        loop[i][j] = 6 if loop[i][j] == 2 else 2
+    monoids = [[[0, 0], [0, 1]], [[max(x, y) for y in range(4)] for x in range(4)]]
+    tables = ([[1, 2], [[0], 5], [], [[0]] * 513, [[0, 1]],
+               with_entry(z4, 2, 3, 1.5), with_entry(z4, 1, 3, False)]
+              + [with_entry(z4, 2, 3, v) for v in (4, 5, -1, -4)]
+              # out of range, and also with no identity, or with no inverse of 1
+              + [with_entry(z4, 0, 3, -1), with_entry(z4, 1, 3, 9), wrapped,
+                 [[0, 0], [0, 0]], *monoids, loop])
+    maps = ["5", "[0, 1.0, 2, 3]", "[0, true, 2, 3]", "[0, 0, 2, 3]", "[0, 2, 1, 3]"]
+    return ([["reidemeister", "--table", json.dumps(rows)] for rows in tables]
+            + [["reidemeister", "--table", json.dumps(z4), "--automorphism", perm]
+               for perm in maps])
+
+
 def _reidemeister_lines(rng, workloads, count):
     lines = []
     for i in range(count):
@@ -96,7 +132,7 @@ def _reidemeister_lines(rng, workloads, count):
     lines += [["reidemeister"], ["reidemeister", "--matrix", "[[1,"],
               ["reidemeister", "--matrix", "[[1]]", "--table", "[[0]]"],
               ["reidemeister", "--table", "{}"], ["reidemeister", "--matrix", "[[1, 2]]"]]
-    return lines
+    return lines + _refused_table_lines()
 
 
 def generate() -> list:
