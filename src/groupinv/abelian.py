@@ -14,7 +14,9 @@ The Smith normal form with its unimodular transforms stays as the oracle
 that the tests and ``selfcheck`` compare against; pivoting always picks the
 smallest nonzero entry in absolute value.  A brute-force orbit counter over
 multiplication tables of small finite groups is the independent cross-check
-on finite groups.
+on finite groups.  The oracles that no command runs (the cokernel of a
+matrix, the central-extension checker and the small table constructors) live
+in ``selfcheck``.
 
 A table is validated through one greedy generating set S: the least element
 not yet reached becomes the next generator, and the reached set is closed
@@ -187,16 +189,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithForm:
     return SmithForm(u=u, d=a, v=v)
 
 
-def abelian_group_from_matrix(m: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
-    """Cokernel of the column span of ``m`` inside Z^rows: (free rank, invariant factors > 1)."""
-    rows = len(m)
-    snf = smith_normal_form(m)
-    diag = [d for d in snf.diagonal if d != 0]
-    free_rank = rows - len(diag)
-    torsion = [d for d in diag if d > 1]
-    return free_rank, torsion
-
-
 # ---------------------------------------------------------------------------
 # cokernel orders on a finite abelian group
 
@@ -348,20 +340,6 @@ class FGAbelianAutomorphism(_Record):
         if _torsion_coker_order(self.torsion_part, self.torsion_factors) != 1:
             raise InvalidAutomorphism("torsion part is not invertible mod the factors")
 
-    def full_matrix(self) -> IntMatrix:
-        k, t = self.free_rank, len(self.torsion_factors)
-        n = k + t
-        out = [[0] * n for _ in range(n)]
-        for i in range(k):
-            for j in range(k):
-                out[i][j] = self.free_part[i][j]
-        for i in range(t):
-            for j in range(k):
-                out[k + i][j] = self.mixing[i][j]
-            for j in range(t):
-                out[k + i][k + j] = self.torsion_part[i][j]
-        return out
-
 
 def reidemeister_number(phi: FGAbelianAutomorphism) -> int | float:
     """#Coker(1 - phi) on Z^k + torsion, or INFINITE when the cokernel is infinite.
@@ -376,14 +354,6 @@ def reidemeister_number(phi: FGAbelianAutomorphism) -> int | float:
         return INFINITE
     return abs(free) * _torsion_coker_order(mat_sub(identity_matrix(t), phi.torsion_part),
                                             phi.torsion_factors)
-
-
-def fixed_subgroup_trivial(phi: FGAbelianAutomorphism) -> bool:
-    """True iff 1 is not an eigenvalue of the free part (torsion-free automorphisms)."""
-    if phi.torsion_factors:
-        raise InvalidAutomorphism("fixed-subgroup test applies to the torsion-free case")
-    one_minus = mat_sub(identity_matrix(phi.free_rank), [list(r) for r in phi.free_part])
-    return det(one_minus) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -592,100 +562,3 @@ def brute_force_twisted_classes(group: FiniteGroupTable,
             seen.add(root)
             reps.append(alpha)
     return uf.components, reps
-
-
-class CentralExtensionReport:
-    __slots__ = ("valid", "problems", "r_sub", "r_total", "r_quot")
-
-    def __init__(self, valid: bool, problems: list[str], r_sub: int | None = None,
-                 r_total: int | None = None, r_quot: int | None = None):
-        self.valid, self.problems = valid, problems
-        self.r_sub, self.r_total, self.r_quot = r_sub, r_total, r_quot
-
-    @property
-    def product_holds(self) -> bool:
-        return (self.valid and self.r_sub is not None
-                and self.r_total == self.r_sub * self.r_quot)
-
-
-def verify_central_extension(sub: FiniteGroupTable, total: FiniteGroupTable,
-                             quot: FiniteGroupTable,
-                             inclusion: Sequence[int], projection: Sequence[int],
-                             phi_sub: Sequence[int], phi_total: Sequence[int],
-                             phi_quot: Sequence[int]) -> CentralExtensionReport:
-    """Check 1 -> A -> B -> C -> 1 central with commuting automorphisms, then
-    compute all three twisted-class counts by brute force and compare
-    R(phi_total) with R(phi_sub) * R(phi_quot)."""
-    problems: list[str] = []
-    na, nb, nc = sub.order, total.order, quot.order
-    if sorted(set(inclusion)) != sorted(inclusion) or len(inclusion) != na:
-        problems.append("inclusion is not injective on A")
-    if set(projection) != set(range(nc)) or len(projection) != nb:
-        problems.append("projection is not surjective onto C")
-    # the checks below index the tables through the maps; a negative entry
-    # would wrap around silently, so it is refused with the too-large ones
-    in_range = True
-    if not all(0 <= b < nb for b in inclusion):
-        problems.append("inclusion has entries outside range(%d)" % nb)
-        in_range = False
-    if not all(0 <= c < nc for c in projection):
-        problems.append("projection has entries outside range(%d)" % nc)
-        in_range = False
-    if not in_range or len(inclusion) < na or len(projection) < nb:
-        return CentralExtensionReport(valid=False, problems=problems)
-    if _hom_defect(sub, total, inclusion) is not None:
-        problems.append("inclusion is not a homomorphism")
-    if _hom_defect(total, quot, projection) is not None:
-        problems.append("projection is not a homomorphism")
-    image = set(inclusion)
-    kernel = {b for b in range(nb) if projection[b] == quot.identity}
-    if image != kernel:
-        problems.append("image of A differs from kernel of the projection")
-    centre = set(total.center())
-    if not image <= centre:
-        problems.append("A is not central in B")
-    try:
-        sub.check_automorphism(phi_sub)
-        total.check_automorphism(phi_total)
-        quot.check_automorphism(phi_quot)
-    except InvalidGroupTable as exc:
-        problems.append(str(exc))
-    if not problems:
-        for x in range(na):
-            if phi_total[inclusion[x]] != inclusion[phi_sub[x]]:
-                problems.append("automorphisms do not commute with the inclusion")
-                break
-        for b in range(nb):
-            if phi_quot[projection[b]] != projection[phi_total[b]]:
-                problems.append("automorphisms do not commute with the projection")
-                break
-    if problems:
-        return CentralExtensionReport(valid=False, problems=problems)
-    r_sub, _ = brute_force_twisted_classes(sub, phi_sub)
-    r_total, _ = brute_force_twisted_classes(total, phi_total)
-    r_quot, _ = brute_force_twisted_classes(quot, phi_quot)
-    return CentralExtensionReport(valid=True, problems=[],
-                                  r_sub=r_sub, r_total=r_total, r_quot=r_quot)
-
-
-# ---------------------------------------------------------------------------
-# small table constructors (used by tests and the extension checker)
-
-
-def cyclic_table(n: int) -> FiniteGroupTable:
-    return FiniteGroupTable(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
-
-
-def direct_product_table(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable:
-    na, nb = a.order, b.order
-
-    def idx(x, y):
-        return x * nb + y
-
-    table = [[0] * (na * nb) for _ in range(na * nb)]
-    for x1 in range(na):
-        for y1 in range(nb):
-            for x2 in range(na):
-                for y2 in range(nb):
-                    table[idx(x1, y1)][idx(x2, y2)] = idx(a.table[x1][x2], b.table[y1][y2])
-    return FiniteGroupTable(tuple(tuple(row) for row in table))

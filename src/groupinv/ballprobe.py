@@ -14,13 +14,13 @@ so with x scaled by n^r each vertex is one integer code, each move one integer
 addition, and no key tuple is built at all.  The ball is kept as integer
 columns: the edges as one flat list of (i, j, generator index) triples, the
 ``F(n)`` words as one last letter per vertex, the tree's parent formula giving
-the rest, and the ``BS(1,n)`` normal forms as their codes; ``BallGraph.keys``
-and ``BallGraph.edges`` are read-only views that decode a word, a (p, q, s) or
-an edge tuple only when it is read, and the sweep reads the triples
-themselves.  A direction survives at level one when the half-space sublevel
-sets stay connected after a bounded retreat; the truncated-cone variant tests
-the closed-neighborhood analog.  All geometry is exact: scales are rational
-and every comparison is an integer inequality, never floating point.
+the rest, and the ``BS(1,n)`` normal forms as their codes; ``BallGraph.edges``
+is a read-only view that builds an (i, j, name) edge only when it is read, and
+the sweep reads the triples themselves.  A direction survives at level one
+when the half-space sublevel sets stay connected after a bounded retreat; the
+truncated-cone variant tests the closed-neighborhood analog.  All geometry is
+exact: scales are rational and every comparison is an integer inequality,
+never floating point.
 
 The sublevel sets shrink as the scale grows, in both modes, so the probe is a
 single sweep over the sublevel filtration (0-dimensional persistence): each
@@ -70,7 +70,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from . import _Record, _Value, __version__, catalog
+from . import _Record, _Value, __version__
 from . import expressions as ex
 from .spheres import Direction
 from .unionfind import UnionFind
@@ -140,71 +140,10 @@ def _predicted_order(atom: ex.GroupAtom, radius: int, cap: int) -> int:
     raise _unsupported(atom)
 
 
-class _ColumnView(Sequence):
-    """A read-only sequence whose items are built from integer columns when
-    they are read; making the view copies nothing."""
-
-    __slots__ = ()
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self._item(x) for x in range(len(self))[k])
-        return self._item(range(len(self))[k])
-
-
-class _FreeWords(_ColumnView):
-    """The reduced words of an ``F(n)`` ball, decoded from the last-letter
-    column: the parent of vertex i >= 2 is (i - 2) // (2n - 1), and the same
-    formula takes the root's children 1, ..., 2n to 0 or -1, where the word
-    begins."""
-
-    __slots__ = ("_last", "_branch")
-
-    def __init__(self, last: Sequence[int], n: int):
-        self._last, self._branch = last, 2 * n - 1
-
-    def __len__(self) -> int:
-        return len(self._last)
-
-    def _item(self, i: int) -> tuple[int, ...]:
-        last, branch = self._last, self._branch
-        word = []
-        while i > 0:
-            word.append(last[i])
-            i = (i - 2) // branch
-        word.reverse()
-        return tuple(word)
-
-
-class _BSNormalForms(_ColumnView):
-    """The normal forms (p, q, s) of a ``BS(1,n)`` ball, decoded from the
-    codes X W + (k + r + 1) of ``_ball_bs``: x = X / n^r and k come back by
-    one division, and the form t^-p a^q t^s with q / n^p = x and s - p = k
-    that is normal has p = max(v, -k), v being the least exponent with
-    x n^v an integer; then q = x n^p and s = k + p."""
-
-    __slots__ = ("_codes", "_n", "_radius")
-
-    def __init__(self, codes: Sequence[int], n: int, radius: int):
-        self._codes, self._n, self._radius = codes, n, radius
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def _item(self, i: int) -> tuple[int, int, int]:
-        n, r = self._n, self._radius
-        scaled, c = divmod(self._codes[i], 2 * r + 3)
-        k = c - r - 1
-        # x n^v is an integer exactly when n^(r - v) divides X, and x = 0 has v = 0
-        e = 0
-        while scaled and e < r and not scaled % n ** (e + 1):
-            e += 1
-        p = max(r - e if scaled else 0, -k)
-        return p, scaled // n ** (r - p), k + p
-
-
-class _EdgeView(_ColumnView):
-    """(i, j, generator name) for each i, j, generator-index triple."""
+class _EdgeView(Sequence):
+    """(i, j, generator name) for each i, j, generator-index triple, as a
+    read-only sequence that builds an edge only when it is read; making the
+    view copies nothing."""
 
     __slots__ = ("_triples", "_names")
 
@@ -214,7 +153,10 @@ class _EdgeView(_ColumnView):
     def __len__(self) -> int:
         return len(self._triples) // 3
 
-    def _item(self, k: int) -> tuple[int, int, str]:
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[x] for x in range(len(self))[k])
+        k = range(len(self))[k]
         t = self._triples
         return t[3 * k], t[3 * k + 1], self._names[t[3 * k + 2]]
 
@@ -236,9 +178,9 @@ class BallGraph(_Record):
     t^-p a^q t^s, where x = q / n^p = X / n^r and k = s - p are its
     coordinates in Z[1/n] x| Z.  ``triples`` is one flat sequence i, j, g per
     edge: vertex i times generator g (the g-th name of ``gen_heights``) is
-    vertex j.  ``keys`` and ``edges`` are read-only views over these columns
-    that build a key or an (i, j, name) edge only when it is read; ``order``
-    and ``len(edges)`` build nothing."""
+    vertex j.  ``edges`` is a read-only view over the triples that builds an
+    (i, j, name) edge only when it is read; ``order`` and ``len(edges)`` build
+    nothing."""
 
     __slots__ = ("atom", "radius", "key_column", "heights", "wordlen", "triples",
                  "height_dim", "gen_heights")
@@ -253,17 +195,6 @@ class BallGraph(_Record):
     @property
     def order(self) -> int:
         return len(self.wordlen)
-
-    @property
-    def keys(self) -> Sequence:
-        """The normal forms: reduced words for ``F(n)``, (p, q, s) for
-        ``BS(1,n)`` (both decoded from ``key_column`` when read), vectors for
-        ``Z^k`` and (p, q) for Klein."""
-        if self.atom.kind == ex.FREE:
-            return _FreeWords(self.key_column, self.atom.params[0])
-        if self.atom.kind == ex.BAUMSLAG_SOLITAR:
-            return _BSNormalForms(self.key_column, self.atom.params[0], self.radius)
-        return self.key_column
 
     @property
     def edges(self) -> Sequence[tuple[int, int, str]]:
@@ -379,8 +310,7 @@ def _ball_bs(n, radius):
     move is one integer addition and no key tuple is built.  The height is
     -k = p - s, the negated stable-letter exponent, which puts the surviving
     character direction on the +1 side; it is one shared 1-tuple per value.
-    ``_BSNormalForms`` decodes (p, q, s) from the codes.  The generators are
-    a (index 0) and t (index 1)."""
+    The generators are a (index 0) and t (index 1)."""
     width = 2 * radius + 3
     # by k + r + 1: the a-move's code step n^(k + r) W (none below k = -r),
     # and the height -k
@@ -455,11 +385,10 @@ def enumerate_ball(atom: ex.GroupAtom, radius: int) -> BallGraph:
     integer per normal form, whose moves are integer steps; for ``BS(1,n)``
     that integer codes the element's coordinates in Z[1/n] x| Z.  The ball is
     stored as columns (see ``BallGraph``): ``F(n)`` keeps one last letter per
-    vertex, ``BS(1,n)`` one code per vertex, which ``keys`` decodes to
-    (p, q, s), ``Z^k`` and Klein their key tuples, which their builders need
-    for the moves, and every family one flat i, j, generator-index triple
-    per edge, each vertex's ``+gen`` edges in vertex order, then generator
-    order."""
+    vertex, ``BS(1,n)`` one code per vertex, ``Z^k`` and Klein their key
+    tuples, which their builders need for the moves, and every family one
+    flat i, j, generator-index triple per edge, each vertex's ``+gen`` edges
+    in vertex order, then generator order."""
     check_ball(atom, radius)
     if atom.kind == ex.FREE_ABELIAN and atom.params[0] >= 1:
         k = atom.params[0]
@@ -921,45 +850,3 @@ def connectivity_probe(ball: BallGraph, gamma: Direction, grid, mode: str = HALF
     else:
         evidence = INCONCLUSIVE
     return ProbeReport(atom=ball.atom, config=config, rows=tuple(rows), evidence=evidence)
-
-
-# ---------------------------------------------------------------------------
-# direction scans against the catalog
-
-
-class ScanRow(_Record):
-    __slots__ = ("direction", "mode", "evidence", "catalog_member", "warn")
-
-    def __init__(self, direction: Direction, mode: str, evidence: str,
-                 catalog_member: bool, warn: bool):
-        self._set(direction, mode, evidence, catalog_member, warn)
-
-
-def catalog_membership(atom: ex.GroupAtom, gamma: Direction, mode: str) -> bool:
-    """Expected membership from the catalog: level-one surviving set for cone
-    mode, complement of the obstruction set for half-space mode."""
-    inv = catalog.lookup_invariants(ex.atom_expr(atom))
-    if mode == TRUNCATED_CONE:
-        return inv.omega.member(gamma)
-    return not inv.sigma1_complement.member(gamma)
-
-
-def probe_direction_scan(atom: ex.GroupAtom, directions: Sequence[Direction], radius: int,
-                         mode: str = HALF_SPACE, grid=None, lambda_max=Fraction(1),
-                         core_margin: int | None = None,
-                         ball: BallGraph | None = None) -> tuple[list[ScanRow], list[ProbeReport]]:
-    """Probe each direction and compare with the catalog; contradictions are
-    flagged WARN (the probe is heuristic, the catalog wins)."""
-    if ball is None:
-        ball = enumerate_ball(atom, radius)
-    if grid is None:
-        grid = default_grid(radius)
-    rows = []
-    reports = []
-    for gamma in directions:
-        report = connectivity_probe(ball, gamma, grid, mode, lambda_max, core_margin)
-        expected = catalog_membership(atom, gamma, mode)
-        warn = report.evidence == (SUPPORTS_NON_MEMBERSHIP if expected else SUPPORTS_MEMBERSHIP)
-        rows.append(ScanRow(gamma, mode, report.evidence, expected, warn))
-        reports.append(report)
-    return rows, reports

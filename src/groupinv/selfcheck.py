@@ -5,9 +5,16 @@ the recorded source) and returns a CheckResult; nothing is approximated and
 all tolerances are exact equality.  The CLI ``selfcheck`` command runs these
 plus a set of golden examples and exits non-zero on any mismatch.
 
-The finite presentations of the catalog atoms live here too, with their
-abelianization through the Smith form: the independent check of the
-catalog's hom-rank facts, which only the golden examples and the tests run.
+The oracles that no other command runs live here too, so that the command
+modules hold only what their commands run:
+
+- the finite presentations of the catalog atoms, with their abelianization
+  through the Smith form: the independent check of the catalog's hom-rank
+  facts, which only the golden examples and the tests run;
+- the central-extension checker and the small table constructors it runs
+  on, which test the product law of twisted-class counts by brute force;
+- the probe's direction scan, which compares the evidence of each direction
+  with the catalog's membership.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -25,25 +33,25 @@ from .abelian import (
     FGAbelianAutomorphism,
     FiniteGroupTable,
     INFINITE,
-    abelian_group_from_matrix,
+    InvalidGroupTable,
+    _hom_defect,
     brute_force_twisted_classes,
-    cyclic_table,
     det,
-    direct_product_table,
-    fixed_subgroup_trivial,
     identity_matrix,
     mat_sub,
     reidemeister_number,
     smith_normal_form,
-    verify_central_extension,
 )
 from .ballprobe import (
     HALF_SPACE,
     SUPPORTS_MEMBERSHIP,
     SUPPORTS_NON_MEMBERSHIP,
     TRUNCATED_CONE,
+    BallGraph,
+    ProbeReport,
+    connectivity_probe,
+    default_grid,
     enumerate_ball,
-    probe_direction_scan,
 )
 from .catalog import lookup_invariants
 from .cones import check_finite12, omega_from_obstructions
@@ -209,6 +217,16 @@ def presentation(generators: Sequence[str], relators: Sequence[Sequence[tuple[st
                               tuple(free_reduce(r) for r in relators))
 
 
+def abelian_group_from_matrix(m: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """Cokernel of the column span of ``m`` inside Z^rows: (free rank, invariant factors > 1)."""
+    rows = len(m)
+    snf = smith_normal_form(m)
+    diag = [d for d in snf.diagonal if d != 0]
+    free_rank = rows - len(diag)
+    torsion = [d for d in diag if d > 1]
+    return free_rank, torsion
+
+
 def abelianization_of_presentation(p: FinitePresentation) -> tuple[int, list[int]]:
     """(free rank, invariant torsion factors) of the abelianized presentation,
     via the Smith form of the relator exponent-sum matrix."""
@@ -288,6 +306,145 @@ def atom_presentation(atom: ex.GroupAtom) -> FinitePresentation | None:
 
 
 # ---------------------------------------------------------------------------
+# small finite groups and central extensions
+
+
+def cyclic_table(n: int) -> FiniteGroupTable:
+    return FiniteGroupTable(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+
+
+def direct_product_table(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable:
+    na, nb = a.order, b.order
+
+    def idx(x, y):
+        return x * nb + y
+
+    table = [[0] * (na * nb) for _ in range(na * nb)]
+    for x1 in range(na):
+        for y1 in range(nb):
+            for x2 in range(na):
+                for y2 in range(nb):
+                    table[idx(x1, y1)][idx(x2, y2)] = idx(a.table[x1][x2], b.table[y1][y2])
+    return FiniteGroupTable(tuple(tuple(row) for row in table))
+
+
+class CentralExtensionReport:
+    __slots__ = ("valid", "problems", "r_sub", "r_total", "r_quot")
+
+    def __init__(self, valid: bool, problems: list[str], r_sub: int | None = None,
+                 r_total: int | None = None, r_quot: int | None = None):
+        self.valid, self.problems = valid, problems
+        self.r_sub, self.r_total, self.r_quot = r_sub, r_total, r_quot
+
+    @property
+    def product_holds(self) -> bool:
+        return (self.valid and self.r_sub is not None
+                and self.r_total == self.r_sub * self.r_quot)
+
+
+def verify_central_extension(sub: FiniteGroupTable, total: FiniteGroupTable,
+                             quot: FiniteGroupTable,
+                             inclusion: Sequence[int], projection: Sequence[int],
+                             phi_sub: Sequence[int], phi_total: Sequence[int],
+                             phi_quot: Sequence[int]) -> CentralExtensionReport:
+    """Check 1 -> A -> B -> C -> 1 central with commuting automorphisms, then
+    compute all three twisted-class counts by brute force and compare
+    R(phi_total) with R(phi_sub) * R(phi_quot)."""
+    problems: list[str] = []
+    na, nb, nc = sub.order, total.order, quot.order
+    if sorted(set(inclusion)) != sorted(inclusion) or len(inclusion) != na:
+        problems.append("inclusion is not injective on A")
+    if set(projection) != set(range(nc)) or len(projection) != nb:
+        problems.append("projection is not surjective onto C")
+    # the checks below index the tables through the maps; a negative entry
+    # would wrap around silently, so it is refused with the too-large ones
+    in_range = True
+    if not all(0 <= b < nb for b in inclusion):
+        problems.append("inclusion has entries outside range(%d)" % nb)
+        in_range = False
+    if not all(0 <= c < nc for c in projection):
+        problems.append("projection has entries outside range(%d)" % nc)
+        in_range = False
+    if not in_range or len(inclusion) < na or len(projection) < nb:
+        return CentralExtensionReport(valid=False, problems=problems)
+    if _hom_defect(sub, total, inclusion) is not None:
+        problems.append("inclusion is not a homomorphism")
+    if _hom_defect(total, quot, projection) is not None:
+        problems.append("projection is not a homomorphism")
+    image = set(inclusion)
+    kernel = {b for b in range(nb) if projection[b] == quot.identity}
+    if image != kernel:
+        problems.append("image of A differs from kernel of the projection")
+    centre = set(total.center())
+    if not image <= centre:
+        problems.append("A is not central in B")
+    try:
+        sub.check_automorphism(phi_sub)
+        total.check_automorphism(phi_total)
+        quot.check_automorphism(phi_quot)
+    except InvalidGroupTable as exc:
+        problems.append(str(exc))
+    if not problems:
+        for x in range(na):
+            if phi_total[inclusion[x]] != inclusion[phi_sub[x]]:
+                problems.append("automorphisms do not commute with the inclusion")
+                break
+        for b in range(nb):
+            if phi_quot[projection[b]] != projection[phi_total[b]]:
+                problems.append("automorphisms do not commute with the projection")
+                break
+    if problems:
+        return CentralExtensionReport(valid=False, problems=problems)
+    r_sub, _ = brute_force_twisted_classes(sub, phi_sub)
+    r_total, _ = brute_force_twisted_classes(total, phi_total)
+    r_quot, _ = brute_force_twisted_classes(quot, phi_quot)
+    return CentralExtensionReport(valid=True, problems=[],
+                                  r_sub=r_sub, r_total=r_total, r_quot=r_quot)
+
+
+# ---------------------------------------------------------------------------
+# probe direction scans against the catalog
+
+
+class ScanRow(_Record):
+    __slots__ = ("direction", "mode", "evidence", "catalog_member", "warn")
+
+    def __init__(self, direction: Direction, mode: str, evidence: str,
+                 catalog_member: bool, warn: bool):
+        self._set(direction, mode, evidence, catalog_member, warn)
+
+
+def catalog_membership(atom: ex.GroupAtom, gamma: Direction, mode: str) -> bool:
+    """Expected membership from the catalog: level-one surviving set for cone
+    mode, complement of the obstruction set for half-space mode."""
+    inv = lookup_invariants(ex.atom_expr(atom))
+    if mode == TRUNCATED_CONE:
+        return inv.omega.member(gamma)
+    return not inv.sigma1_complement.member(gamma)
+
+
+def probe_direction_scan(atom: ex.GroupAtom, directions: Sequence[Direction], radius: int,
+                         mode: str = HALF_SPACE, grid=None, lambda_max=Fraction(1),
+                         core_margin: int | None = None,
+                         ball: BallGraph | None = None) -> tuple[list[ScanRow], list[ProbeReport]]:
+    """Probe each direction and compare with the catalog; contradictions are
+    flagged WARN (the probe is heuristic, the catalog wins)."""
+    if ball is None:
+        ball = enumerate_ball(atom, radius)
+    if grid is None:
+        grid = default_grid(radius)
+    rows = []
+    reports = []
+    for gamma in directions:
+        report = connectivity_probe(ball, gamma, grid, mode, lambda_max, core_margin)
+        expected = catalog_membership(atom, gamma, mode)
+        warn = report.evidence == (SUPPORTS_NON_MEMBERSHIP if expected else SUPPORTS_MEMBERSHIP)
+        rows.append(ScanRow(gamma, mode, report.evidence, expected, warn))
+        reports.append(report)
+    return rows, reports
+
+
+# ---------------------------------------------------------------------------
 # the ten criteria
 
 
@@ -309,15 +466,16 @@ def criterion_2():
         m = _random_unimodular(rng, k)
         phi = FGAbelianAutomorphism.from_matrix(m)
         r = reidemeister_number(phi)
-        if fixed_subgroup_trivial(phi) != (r != INFINITE):
+        # Fix(phi) = ker(1 - A) is trivial exactly when the Smith diagonal of
+        # 1 - A has no zero; neither the elimination nor the test reads det
+        diagonal = smith_normal_form(mat_sub(identity_matrix(k), m)).diagonal
+        if all(diagonal) != (r != INFINITE):
             return False, "equivalence failed for %r" % (m,)
         if r != INFINITE:
             d = abs(det(mat_sub(identity_matrix(k), m)))
             if r != d:
                 return False, "value mismatch for %r: %s vs %s" % (m, r, d)
-            snf_product = math.prod(x for x in smith_normal_form(
-                mat_sub(identity_matrix(k), m)).diagonal if x)
-            if r != snf_product:
+            if r != math.prod(diagonal):
                 return False, "Smith-form product mismatch for %r" % (m,)
             if k <= 3 and 1 <= d <= 12:
                 if _mod_n_orbit_count(m, d) != r:

@@ -34,8 +34,8 @@ from groupinv.ballprobe import (
     default_grid,
     enumerate_ball,
     halfspace_subgraph,
-    probe_direction_scan,
 )
+from groupinv.selfcheck import probe_direction_scan
 from groupinv.spheres import Direction
 from groupinv.unionfind import UnionFind
 
@@ -130,10 +130,54 @@ def _assert_bs_normal(key, n):
         assert q % n != 0
 
 
+# ---------------------------------------------------------------------------
+# normal forms decoded from the key column
+
+
+def free_word(ball, i):
+    """The reduced word of vertex i of an ``F(n)`` ball, decoded from the
+    last-letter column: the parent of vertex i >= 2 is (i - 2) // (2n - 1),
+    and the same formula takes the root's children 1, ..., 2n to 0 or -1,
+    where the word begins."""
+    last, branch = ball.key_column, 2 * ball.atom.params[0] - 1
+    word = []
+    while i > 0:
+        word.append(last[i])
+        i = (i - 2) // branch
+    return tuple(reversed(word))
+
+
+def bs_normal_form(ball, i):
+    """The normal form (p, q, s) of vertex i of a ``BS(1,n)`` ball, decoded
+    from its code X (2r + 3) + (k + r + 1): x = X / n^r and k come back by
+    one division, and the form t^-p a^q t^s with q / n^p = x and s - p = k
+    that is normal has p = max(v, -k), v being the least exponent with
+    x n^v an integer; then q = x n^p and s = k + p."""
+    n, r = ball.atom.params[0], ball.radius
+    scaled, c = divmod(ball.key_column[i], 2 * r + 3)
+    k = c - r - 1
+    # x n^v is an integer exactly when n^(r - v) divides X, and x = 0 has v = 0
+    e = 0
+    while scaled and e < r and not scaled % n ** (e + 1):
+        e += 1
+    p = max(r - e if scaled else 0, -k)
+    return p, scaled // n ** (r - p), k + p
+
+
+def ball_keys(ball):
+    """Every vertex's normal form: reduced words for ``F(n)``, (p, q, s) for
+    ``BS(1,n)``, vectors for ``Z^k`` and (p, q) for Klein."""
+    if ball.atom.kind == ex.FREE:
+        return tuple(free_word(ball, i) for i in range(ball.order))
+    if ball.atom.kind == ex.BAUMSLAG_SOLITAR:
+        return tuple(bs_normal_form(ball, i) for i in range(ball.order))
+    return ball.key_column
+
+
 def test_bs_normal_forms_are_canonical():
     for n in (2, 3):
         ball = enumerate_ball(ex.baumslag_solitar(1, n), 7)
-        keys = tuple(ball.keys)
+        keys = ball_keys(ball)
         for key in keys:
             _assert_bs_normal(key, n)
         assert len(set(keys)) == ball.order
@@ -246,9 +290,9 @@ def _reference_ball(atom, radius):
 
 
 def _materialized(ball):
-    """Every view and field of a ball as plain tuples, in the layout of
-    ``_reference_ball``."""
-    return dict(atom=ball.atom, radius=ball.radius, order=ball.order, keys=tuple(ball.keys),
+    """Every field of a ball, its decoded keys and its edge view as plain
+    tuples, in the layout of ``_reference_ball``."""
+    return dict(atom=ball.atom, radius=ball.radius, order=ball.order, keys=ball_keys(ball),
                 heights=tuple(ball.heights), wordlen=tuple(ball.wordlen),
                 edge_count=len(ball.edges), edges=tuple(ball.edges),
                 height_dim=ball.height_dim, gen_heights=ball.gen_heights)
@@ -277,16 +321,16 @@ def test_one_pass_ball_equals_two_pass_reference(atom, radius):
 def test_views_index_like_tuples():
     for atom in (ex.free_group(2), ex.free_group(3), ex.baumslag_solitar(1, 2), ex.klein_bottle()):
         ball = enumerate_ball(atom, 4)
-        for view in (ball.keys, ball.edges):
-            whole = tuple(view)
-            assert len(view) == len(whole)
-            assert view[-1] == whole[-1] and view[3:9] == whole[3:9] and view[::-5] == whole[::-5]
-            with pytest.raises(IndexError):
-                view[len(whole)]
-        assert len(ball.edges) == len(ball.triples) // 3
+        view = ball.edges
+        whole = tuple(view)
+        assert len(view) == len(whole) == len(ball.triples) // 3
+        assert view[-1] == whole[-1] and view[3:9] == whole[3:9] and view[::-5] == whole[::-5]
+        with pytest.raises(IndexError):
+            view[len(whole)]
     # an F(n) ball stores each word's last letter, 0 for the empty word
+    words = _reference_ball(ex.free_group(2), 4)["keys"]
     ball = enumerate_ball(ex.free_group(2), 4)
-    assert list(ball.key_column) == [word[-1] if word else 0 for word in ball.keys]
+    assert list(ball.key_column) == [word[-1] if word else 0 for word in words]
 
 
 # the largest radius for each rank whose F(n) ball is no larger than F(2) at r = 10
@@ -305,7 +349,7 @@ def test_decoded_free_words_are_normal_forms(data):
     ball = _free_ball(n, data.draw(st.integers(2, FREE_RADII[n]), label="radius"))
     for i in data.draw(st.lists(st.integers(0, ball.order - 1), min_size=1, max_size=20),
                        label="vertices"):
-        word = ball.keys[i]
+        word = free_word(ball, i)
         assert all(x != 0 and abs(x) <= n for x in word)
         assert all(a != -b for a, b in zip(word, word[1:]))  # reduced
         assert len(word) == ball.wordlen[i]
@@ -330,7 +374,7 @@ def test_decoded_bs_keys_are_normal_forms(data):
     ball = _bs_ball(n, radius)
     for i in data.draw(st.lists(st.integers(0, ball.order - 1), min_size=1, max_size=20),
                        label="vertices"):
-        p, q, s = key = ball.keys[i]
+        p, q, s = key = bs_normal_form(ball, i)
         _assert_bs_normal(key, n)
         assert ball.heights[i] == (p - s,)
         scaled = Fraction(q, n ** p) * n ** radius

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -210,6 +212,20 @@ def test_each_command_loads_only_the_modules_it_calls():
         loaded = loaded_modules(*args, status=status)
         assert "catalog" in loaded
         assert not loaded & {"ballprobe", "selfcheck", "abelian", "unionfind", "cones"}, args
+    # the oracles that no other command runs are defined in selfcheck alone,
+    # and the deleted key views and fixed-subgroup test nowhere
+    oracles = {"ScanRow", "catalog_membership", "probe_direction_scan",
+               "abelian_group_from_matrix", "CentralExtensionReport",
+               "verify_central_extension", "cyclic_table", "direct_product_table"}
+    deleted = {"fixed_subgroup_trivial", "_ColumnView", "_FreeWords", "_BSNormalForms"}
+    for info in pkgutil.iter_modules(groupinv.__path__):
+        module = importlib.import_module("groupinv." + info.name)
+        defined = {name for name, value in vars(module).items()
+                   if getattr(value, "__module__", module.__name__) == module.__name__}
+        expected = oracles if info.name == "selfcheck" else set()
+        assert defined & (oracles | deleted) == expected, info.name
+    assert not hasattr(ballprobe.BallGraph, "keys")
+    assert not hasattr(abelian.FGAbelianAutomorphism, "full_matrix")
 
 
 def test_commands_load_nothing_beyond_the_standard_library():

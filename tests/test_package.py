@@ -11,7 +11,7 @@ import pytest
 import groupinv
 from groupinv import abelian, ballprobe, catalog, cones, linalg, rinf, spheres
 from groupinv import expressions as ex
-from groupinv.selfcheck import atom_presentation
+from groupinv.selfcheck import atom_presentation, probe_direction_scan
 
 
 def test_every_exported_name_is_its_home_modules_object():
@@ -83,7 +83,7 @@ RECORDS = [
     ("FGAbelianAutomorphism",
      lambda: abelian.FGAbelianAutomorphism.from_matrix([[-1]], [2]), False, False),
     ("BallGraph", lambda: ballprobe.enumerate_ball(ex.free_abelian(1), 2), False, False),
-    ("ScanRow", lambda: ballprobe.probe_direction_scan(
+    ("ScanRow", lambda: probe_direction_scan(
         ex.free_abelian(1), [spheres.Direction((1,))], 4)[0][0], False, False),
     ("Finite12Report",
      lambda: cones.check_finite12(spheres.full_sphere([1])), False, False),

@@ -437,6 +437,16 @@ def test_decide_stops_at_the_first_rinfinity(monkeypatch):
         assert decide_text(text) == verdict, text
 
 
+def test_decide_breaks_ties_by_the_earliest_rule(monkeypatch):
+    # decide_main comes before decide_gk in RULES, so of their two verdicts of
+    # equal strength decide_main's wins; Z^2 gets no verdict from another rule
+    main = Verdict(INDEX_TWO, notes=("from decide_main",))
+    gk = Verdict(INDEX_TWO, notes=("from decide_gk",))
+    monkeypatch.setattr(rinf, "decide_main", lambda expr: main)
+    monkeypatch.setattr(rinf, "decide_gk", lambda expr: gk)
+    assert decide_text("Z^2") is main
+
+
 def test_decide_deterministic():
     for text in ("BS(1,2) x F(3)", "Klein * Z * Zmod(2)", "Zmod(7)"):
         assert decide_text(text) == decide_text(text)

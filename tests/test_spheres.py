@@ -213,6 +213,14 @@ def test_subsumption_and_merging():
     assert len(merged.atoms) == 1
 
 
+def test_atom_under_an_equal_cone_is_subsumed():
+    # the parts of the first atom lie in the second's: the same cone on the
+    # first factor, and a point inside the full second factor
+    d, p = Direction((1, 0)), Direction((0, 1))
+    both = SphereSet([2, 2], [(ConeRegion([d]), FinitePoints([p])), (ConeRegion([d]), FULL)])
+    assert both.atoms == ((ConeRegion([d]), FULL),)
+
+
 def test_cone_region_membership():
     cone = SphereSet([2], [(ConeRegion([Direction((1, 0)), Direction((0, 1))]),)])
     assert cone.cardinality().kind == "infinite"
