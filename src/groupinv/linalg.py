@@ -1,9 +1,11 @@
 """Exact rank and determinant of integer matrices.
 
 One fraction-free elimination serves both, over arbitrary-precision Python
-integers.  Double description and the hom-rank rules need only the rank, so
-they read it from here and never load the Smith-form and group-table code of
-``abelian``.
+integers, in place on one copy.  A row with a zero multiplier under the pivot
+p is skipped when p equals the previous pivot prev, and otherwise rescaled to
+p * x // prev, exact by Sylvester's identity.  Double description and the
+hom-rank rules need only the rank, so they read it from here and never load
+the Smith-form and group-table code of ``abelian``.
 """
 
 from __future__ import annotations
@@ -33,13 +35,18 @@ def _bareiss(m: Sequence[Sequence[int]]) -> tuple[int, int]:
             sign = -sign
         top = a[rank]
         p = top[col]
+        rest = range(col + 1, cols)
         # plain loops: on the small matrices of the callers a comprehension
         # per row costs more than the arithmetic
         for i in range(rank + 1, rows):
             row = a[i]
             q = row[col]
-            for j in range(col + 1, cols):
-                row[j] = (p * row[j] - q * top[j]) // prev
+            if q:
+                for j in rest:
+                    row[j] = (p * row[j] - q * top[j]) // prev
+            elif p != prev:
+                for j in rest:
+                    row[j] = p * row[j] // prev
         prev = p
         rank += 1
     return rank, sign * prev

@@ -11,8 +11,11 @@ modules hold only what their commands run:
 - the finite presentations of the catalog atoms, with their abelianization
   through the Smith form: the independent check of the catalog's hom-rank
   facts, which only the golden examples and the tests run;
-- the central-extension checker and the small table constructors it runs
-  on, which test the product law of twisted-class counts by brute force;
+- the central-extension checker, the centre of a table and the small table
+  constructors it runs on, which test the product law of twisted-class
+  counts by brute force;
+- the random unimodular matrices and the mod-n orbit counter that check
+  Reidemeister numbers of free abelian groups, which the tests share;
 - the probe's direction scan, which compares the evidence of each direction
   with the catalog's membership.
 """
@@ -34,11 +37,11 @@ from .abelian import (
     FiniteGroupTable,
     INFINITE,
     InvalidGroupTable,
+    _column,
     _hom_defect,
     brute_force_twisted_classes,
     det,
     identity_matrix,
-    mat_sub,
     reidemeister_number,
     smith_normal_form,
 )
@@ -102,6 +105,10 @@ def _timed(name):
 
 # ---------------------------------------------------------------------------
 # helpers shared by several criteria
+
+
+def mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _random_unimodular(rng, k, ops=12, cap=40):
@@ -309,6 +316,13 @@ def atom_presentation(atom: ex.GroupAtom) -> FinitePresentation | None:
 # small finite groups and central extensions
 
 
+def center(group: FiniteGroupTable) -> list[int]:
+    """The elements that commute with every generator, hence with everything."""
+    t = group.table
+    pairs = [(t[g], _column(t, g)) for g in group.generators]
+    return [z for z in range(group.order) if all(row[z] == col[z] for row, col in pairs)]
+
+
 def cyclic_table(n: int) -> FiniteGroupTable:
     return FiniteGroupTable(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
@@ -375,7 +389,7 @@ def verify_central_extension(sub: FiniteGroupTable, total: FiniteGroupTable,
     kernel = {b for b in range(nb) if projection[b] == quot.identity}
     if image != kernel:
         problems.append("image of A differs from kernel of the projection")
-    centre = set(total.center())
+    centre = set(center(total))
     if not image <= centre:
         problems.append("A is not central in B")
     try:

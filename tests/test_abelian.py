@@ -10,6 +10,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupinv import abelian
 from groupinv.abelian import (
@@ -21,7 +23,6 @@ from groupinv.abelian import (
     brute_force_twisted_classes,
     det,
     identity_matrix,
-    mat_sub,
     matrix_rank,
     reidemeister_number,
     smith_normal_form,
@@ -30,34 +31,19 @@ from groupinv.abelian import (
 from groupinv.expressions import finite_table
 from groupinv.selfcheck import (
     abelian_group_from_matrix,
+    center,
     cyclic_table,
     direct_product_table,
+    mat_sub,
     verify_central_extension,
+    _mod_n_orbit_count as mod_n_orbit_count,
+    _random_unimodular as random_unimodular,
 )
 from groupinv.unionfind import UnionFind
 
 
 def random_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-
-
-def random_unimodular(rng, k, ops=12, cap=40):
-    """Product of elementary row operations applied to the identity."""
-    m = identity_matrix(k)
-    for _ in range(ops):
-        kind = rng.randrange(3)
-        i, j = rng.randrange(k), rng.randrange(k)
-        if kind == 0 and i != j:
-            c = rng.choice([-2, -1, 1, 2])
-            cand = [row[:] for row in m]
-            cand[i] = [x + c * y for x, y in zip(cand[i], cand[j])]
-            if max(abs(x) for row in cand for x in row) <= cap:
-                m = cand
-        elif kind == 1 and i != j:
-            m[i], m[j] = m[j], m[i]
-        elif kind == 2:
-            m[i] = [-x for x in m[i]]
-    return m
 
 
 def mat_mul(a, b):
@@ -145,6 +131,57 @@ def test_rank_and_det_against_sympy():
     assert det([]) == 1 and matrix_rank([]) == 0 and matrix_rank([[0, 0], [0, 0]]) == 0
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Signed permutations, block sums of one with a small dense block, and
+    random zero patterns; then cut to fewer rows or columns, or made singular
+    by repeating a combination of two rows.  Most rows meet a pivot with a
+    zero multiplier, often a pivot p with |p| != |prev|."""
+    kind = draw(st.sampled_from(("signed permutation", "block sum", "zero pattern")))
+    n = draw(st.integers(1, 7))
+    if kind == "zero pattern":
+        cols = draw(st.integers(1, 7))
+        entry = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3))
+        m = [[draw(entry) for _ in range(cols)] for _ in range(n)]
+    else:
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        m = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+        if kind == "block sum":
+            d = draw(st.integers(1, 3))
+            block = [[draw(st.integers(-3, 3)) for _ in range(d)] for _ in range(d)]
+            pairs = [(row, [0] * d) for row in m] + [([0] * n, row) for row in block]
+            if draw(st.booleans()):  # the dense block first
+                pairs = [(b, a) for a, b in pairs[n:] + pairs[:n]]
+            m = [a + b for a, b in pairs]
+    rows, cols = len(m), len(m[0])
+    shape = draw(st.sampled_from(("as drawn", "fewer rows", "fewer columns", "singular")))
+    if shape == "fewer rows" and rows > 1:
+        m = m[:draw(st.integers(1, rows - 1))]
+    elif shape == "fewer columns" and cols > 1:
+        keep = draw(st.integers(1, cols - 1))
+        m = [row[:keep] for row in m]
+    elif shape == "singular" and rows > 1:
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        i, j = draw(st.integers(0, rows - 2)), draw(st.integers(0, rows - 2))
+        m[-1] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_rank_and_det_of_sparse_matrices_against_sympy(m):
+    # the rows with a zero multiplier are only rescaled, or skipped when the
+    # pivot repeats the previous one
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    expected = DomainMatrix.from_Matrix(sympy.Matrix(m))
+    assert matrix_rank(m) == expected.rank()
+    if len(m) == len(m[0]):
+        assert det(m) == expected.det()
+
+
 def test_rank_keeps_its_entries_small():
     # elimination without division grows the entries of a 20 x 20 matrix to
     # about 720,000 bits; Bareiss keeps them minors of the input
@@ -228,32 +265,6 @@ def test_torsion_validation():
         FGAbelianAutomorphism.from_matrix([], torsion_factors=[4], torsion_part=[[2]])
     with pytest.raises(InvalidAutomorphism):
         FGAbelianAutomorphism.from_matrix([], torsion_factors=[3, 2], torsion_part=[[1, 0], [0, 1]])
-
-
-def mod_n_orbit_count(m, n):
-    """Orbits of alpha -> alpha + (1-m)sigma on (Z/n)^k: independent of the SNF path."""
-    k = len(m)
-    one_minus = mat_sub(identity_matrix(k), m)
-    size = n ** k
-
-    def encode(vec):
-        code = 0
-        for x in vec:
-            code = code * n + (x % n)
-        return code
-
-    uf = UnionFind(size)
-    gens = [[one_minus[i][j] for i in range(k)] for j in range(k)]  # images of basis vectors
-    for code in range(size):
-        vec = []
-        c = code
-        for _ in range(k):
-            vec.append(c % n)
-            c //= n
-        vec.reverse()
-        for g in gens:
-            uf.union(code, encode([a + b for a, b in zip(vec, g)]))
-    return uf.components
 
 
 def test_lemma_equivalence_random_unimodular():
@@ -661,8 +672,8 @@ def test_generators_generate_and_are_few():
         n = group.order
         t = group.table
         assert group.is_abelian() == all(t[i][j] == t[j][i] for i in range(n) for j in range(n))
-        assert group.center() == [z for z in range(n)
-                                  if all(t[z][x] == t[x][z] for x in range(n))]
+        assert center(group) == [z for z in range(n)
+                                 if all(t[z][x] == t[x][z] for x in range(n))]
 
 
 def test_order_128_loop_is_rejected():

@@ -499,22 +499,26 @@ COMPASS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 def test_direction_scan_agreement_radius6():
     """Catalog agreement at radius 6 in both modes for all four probe atoms
-    (the radius-8 sweep runs in the acceptance suite)."""
+    (the radius-8 sweep runs in the acceptance suite).  The members are
+    written out, the same in both modes: every direction of Z^2 and of the
+    Klein bottle group, none of F(2), and only (1,) of BS(1,2)."""
+    free_dirs = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     cases = [
-        (ex.free_abelian(2), COMPASS),
-        (ex.free_group(2), [(1, 0), (-1, 0), (0, 1), (0, -1)]),
-        (ex.baumslag_solitar(1, 2), [(1,), (-1,)]),
-        (ex.klein_bottle(), [(1,), (-1,)]),
+        (ex.free_abelian(2), COMPASS, set(COMPASS)),
+        (ex.free_group(2), free_dirs, set()),
+        (ex.baumslag_solitar(1, 2), [(1,), (-1,)], {(1,)}),
+        (ex.klein_bottle(), [(1,), (-1,)], {(1,), (-1,)}),
     ]
-    for atom, dirs in cases:
+    for atom, dirs, members in cases:
         ball = enumerate_ball(atom, 6)
         for mode in (HALF_SPACE, TRUNCATED_CONE):
             rows, _ = probe_direction_scan(atom, [Direction(d) for d in dirs], 6,
                                            mode, ball=ball)
-            for row in rows:
+            for d, row in zip(dirs, rows, strict=True):
+                member = d in members
                 assert not row.warn, (atom.label(), mode, row)
-                assert row.catalog_member is not None
-                expected = SUPPORTS_MEMBERSHIP if row.catalog_member else SUPPORTS_NON_MEMBERSHIP
+                assert row.catalog_member == member, (atom.label(), mode, row)
+                expected = SUPPORTS_MEMBERSHIP if member else SUPPORTS_NON_MEMBERSHIP
                 assert row.evidence == expected, (atom.label(), mode, row)
 
 

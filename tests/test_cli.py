@@ -216,7 +216,8 @@ def test_each_command_loads_only_the_modules_it_calls():
     # and the deleted key views and fixed-subgroup test nowhere
     oracles = {"ScanRow", "catalog_membership", "probe_direction_scan",
                "abelian_group_from_matrix", "CentralExtensionReport",
-               "verify_central_extension", "cyclic_table", "direct_product_table"}
+               "verify_central_extension", "cyclic_table", "direct_product_table",
+               "center", "mat_sub"}
     deleted = {"fixed_subgroup_trivial", "_ColumnView", "_FreeWords", "_BSNormalForms"}
     for info in pkgutil.iter_modules(groupinv.__path__):
         module = importlib.import_module("groupinv." + info.name)
@@ -226,6 +227,7 @@ def test_each_command_loads_only_the_modules_it_calls():
         assert defined & (oracles | deleted) == expected, info.name
     assert not hasattr(ballprobe.BallGraph, "keys")
     assert not hasattr(abelian.FGAbelianAutomorphism, "full_matrix")
+    assert not hasattr(abelian.FiniteGroupTable, "center")
 
 
 def test_commands_load_nothing_beyond_the_standard_library():

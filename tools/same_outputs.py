@@ -14,7 +14,8 @@ One list of command lines is generated once, from PARENT's ``src`` and
   and other Thompson-type products, and inputs the parser refuses;
 - seeded ``probe`` lines in JSON and CSV (grids, budgets, cone mode, wrong
   directions), ``reidemeister --matrix`` and ``--table`` lines and their
-  usage errors, and one ``--table`` line per refusal of a table or its map;
+  usage errors, and one ``--table`` line per refusal of a table or its map
+  and one ``--matrix`` line per refusal of an automorphism;
 - ``selfcheck``, whose per-criterion timings are stripped.
 
 Each checkout then runs that same list in one child process on its own
@@ -114,6 +115,41 @@ def _refused_table_lines():
                for perm in maps])
 
 
+def _refused_matrix_lines():
+    """One ``reidemeister --matrix`` line per refusal of an automorphism, and
+    lines that fail several checks at once, so the order of the checks shows;
+    then a few accepted ones."""
+    chain = {"--torsion": "[2, 4]"}
+    cases = [
+        ("5", {}), ("[[1.0]]", {}), ("[[true]]", {}), ("[1]", {}), ("[[1, 0], [0]]", {}),
+        ("[[-1]]", {"--torsion": "[1]"}), ("[[-1]]", {"--torsion": "[2.0]"}),
+        ("[[-1]]", {"--torsion": "[4, 2]"}),
+        ("[[-1]]", dict(chain, **{"--torsion-map": "[[1, 0]]"})),
+        ("[[-1]]", dict(chain, **{"--torsion-map": "[[1, 0], [0, 1.5]]"})),
+        ("[[-1]]", dict(chain, **{"--torsion-map": "3"})),
+        ("[[-1]]", {"--torsion": "[2]", "--mixing": "[[1, 0]]"}),
+        ("[[-1]]", {"--torsion": "[2]", "--mixing": "[[false]]"}),
+        ("[[2]]", {}),
+        ("[[-1]]", dict(chain, **{"--torsion-map": "[[1, 1], [1, 1]]"})),
+        ("[[-1]]", {"--torsion": "[4]", "--torsion-map": "[[2]]"}),
+        # two faults each: the earlier check decides the message
+        ("[[1, 0]]", dict(chain, **{"--torsion-map": "[[1.0]]"})),
+        ("[[1, 0]]", {"--torsion": "[1]"}),
+        ("[[2]]", {"--torsion": "[3, 2]", "--torsion-map": "[[1]]"}),
+        ("[[2]]", {"--torsion": "[2]", "--mixing": "[[1, 1]]"}),
+        ("[[2]]", {"--torsion": "[4]", "--torsion-map": "[[2]]"}),
+        # a singular 1 - A, pure torsion, a moved torsion part with a mixing
+        # block, and a 6 x 6 signed permutation
+        ("[[1, 1], [0, 1]]", {}), ("[]", chain),
+        ("[]", {"--torsion": "[3, 6]", "--torsion-map": "[[2, 0], [0, 5]]"}),
+        ("[[-1]]", dict(chain, **{"--torsion-map": "[[1, 1], [2, 3]]", "--mixing": "[[1], [3]]"})),
+        (json.dumps([[0, -1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0],
+                     [0, 0, 0, 0, 0, 1], [0, 0, 0, -1, 0, 0], [0, 0, 0, 0, 1, 0]]), {}),
+    ]
+    return [["reidemeister", "--matrix", matrix] + [x for item in options.items() for x in item]
+            for matrix, options in cases]
+
+
 def _reidemeister_lines(rng, workloads, count):
     lines = []
     for i in range(count):
@@ -132,7 +168,7 @@ def _reidemeister_lines(rng, workloads, count):
     lines += [["reidemeister"], ["reidemeister", "--matrix", "[[1,"],
               ["reidemeister", "--matrix", "[[1]]", "--table", "[[0]]"],
               ["reidemeister", "--table", "{}"], ["reidemeister", "--matrix", "[[1, 2]]"]]
-    return lines + _refused_table_lines()
+    return lines + _refused_table_lines() + _refused_matrix_lines()
 
 
 def generate() -> list:
