@@ -1,37 +1,46 @@
-"""Exact Reidemeister numbers of finitely generated abelian groups, and of
-finite groups given by multiplication tables.
+"""Exact Reidemeister-number computation for finitely generated abelian groups.
 
-For an automorphism ``phi`` of Z^k + T, T the torsion subgroup, the number of
-twisted conjugacy classes is ``#Coker(1 - phi)``.  phi maps T into itself, so
-the snake lemma on 0 -> T -> G -> Z^k -> 0 reads it as |det(1 - A)| *
+Everything here runs on arbitrary-precision Python integers.  For an
+automorphism ``phi`` of Z^k + T, T the torsion subgroup, the number of twisted
+conjugacy classes is ``#Coker(1 - phi)``.  phi maps T into itself, so the
+snake lemma on 0 -> T -> G -> Z^k -> 0 reads it as |det(1 - A)| *
 #Coker(1 - phi|T), A the free part, or infinite when det(1 - A) = 0; the
-finite factor equals #Fix(phi|T), and is 1 without torsion.  The determinant
-is the Bareiss one of ``linalg``.  The torsion factor, and the check that the
-torsion part is invertible, come from a diagonalization reduced modulo the
-exponent of T, so no entry grows.
+finite factor equals #Fix(phi|T).  The determinant is the Bareiss one of
+``linalg``, and the torsion factor comes from a diagonalization reduced
+modulo the exponent of T, so no entry grows.  The same reduction checks that
+the torsion part is invertible.
 
-The Smith normal form with its transforms (pivoting on the smallest nonzero
-entry in absolute value) is the oracle that the tests and ``selfcheck``
-compare against, and the brute-force orbit counter on tables the cross-check
-on finite groups.  The oracles that no command runs live in ``selfcheck``.
+The Smith normal form with its unimodular transforms stays as the oracle
+that the tests and ``selfcheck`` compare against; pivoting always picks the
+smallest nonzero entry in absolute value.  A brute-force orbit counter over
+multiplication tables of small finite groups is the independent cross-check
+on finite groups.  The oracles that no command runs (the cokernel of a
+matrix, the central-extension checker and the small table constructors) live
+in ``selfcheck``.
 
 A table is validated through one greedy generating set S: the least element
-not yet reached is the next generator, and the reached set is closed under
-right multiplication by S, so every element is a left-normed product of S.
-In a group each generator at least doubles the span, so a table needing more
-than floor(log2 n) of them is not associative.  Light's test checks (x g) z =
-x (g z) for g in S, one row gather per (x, g); the g passing it are closed
-under products, so this proves the whole table associative.  Homomorphisms
-and twisted orbits also run along g in S: every scan costs O(|S| n).
+not yet reached becomes the next generator, and the reached set is closed
+under right multiplication by the generators, so every element is a
+left-normed product of S.  In a group each generator at least doubles the
+span, so a table needing more than floor(log2 n) of them is not associative.
+Light's test then checks (x g) z = x (g z) for g in S only, as one row gather
+per (x, g): the g passing it are closed under products, so this proves the
+whole table associative.  Homomorphisms are checked on pairs (x, g) and the
+twisted orbits are joined along g in S, so every scan costs O(|S| n), with
+|S| <= log2 n, instead of O(n^2) or O(n^3).
 
-No scan checks that the entries lie in range(n).  The identity's row is 0,
-..., n - 1, so Light's test at that row matches row g only if row g is in
-range (a negative index wraps, a larger one raises IndexError), and the test
-passes being in range from x to x g, along the span to every row.  Only the
-generators' rows are searched for inverses; the others follow along the span
-as (x g)^-1 = g^-1 x^-1.  A refused table is explained in a fixed order:
-entries out of range, no identity, the least element with no two-sided
-inverse, non-associativity; so only refused tables pay for the range scan.
+No scan checks that the entries lie in range(n); the identity and Light's
+test prove it.  The identity's row is exactly 0, ..., n - 1, so Light's test
+at that row matches row g only if every entry of row g is in range: a
+negative index would wrap to another value, and a larger one raises
+IndexError.  At a row x in range the test gives row(x g) = row x o row g, so
+being in range passes from x to x g, and along the span to every row.  With
+the identity and associativity proven, only the generators' rows are
+searched for inverses; every other inverse follows along the span as
+(x g)^-1 = g^-1 x^-1.  A table that fails any check is refused in a fixed
+order: entries out of range, no identity, the least element with no
+two-sided inverse, non-associativity.  So only refused tables pay for the
+range scan.
 """
 
 from __future__ import annotations
@@ -79,10 +88,18 @@ class SmithForm:
 
 
 def _min_abs_pivot(a: IntMatrix, start: int) -> tuple[int, int] | None:
-    """The first (i, j), row by row, of a least nonzero |a[i][j]| with i, j >= start."""
-    entries = [(abs(x), i, j) for i in range(start, len(a))
-               for j, x in enumerate(a[i][start:], start) if x]
-    return min(entries)[1:] if entries else None
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    best = None
+    best_val = None
+    for i in range(start, rows):
+        for j in range(start, cols):
+            x = abs(a[i][j])
+            if x and (best_val is None or x < best_val):
+                best, best_val = (i, j), x
+                if x == 1:
+                    return best
+    return best
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithForm:
@@ -98,16 +115,20 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithForm:
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q*col_j
-        for row in (*a, *v):
-            row[i] -= q * row[j]
+        for r in range(rows):
+            a[r][i] -= q * a[r][j]
+        for r in range(cols):
+            v[r][i] -= q * v[r][j]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in (*a, *v):
-            row[i], row[j] = row[j], row[i]
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
 
     k = 0
     while True:
@@ -138,12 +159,18 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SmithForm:
                         done = False
             if done:
                 break
-        # divisibility: the pivot must divide the remaining block; otherwise
-        # add the first row that breaks it to row k and restart this pivot
+        # divisibility: pivot must divide the remaining block
+        fixup = False
         p = a[k][k]
-        bad = next((i for i in range(k + 1, rows) if any(x % p for x in a[i][k + 1:])), None)
-        if bad is not None:
-            row_op(k, bad, -1)
+        for i in range(k + 1, rows):
+            for j in range(k + 1, cols):
+                if a[i][j] % p:
+                    row_op(k, i, -1)  # add row i to row k, then restart this pivot
+                    fixup = True
+                    break
+            if fixup:
+                break
+        if fixup:
             continue
         if a[k][k] < 0:
             a[k] = [-x for x in a[k]]
@@ -199,9 +226,10 @@ def _torsion_coker_order(m: Sequence[Sequence[int]], factors: Sequence[int]) -> 
     range(e), and each unimodular step, on columns (new generators of L) or
     on rows (a new basis of Z^t), keeps the order.  A pivot p leaves
     Z/gcd(p, e) and a missing one Z/e.  Only the order is read, so the
-    pivots need not divide each other.  One factor d (t = 1) needs no
-    elimination: Z/d / mZ has order gcd(m, d)."""
+    pivots need not divide each other; one factor d leaves gcd(m, d)."""
     t = len(factors)
+    if not t:
+        return 1
     if t == 1:
         return math.gcd(m[0][0], factors[0])
     e = factors[-1]
@@ -240,22 +268,10 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _int_rows(rows, what: str, count: int | None = None,
-              width: int | None = None) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """``rows`` as a tuple of int tuples, and whether it is ``count`` x
-    ``width`` (square if not given), in one pass; anything else is refused."""
+def _int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
     if not isinstance(rows, (list, tuple)):
         raise InvalidAutomorphism("%s must be a list of rows" % what)
-    if count is None:
-        count = width = len(rows)
-    fits = len(rows) == count
-    out = []
-    for row in rows:
-        if not isinstance(row, (list, tuple)) or countOf(map(type, row), int) != len(row):
-            raise InvalidAutomorphism("%s rows must be a list of integers" % what)
-        fits = fits and len(row) == width
-        out.append(tuple(row))
-    return tuple(out), fits
+    return tuple(_ints(row, what + " rows") for row in rows)
 
 
 def _one_minus(m: Sequence[Sequence[int]]) -> IntMatrix:
@@ -273,11 +289,10 @@ class FGAbelianAutomorphism(_Record):
     generators mod the invariant factors, and ``mixing`` M records the torsion
     components of the images of the free generators (t rows, k columns).
     Construction raises ``InvalidAutomorphism`` at the first failed check of:
-    the entry types of A, the factors, T and M (``from_matrix`` only, each
-    block's types and shape in one pass); A square; factors >= 2 in a
-    divisibility chain; the shapes of T and M; det A = +-1; T respecting the
-    relation lattice; T invertible.  ``from_matrix`` does not check again the
-    identity T and zero M it supplies itself.
+    the entry types of A, the factors, T and M (``from_matrix`` only); A
+    square; factors >= 2 in a divisibility chain; the shapes of T and M;
+    det A = +-1; and, when t > 0, T respecting the relation lattice and T
+    invertible.
     """
 
     __slots__ = ("free_rank", "free_part", "torsion_factors", "torsion_part", "mixing")
@@ -287,46 +302,34 @@ class FGAbelianAutomorphism(_Record):
                     torsion_factors: Sequence[int] = (),
                     torsion_part: Sequence[Sequence[int]] | None = None,
                     mixing: Sequence[Sequence[int]] | None = None) -> "FGAbelianAutomorphism":
-        free, square = _int_rows(free_part, "free part")
+        free = _int_rows(free_part, "free part")
         factors = _ints(torsion_factors, "torsion factors")
         k, t = len(free), len(factors)
-        if torsion_part is None:
-            torsion, torsion_fits = tuple(map(tuple, identity_matrix(t))), True
-        else:
-            torsion, torsion_fits = _int_rows(torsion_part, "torsion part", t, t)
-        if mixing is None:
-            mix, mixing_fits = ((0,) * k,) * t, True
-        else:
-            mix, mixing_fits = _int_rows(mixing, "mixing block", t, k)
-        phi = object.__new__(FGAbelianAutomorphism)
-        phi._set(k, free, factors, torsion, mix)
-        phi._check(square, torsion_fits, mixing_fits, torsion_part is not None)
-        return phi
+        torsion = (tuple(map(tuple, identity_matrix(t))) if torsion_part is None
+                   else _int_rows(torsion_part, "torsion part"))
+        mix = ((0,) * k,) * t if mixing is None else _int_rows(mixing, "mixing block")
+        return FGAbelianAutomorphism(k, free, factors, torsion, mix)
 
     def __init__(self, free_rank: int, free_part: tuple[tuple[int, ...], ...],
                  torsion_factors: tuple[int, ...] = (),
                  torsion_part: tuple[tuple[int, ...], ...] = (),
                  mixing: tuple[tuple[int, ...], ...] = ()):
         self._set(free_rank, free_part, torsion_factors, torsion_part, mixing)
-        self._check()
-
-    def _check(self, square=None, torsion_fits=None, mixing_fits=None, torsion_given=True):
-        """The checks after the entry types, in order; a shape not given is measured in turn."""
-        k, factors, torsion = self.free_rank, self.torsion_factors, self.torsion_part
+        k, factors, torsion = free_rank, self.torsion_factors, self.torsion_part
         t = len(factors)
-        if not (_fits(self.free_part, k, k) if square is None else square):
+        if len(self.free_part) != k or any(len(r) != k for r in self.free_part):
             raise InvalidAutomorphism("free part must be %d x %d" % (k, k))
-        if t and any(d < 2 for d in factors):
+        if any(d < 2 for d in factors):
             raise InvalidAutomorphism("torsion factors must be >= 2")
-        if t and any(factors[i] % factors[i - 1] for i in range(1, t)):
+        if any(factors[i] % factors[i - 1] for i in range(1, t)):
             raise InvalidAutomorphism("torsion factors must form a divisibility chain")
-        if not (_fits(torsion, t, t) if torsion_fits is None else torsion_fits):
+        if len(torsion) != t or any(len(r) != t for r in torsion):
             raise InvalidAutomorphism("torsion part must be %d x %d" % (t, t))
-        if not (_fits(self.mixing, t, k) if mixing_fits is None else mixing_fits):
+        if len(self.mixing) != t or any(len(r) != k for r in self.mixing):
             raise InvalidAutomorphism("mixing block must be %d x %d" % (t, k))
         if k and abs(det(self.free_part)) != 1:
             raise InvalidAutomorphism("free part is not unimodular")
-        if t and torsion_given:
+        if t:
             # well-defined on the quotient: d_i * T column i must vanish mod the chain
             if any(d * x % dj for row, dj in zip(torsion, factors) for x, d in zip(row, factors)):
                 raise InvalidAutomorphism("torsion block does not respect the relation lattice")
@@ -336,14 +339,13 @@ class FGAbelianAutomorphism(_Record):
                 raise InvalidAutomorphism("torsion part is not invertible mod the factors")
 
 
-def _fits(rows, count: int, width: int) -> bool:
-    return len(rows) == count and all(len(r) == width for r in rows)
-
-
 def reidemeister_number(phi: FGAbelianAutomorphism) -> int | float:
-    """#Coker(1 - phi) on Z^k + torsion: by the snake lemma on 0 -> T -> G ->
-    Z^k -> 0, INFINITE when det(1 - A) = 0, else |det(1 - A)| * #Coker(1 -
-    phi|T), which is |det(1 - A)| without torsion; the mixing block does not enter."""
+    """#Coker(1 - phi) on Z^k + torsion, or INFINITE when the cokernel is infinite.
+
+    phi maps the torsion subgroup T into itself, so the snake lemma on
+    0 -> T -> G -> Z^k -> 0 gives INFINITE when det(1 - A) = 0 and
+    |det(1 - A)| * #Coker(1 - phi|T) otherwise; the mixing block does not
+    enter, and without torsion the second factor is 1."""
     free = det(_one_minus(phi.free_part))
     if free == 0:
         return INFINITE
